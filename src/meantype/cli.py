@@ -27,6 +27,7 @@ from .invariant import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     MAX_ITER_REACHED,
+    READOUTS,
     InvariantMean,
     gauss_iterate,
     invariance_residual,
@@ -39,7 +40,7 @@ from .mapping import (
     load_mapping,
     probe_contractivity,
 )
-from .means import REALS, eval_mean, parse_interval, parse_mean
+from .means import REALS, eval_mean, mean_callable, parse_interval, parse_mean
 
 SEED_ENV_VAR = "MEANTYPE_SEED"
 
@@ -103,8 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         if iteration:
             p.add_argument("--tol", type=float, default=DEFAULT_TOL, metavar="T")
             p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, metavar="N")
-            p.add_argument("--readout", choices=["mid", "min", "max", "first"],
-                           default="mid")
+            p.add_argument("--readout", choices=READOUTS, default="mid")
             p.add_argument("--relative", action="store_true",
                            help="stop on diameter < tol * |midpoint| instead of absolute")
         if cap:
@@ -329,7 +329,7 @@ def _cmd_residual(args) -> int:
     mapping = load_mapping(args.mapping)
     if args.mean:
         spec = parse_mean(args.mean, mapping.p)
-        k = lambda v: eval_mean(spec, v, mapping.domain)
+        k = mean_callable(spec, mapping.domain)
         k_name = spec.canonical()
     else:
         k = InvariantMean(mapping, tol=args.tol, max_iter=args.max_iter,

@@ -19,10 +19,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import InvalidMapping, MeanTypeError, ParseError
-from .invariant import DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_ITER_REACHED, InvariantMean
-from .mapping import MeanTypeMapping, sample_vectors
-from .means import eval_mean, parse_mean
+from .errors import DomainViolation, InvalidMapping, ParseError
+from .invariant import (DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_ITER_REACHED, InvariantMean,
+                        invariance_residual, over_samples)
+from .mapping import MeanTypeMapping, sample_vectors  # noqa: F401 -- bench/spans.py patches it here
+from .means import mean_callable, parse_mean
 
 
 @dataclass(frozen=True)
@@ -61,19 +62,25 @@ def constant_function(value: float, p: int) -> InvariantFunction:
 def mean_function(mapping: MeanTypeMapping, text: str) -> InvariantFunction:
     """A catalog mean, evaluated on the mapping's domain, as an F."""
     spec = parse_mean(text, mapping.p)
-    return InvariantFunction(
-        f"mean:{spec.canonical()}", mapping.p,
-        lambda v: eval_mean(spec, v, mapping.domain),
-    )
+    return InvariantFunction(f"mean:{spec.canonical()}", mapping.p,
+                             mean_callable(spec, mapping.domain))
 
 
 def compose(outer_name: str, outer: Callable[[float], float],
             inner: InvariantFunction) -> InvariantFunction:
-    """The composition outer o inner, for building F = psi o K fixtures."""
-    return InvariantFunction(
-        f"{outer_name}@{inner.name}", inner.arity,
-        lambda v: outer(inner(v)),
-    )
+    """The composition outer o inner, for building F = psi o K fixtures.
+
+    An outer function failing outside its domain (``sqrt`` of a negative,
+    ``exp`` overflowing) raises :class:`DomainViolation`.
+    """
+    def fn(v: Sequence[float]) -> float:
+        x = inner(v)
+        try:
+            return outer(x)
+        except (ValueError, OverflowError) as exc:
+            raise DomainViolation(f"{outer_name}({x!r}): {exc}") from exc
+
+    return InvariantFunction(f"{outer_name}@{inner.name}", inner.arity, fn)
 
 
 _UNARY: dict[str, Callable[[float], float]] = {
@@ -145,24 +152,8 @@ def diagonal_restriction(f: InvariantFunction) -> Callable[[float], float]:
     return phi
 
 
-def check_invariance(
-    f: InvariantFunction,
-    mapping: MeanTypeMapping,
-    sample_count: int = 1000,
-    seed: int = 42,
-) -> float:
-    """max over samples of |F(M(v)) - F(v)|; zero for an invariant F."""
-    if sample_count < 1:
-        raise InvalidMapping(f"sample_count must be >= 1, got {sample_count}")
-    worst = 0.0
-    for idx, v in enumerate(sample_vectors(mapping.domain, mapping.p, sample_count, seed)):
-        try:
-            residual = abs(f(mapping.apply(v)) - f(v))
-        except MeanTypeError as exc:
-            raise type(exc)(f"sample {idx} {list(v)}: {exc}") from exc
-        if residual > worst:
-            worst = residual
-    return worst
+#: max over samples of |F(M(v)) - F(v)|; zero for an invariant F.
+check_invariance = invariance_residual
 
 
 @dataclass(frozen=True)
@@ -218,36 +209,26 @@ def verify_decomposition(
     itself fails, and the decomposition residual is then expected to be
     large as well.
     """
-    if sample_count < 1:
-        raise InvalidMapping(f"sample_count must be >= 1, got {sample_count}")
     k = InvariantMean(mapping, tol=tol, max_iter=max_iter)
     phi = diagonal_restriction(f)
 
-    worst_inv = 0.0
-    worst_dec = 0.0
-    steps: list[int] = []
-    max_iter_hits = 0
-    for idx, v in enumerate(sample_vectors(mapping.domain, mapping.p, sample_count, seed)):
-        try:
-            fv = f(v)
-            worst_inv = max(worst_inv, abs(f(mapping.apply(v)) - fv))
-            est = k.estimate(v)
-            worst_dec = max(worst_dec, abs(phi(est.value) - fv))
-        except MeanTypeError as exc:
-            raise type(exc)(f"sample {idx} {list(v)}: {exc}") from exc
-        steps.append(est.steps)
-        if est.status == MAX_ITER_REACHED:
-            max_iter_hits += 1
+    def row(v):
+        fv = f(v)
+        invariance = abs(f(mapping.apply(v)) - fv)
+        est = k.estimate(v)
+        return invariance, abs(phi(est.value) - fv), est
 
+    rows = over_samples(row, mapping.domain, mapping.p, sample_count, seed)
+    steps = [est.steps for _, _, est in rows]
     return DecompositionReport(
         fixture=f.name,
         mapping=mapping,
-        invariance_residual=worst_inv,
-        decomposition_residual=worst_dec,
+        invariance_residual=max(0.0, *(inv for inv, _, _ in rows)),
+        decomposition_residual=max(0.0, *(dec for _, dec, _ in rows)),
         samples=sample_count,
         tol=tol,
         k_steps_min=min(steps),
         k_steps_max=max(steps),
         k_steps_mean=math.fsum(steps) / len(steps),
-        max_iter_hits=max_iter_hits,
+        max_iter_hits=sum(est.status == MAX_ITER_REACHED for _, _, est in rows),
     )

@@ -16,6 +16,7 @@ observed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,22 +27,32 @@ from .means import Interval, Vector
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10000
 
-READOUTS = ("mid", "min", "max", "first")
-
 CONVERGED = "converged"
 MAX_ITER_REACHED = "max_iter_reached"
 
 
-def _read(v: Vector, readout: str) -> float:
-    if readout == "mid":
-        return 0.5 * (max(v) + min(v))
-    if readout == "min":
-        return min(v)
-    if readout == "max":
-        return max(v)
-    if readout == "first":
-        return v[0]
-    raise InvalidMapping(f"unknown readout {readout!r}; available: {READOUTS}")
+def _mid(v: Vector) -> float:
+    mid = 0.5 * (max(v) + min(v))
+    if math.isinf(mid):  # max + min overflowed; their halves cannot
+        mid = 0.5 * max(v) + 0.5 * min(v)
+    return mid
+
+
+#: Readout name -> the value it reads off the final iterate.
+_READERS: dict[str, Callable[[Vector], float]] = {
+    "mid": _mid, "min": min, "max": max, "first": lambda v: v[0],
+}
+READOUTS = tuple(_READERS)
+
+
+def _check_iteration(tol: float, max_iter: int, readout: str) -> None:
+    """Reject iteration parameters no run could use; NaN ``tol`` included."""
+    if not tol > 0.0:
+        raise InvalidMapping(f"tol must be positive, got {tol!r}")
+    if max_iter < 1:
+        raise InvalidMapping(f"max_iter must be >= 1, got {max_iter}")
+    if readout not in READOUTS:
+        raise InvalidMapping(f"unknown readout {readout!r}; available: {READOUTS}")
 
 
 @dataclass(frozen=True)
@@ -83,12 +94,7 @@ def gauss_iterate(
     status, not an error: convergence holds for continuous weakly
     contractive mappings but cannot be assumed for arbitrary input.
     """
-    if tol <= 0.0:
-        raise InvalidMapping(f"tol must be positive, got {tol!r}")
-    if max_iter < 1:
-        raise InvalidMapping(f"max_iter must be >= 1, got {max_iter}")
-    if readout not in READOUTS:
-        raise InvalidMapping(f"unknown readout {readout!r}; available: {READOUTS}")
+    _check_iteration(tol, max_iter, readout)
 
     current = tuple(float(x) for x in v)
     d = diameter(current)
@@ -96,7 +102,7 @@ def gauss_iterate(
 
     def stopped(dd: float, vec: Vector) -> bool:
         if relative:
-            return dd < tol * abs(0.5 * (max(vec) + min(vec)))
+            return dd < tol * abs(_mid(vec))
         return dd < tol
 
     n = 0
@@ -111,7 +117,7 @@ def gauss_iterate(
 
     status = CONVERGED if (d == 0.0 or stopped(d, current)) else MAX_ITER_REACHED
     trace = IterationTrace(mapping, steps) if keep_trace else None
-    value = current[0] if d == 0.0 else _read(current, readout)
+    value = current[0] if d == 0.0 else _READERS[readout](current)
     return InvariantEstimate(value, n, d, status, trace)
 
 
@@ -132,8 +138,7 @@ class InvariantMean:
         readout: str = "mid",
         relative: bool = False,
     ):
-        if readout not in READOUTS:
-            raise InvalidMapping(f"unknown readout {readout!r}; available: {READOUTS}")
+        _check_iteration(tol, max_iter, readout)
         self.mapping = mapping
         self.tol = tol
         self.max_iter = max_iter
@@ -186,6 +191,29 @@ def invariant_mean(
 MeanFn = Callable[[Sequence[float]], float]
 
 
+def over_samples(
+    fn: Callable[[Vector], object],
+    domain: Interval,
+    p: int,
+    sample_count: int,
+    seed: int,
+) -> list:
+    """``fn(v)`` for each of :func:`sample_vectors`' vectors, in order.
+
+    An evaluation error aborts the probe, re-raised with the offending
+    sample attached.
+    """
+    if sample_count < 1:
+        raise InvalidMapping(f"sample_count must be >= 1, got {sample_count}")
+    out = []
+    for idx, v in enumerate(sample_vectors(domain, p, sample_count, seed)):
+        try:
+            out.append(fn(v))
+        except MeanTypeError as exc:
+            raise type(exc)(f"sample {idx} {list(v)}: {exc}") from exc
+    return out
+
+
 def invariance_residual(
     k: MeanFn,
     mapping: MeanTypeMapping,
@@ -196,19 +224,10 @@ def invariance_residual(
 
     Samples come from the mapping module's sampler (stress vectors plus
     uniform).  An evaluation error aborts the probe, re-raised with the
-    offending sample attached.
+    offending sample attached.  Any F: I^p -> R may stand in for K.
     """
-    if sample_count < 1:
-        raise InvalidMapping(f"sample_count must be >= 1, got {sample_count}")
-    worst = 0.0
-    for idx, v in enumerate(sample_vectors(mapping.domain, mapping.p, sample_count, seed)):
-        try:
-            residual = abs(k(mapping.apply(v)) - k(v))
-        except MeanTypeError as exc:
-            raise type(exc)(f"sample {idx} {list(v)}: {exc}") from exc
-        if residual > worst:
-            worst = residual
-    return worst
+    return max(0.0, *over_samples(lambda v: abs(k(mapping.apply(v)) - k(v)),
+                                  mapping.domain, mapping.p, sample_count, seed))
 
 
 def uniqueness_probe(
@@ -226,14 +245,4 @@ def uniqueness_probe(
     the iteration tolerance; larger values witness that the two are
     genuinely different means.
     """
-    if sample_count < 1:
-        raise InvalidMapping(f"sample_count must be >= 1, got {sample_count}")
-    worst = 0.0
-    for idx, v in enumerate(sample_vectors(domain, p, sample_count, seed)):
-        try:
-            difference = abs(k1(v) - k2(v))
-        except MeanTypeError as exc:
-            raise type(exc)(f"sample {idx} {list(v)}: {exc}") from exc
-        if difference > worst:
-            worst = difference
-    return worst
+    return max(0.0, *over_samples(lambda v: abs(k1(v) - k2(v)), domain, p, sample_count, seed))

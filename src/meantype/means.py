@@ -164,17 +164,15 @@ POSITIVE_REALS = Interval(0.0, math.inf)
 
 @dataclass(frozen=True)
 class Generator:
-    """A strictly monotone continuous bijection with a known inverse.
+    """A generator g of a quasi-arithmetic mean g^{-1}(average of g(x_i)).
 
-    A quasi-arithmetic mean evaluates g^{-1}(average of g(x_i)); the
-    generator's ``domain`` is the natural domain of its argument.  Two
-    generators are equal when name and parameter agree (the catalog is
-    fixed, so those determine the functions).
+    The catalog is fixed, so the name (and the exponent of ``power``)
+    determines g; the mean is evaluated by the catalog kernel it equals.
+    ``domain`` is the natural domain of g's argument.  Two generators are
+    equal when name and parameter agree.
     """
 
     name: str
-    fn: Callable[[float], float] = field(compare=False)
-    inverse: Callable[[float], float] = field(compare=False)
     domain: Interval = field(compare=False)
     parameter: float | None = None
 
@@ -184,23 +182,12 @@ class Generator:
         return f"{self.name}:{self.parameter!r}"
 
 
-def _power_generator(q: float) -> Generator:
-    if q == 0 or not math.isfinite(q):
-        raise InvalidMeanSpec(f"power generator exponent must be finite and nonzero, got {q}")
-    return Generator(
-        "power",
-        fn=lambda x, q=q: x**q,
-        inverse=lambda y, q=q: y ** (1.0 / q),
-        domain=POSITIVE_REALS,
-        parameter=q,
-    )
-
-
-GENERATORS: dict[str, Callable[..., Generator]] = {
-    "identity": lambda: Generator("identity", lambda x: x, lambda y: y, REALS),
-    "log": lambda: Generator("log", math.log, math.exp, POSITIVE_REALS),
-    "exp": lambda: Generator("exp", math.exp, math.log, REALS),
-    "power": _power_generator,
+#: Generator name -> natural domain of its argument.
+GENERATORS: dict[str, Interval] = {
+    "identity": REALS,
+    "log": POSITIVE_REALS,
+    "exp": REALS,
+    "power": POSITIVE_REALS,
 }
 
 
@@ -214,10 +201,12 @@ def make_generator(name: str, parameter: float | None = None) -> Generator:
     if key == "power":
         if parameter is None:
             raise InvalidMeanSpec("power generator requires an exponent, e.g. power:2")
-        return GENERATORS[key](parameter)
-    if parameter is not None:
+        if parameter == 0 or not math.isfinite(parameter):
+            raise InvalidMeanSpec(
+                f"power generator exponent must be finite and nonzero, got {parameter}")
+    elif parameter is not None:
         raise InvalidMeanSpec(f"generator {name!r} takes no parameter")
-    return GENERATORS[key]()
+    return Generator(key, GENERATORS[key], parameter)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +326,7 @@ class MeanSpec:
         if self.kind in _POSITIVE_ONLY:
             return True
         if self.kind == "quasi_arithmetic":
-            return self.generator.domain is POSITIVE_REALS or self.generator.domain.lower >= 0
+            return self.generator.domain.lower >= 0
         return False
 
     def canonical(self) -> str:
@@ -443,13 +432,30 @@ def _check_positive(v: Vector, spec: MeanSpec) -> None:
             )
 
 
-def _geometric(v: Vector) -> float:
+def _arithmetic(v: Vector, spec: MeanSpec) -> float:
+    try:
+        return math.fsum(v) / len(v)
+    except OverflowError:  # the sum leaves the float range; the mean does not
+        n = len(v)
+        return math.fsum(x / n for x in v)
+
+
+def _geometric(v: Vector, spec: MeanSpec) -> float:
     return math.exp(math.fsum(math.log(x) for x in v) / len(v))
+
+
+def _harmonic(v: Vector, spec: MeanSpec) -> float:
+    total = math.fsum(1.0 / x for x in v)
+    if total == math.inf:
+        # a subnormal coordinate overflows its reciprocal; scale by min(v)
+        m = min(v)
+        return m * len(v) / math.fsum(m / x for x in v)
+    return len(v) / total
 
 
 def _power_mean(v: Vector, t: float) -> float:
     if abs(t) < POWER_ZERO_CUTOFF:
-        return _geometric(v)
+        return _geometric(v, None)
     # Work in log space so large |t| cannot overflow: the mean of x^t is
     # exp(t*L_max) * mean(exp(t*(L_i - L_max))).
     logs = [t * math.log(x) for x in v]
@@ -458,17 +464,30 @@ def _power_mean(v: Vector, t: float) -> float:
     return math.exp((top + math.log(acc)) / t)
 
 
-def _quasi(v: Vector, gen: Generator) -> float:
-    if gen.name == "log":
-        return _geometric(v)
-    if gen.name == "exp":
-        # log of the average of exp(x_i), stabilized against overflow.
-        top = max(v)
-        return top + math.log(math.fsum(math.exp(x - top) for x in v) / len(v))
-    if gen.name == "power":
-        return _power_mean(v, gen.parameter)
-    images = [gen.fn(x) for x in v]
-    return gen.inverse(math.fsum(images) / len(images))
+def _log_mean_exp(v: Vector, spec: MeanSpec) -> float:
+    # log of the average of exp(x_i), stabilized against overflow.
+    top = max(v)
+    return top + math.log(math.fsum(math.exp(x - top) for x in v) / len(v))
+
+
+#: Mean kind -> kernel(v, spec).  A quasi-arithmetic mean runs the kernel
+#: it equals, found under ``quasi:<generator name>``.
+_KERNELS: dict[str, Callable[[Vector, MeanSpec], float]] = {
+    "arithmetic": _arithmetic,
+    "geometric": _geometric,
+    "harmonic": _harmonic,
+    "power": lambda v, spec: _power_mean(v, spec.exponent),
+    "quasi_arithmetic": lambda v, spec: _KERNELS["quasi:" + spec.generator.name](v, spec),
+    "quasi:identity": _arithmetic,
+    "quasi:log": _geometric,
+    "quasi:exp": _log_mean_exp,
+    "quasi:power": lambda v, spec: _power_mean(v, spec.generator.parameter),
+    "median": lambda v, spec: float(statistics.median(v)),
+    "min": lambda v, spec: min(v),
+    "max": lambda v, spec: max(v),
+    "projection": lambda v, spec: v[spec.index - 1],
+    "weighted_arithmetic": lambda v, spec: math.fsum(w * x for w, x in zip(spec.weights, v)),
+}
 
 
 def _dispatch(spec: MeanSpec, v: Vector) -> float:
@@ -476,28 +495,7 @@ def _dispatch(spec: MeanSpec, v: Vector) -> float:
     # coordinate directly keeps reflexivity free of rounding.
     if all(x == v[0] for x in v):
         return v[0]
-    kind = spec.kind
-    if kind == "arithmetic":
-        return math.fsum(v) / len(v)
-    if kind == "geometric":
-        return _geometric(v)
-    if kind == "harmonic":
-        return len(v) / math.fsum(1.0 / x for x in v)
-    if kind == "power":
-        return _power_mean(v, spec.exponent)
-    if kind == "quasi_arithmetic":
-        return _quasi(v, spec.generator)
-    if kind == "median":
-        return float(statistics.median(v))
-    if kind == "min":
-        return min(v)
-    if kind == "max":
-        return max(v)
-    if kind == "projection":
-        return v[spec.index - 1]
-    if kind == "weighted_arithmetic":
-        return math.fsum(w * x for w, x in zip(spec.weights, v))
-    raise InvalidMeanSpec(f"unknown mean kind {kind!r}")  # unreachable
+    return _KERNELS[spec.kind](v, spec)
 
 
 def mean_callable(spec: MeanSpec, domain: Interval = REALS) -> Callable[[Sequence[float]], float]:

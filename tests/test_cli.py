@@ -99,6 +99,47 @@ class TestExitCodes:
         assert "max_iter_reached" in out
 
 
+class TestFloatEdges:
+    @pytest.mark.parametrize("mean", ["arithmetic", "quasi:identity"])
+    def test_mean_eval_sum_overflow(self, capsys, mean):
+        code, out, err = run(capsys, "mean-eval", "--mean", mean, "--vector", "1e308,1.7e308")
+        assert code == 0, err
+        assert 1e308 <= float(out.split("=")[1]) <= 1.7e308
+
+    def test_invariant_near_overflow(self, capsys, cfg):
+        code, out, err = run(capsys, "invariant", "--mapping", cfg["agm"],
+                             "--vector", "1.7e308,1e308", "--relative", "--output", "json")
+        assert code == 0, err
+        assert 1e308 <= json.loads(out)["value"] <= 1.7e308
+
+    def test_invariant_near_overflow_absolute_tol(self, capsys, cfg):
+        # an absolute tol of 1e-12 is below one ulp at 1e308: reported, not raised
+        code, out, err = run(capsys, "invariant", "--mapping", cfg["agm"],
+                             "--vector", "1.7e308,1e308", "--max-iter", "50",
+                             "--output", "json")
+        assert code == 2, err
+        doc = json.loads(out)
+        assert doc["status"] == "max_iter_reached"
+        assert 1e308 <= doc["value"] <= 1.7e308
+
+    def test_unary_domain_error_is_one(self, capsys, cfg):
+        code, out, err = run(capsys, "decompose", "--mapping", cfg["shift3"],
+                             "--function", "sqrt@sum", "--samples", "20")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["invariant", "uniqueness", "decompose", "residual"])
+    def test_nan_tol_is_one(self, capsys, cfg, command):
+        argv = [command, "--mapping", cfg["agm"], "--tol", "nan"]
+        argv += ["--vector", "1,2"] if command == "invariant" else ["--samples", "5"]
+        if command == "decompose":
+            argv += ["--function", "product"]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "tol must be positive" in err
+
+
 class TestCommands:
     def test_invariant_agm(self, capsys, cfg):
         code, out, _ = run(capsys, "invariant", "--mapping", cfg["agm"], "--vector", "1,2")

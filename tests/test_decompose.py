@@ -4,6 +4,7 @@ import math
 import pytest
 
 from meantype import (
+    DomainViolation,
     InvariantFunction,
     ParseError,
     check_invariance,
@@ -152,6 +153,19 @@ class TestParseFunction:
     def test_errors(self, bad, agm):
         with pytest.raises(ParseError):
             parse_function(bad, agm)
+
+    @pytest.mark.parametrize("text,v", [
+        ("sqrt@sum", (-1.0, -2.0, 0.5)),
+        ("log@coord:1", (0.0, 1.0, 2.0)),
+        ("exp@sum", (500.0, 500.0, 1.0)),
+    ])
+    def test_unary_outside_domain_is_domain_violation(self, shift3, text, v):
+        with pytest.raises(DomainViolation):
+            parse_function(text, shift3)(v)
+
+    def test_unary_error_in_probe_names_sample(self, shift3):
+        with pytest.raises(DomainViolation, match="sample 1 "):
+            verify_decomposition(parse_function("sqrt@sum", shift3), shift3, sample_count=5)
 
     def test_names_offending_token(self, agm):
         with pytest.raises(ParseError) as exc:

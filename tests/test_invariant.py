@@ -115,6 +115,18 @@ class TestGaussIterate:
             gauss_iterate(agm, (1.0, 2.0), max_iter=0)
         with pytest.raises(InvalidMapping):
             gauss_iterate(agm, (1.0, 2.0), readout="median")
+        with pytest.raises(InvalidMapping):
+            gauss_iterate(agm, (1.0, 2.0), tol=math.nan)
+
+    @pytest.mark.parametrize("readout", ["mid", "min", "max", "first"])
+    def test_near_overflow_matches_scaled_solve(self, agm, readout):
+        # AGM is homogeneous: K(c*v) = c*K(v)
+        v = (1.7e308, 1e308)
+        est = gauss_iterate(agm, v, readout=readout, relative=True)
+        assert est.converged
+        assert min(v) <= est.value <= max(v)
+        assert est.value == pytest.approx(1e308 * gauss_iterate(agm, (1.7, 1.0)).value,
+                                          rel=1e-12)
 
     def test_idempotent_under_one_application(self, agm):
         tol = 1e-12
@@ -154,6 +166,13 @@ class TestInvariantMean:
         k = invariant_mean(projections, max_iter=50)
         est = k.estimate((0.0, 1.0))
         assert est.status == "max_iter_reached"
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": -1.0}, {"tol": math.nan}, {"max_iter": 0}, {"readout": "median"},
+    ])
+    def test_invariant_mean_validates_at_construction(self, agm, kwargs):
+        with pytest.raises(InvalidMapping):
+            invariant_mean(agm, **kwargs)
 
     def test_arity(self, shift3):
         assert invariant_mean(shift3).arity == 3

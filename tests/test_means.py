@@ -202,9 +202,37 @@ class TestMeanProperties:
         assert 1.0 <= value <= 1000.0
 
 
+class TestFloatEdges:
+    @pytest.mark.parametrize("text", ["arithmetic", "quasi:identity"])
+    @pytest.mark.parametrize("v", [
+        (1e308, 1.7e308), (1.7e308, 1.7e308, 1e308), (1.7976931348623157e308, 1e308, 1.5e308),
+    ])
+    def test_sum_overflow_stays_internal(self, text, v):
+        value = eval_mean(parse_mean(text, len(v)), v)
+        assert min(v) <= value <= max(v)
+
+    def test_sum_overflow_value(self):
+        assert eval_mean(MeanSpec.arithmetic(2), (1e308, 1.7e308)) == 1.35e308
+
+    @pytest.mark.parametrize("v", [(5e-324, 1.0), (1.0, 5e-324, 2.0), (1e-310, 3e-320)])
+    def test_harmonic_at_subnormals(self, v):
+        value = eval_mean(MeanSpec.harmonic(len(v)), v, POSITIVE)
+        assert POSITIVE.contains(value)
+        assert min(v) <= value <= max(v)
+
+
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
+
+# g and g^{-1} written out here, independent of the kernels the package runs.
+_GENERATOR_DEFINITIONS = {
+    "identity": (lambda x, q: x, lambda y, q: y),
+    "log": (lambda x, q: math.log(x), lambda y, q: math.exp(y)),
+    "exp": (lambda x, q: math.exp(x), lambda y, q: math.log(y)),
+    "power": (lambda x, q: x ** q, lambda y, q: y ** (1.0 / q)),
+}
+
 
 class TestGenerators:
     @pytest.mark.parametrize("name,param,probes", [
@@ -214,14 +242,29 @@ class TestGenerators:
         ("power", 2.0, (0.5, 1.0, 9.0)),
         ("power", -0.5, (0.25, 4.0, 100.0)),
     ])
-    def test_inverse_round_trip(self, name, param, probes):
+    def test_kernel_matches_definition(self, name, param, probes):
+        g, g_inv = _GENERATOR_DEFINITIONS[name]
         gen = make_generator(name, param)
-        for x in probes:
-            assert gen.inverse(gen.fn(x)) == pytest.approx(x, abs=1e-12, rel=1e-12)
+        expected = g_inv(math.fsum(g(x, param) for x in probes) / len(probes), param)
+        spec = MeanSpec.quasi_arithmetic(gen, len(probes))
+        value = eval_mean(spec, probes, gen.domain)
+        assert value == pytest.approx(expected, abs=1e-12, rel=1e-12)
+
+    @pytest.mark.parametrize("name,param,positive", [
+        ("identity", None, False), ("exp", None, False),
+        ("log", None, True), ("power", 3.0, True),
+    ])
+    def test_positivity_follows_generator_domain(self, name, param, positive):
+        spec = MeanSpec.quasi_arithmetic(name, 2, parameter=param)
+        assert spec.requires_positive is positive
 
     def test_power_zero_rejected(self):
         with pytest.raises(InvalidMeanSpec):
             make_generator("power", 0.0)
+        with pytest.raises(InvalidMeanSpec):
+            make_generator("power", math.inf)
+        with pytest.raises(InvalidMeanSpec):
+            make_generator("power")
 
     def test_unknown_generator(self):
         with pytest.raises(InvalidMeanSpec):
