@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -169,10 +170,25 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _json_safe(x):
+    """``x`` with each non-finite float replaced by its repr, as human and csv output write it.
+
+    JSON has no token for inf or nan; ``json.dumps`` would write a bare
+    ``Infinity`` that strict parsers reject.
+    """
+    if isinstance(x, float):
+        return x if math.isfinite(x) else repr(x)
+    if isinstance(x, dict):
+        return {k: _json_safe(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_safe(v) for v in x]
+    return x
+
+
 def _emit(args, doc: dict, human_lines: list[str], trace: IterationTrace | None = None) -> None:
     if args.output == "json":
-        doc = {**doc, "timestamp": _timestamp()}
-        print(json.dumps(doc, indent=2))
+        doc = {**_json_safe(doc), "timestamp": _timestamp()}
+        print(json.dumps(doc, indent=2, allow_nan=False))
     elif args.output == "csv":
         if trace is None:
             raise _CLIError("csv output is only available for trace-producing "
@@ -351,17 +367,10 @@ def _cmd_residual(args) -> int:
 def _cmd_uniqueness(args) -> int:
     mapping = load_mapping(args.mapping)
     readouts = ("mid", "min", "max")
-    means = {
-        r: InvariantMean(mapping, tol=args.tol, max_iter=args.max_iter, readout=r,
-                         relative=args.relative)
-        for r in readouts
-    }
-    worst = 0.0
-    for i, r1 in enumerate(readouts):
-        for r2 in readouts[i + 1:]:
-            diff = uniqueness_probe(means[r1], means[r2], mapping.domain, mapping.p,
-                                    args.samples, args.seed)
-            worst = max(worst, diff)
+    k_min, k_max = (InvariantMean(mapping, tol=args.tol, max_iter=args.max_iter, readout=r,
+                                  relative=args.relative) for r in ("min", "max"))
+    # All readouts read one final iterate and mid lies in [min, max]: (min, max) is the widest pair.
+    worst = uniqueness_probe(k_min, k_max, mapping.domain, mapping.p, args.samples, args.seed)
     doc = {
         "command": "uniqueness",
         "mapping": mapping.describe(),
@@ -376,6 +385,8 @@ def _cmd_uniqueness(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    if not args.invariance_threshold >= 0.0:
+        raise _CLIError(f"--invariance-threshold must be >= 0, got {args.invariance_threshold!r}")
     mapping = load_mapping(args.mapping)
     f = parse_function(args.function, mapping)
     report = verify_decomposition(

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import InvalidMapping, MeanTypeError
-from .mapping import IterationTrace, MeanTypeMapping, TraceStep, diameter, sample_vectors
+from .mapping import IterationTrace, MeanTypeMapping, TraceStep, sample_vectors
+from .mapping import diameter  # noqa: F401 -- bench/spans.py patches it here
 from .means import Interval, Vector
 
 DEFAULT_TOL = 1e-12
@@ -90,32 +91,22 @@ def gauss_iterate(
     The stopping rule is absolute by default; with ``relative=True`` the
     diameter is compared against tol * |midpoint| instead, which suits
     domains far from zero.  Constant input is a fixed point and returns
-    immediately with zero steps.  Hitting ``max_iter`` is a reported
+    immediately with zero steps; a constant iterate stops the run at its
+    step, whatever the stopping rule.  Hitting ``max_iter`` is a reported
     status, not an error: convergence holds for continuous weakly
     contractive mappings but cannot be assumed for arbitrary input.
     """
     _check_iteration(tol, max_iter, readout)
 
-    current = tuple(float(x) for x in v)
-    d = diameter(current)
-    steps = [TraceStep(0, current, d)] if keep_trace else None
+    steps = [] if keep_trace else None
+    for n, current, d in mapping.orbit(v):
+        if keep_trace:
+            steps.append(TraceStep(n, current, d))
+        done = d == 0.0 or d < (tol * abs(_mid(current)) if relative else tol)
+        if done or n == max_iter:
+            break
 
-    def stopped(dd: float, vec: Vector) -> bool:
-        if relative:
-            return dd < tol * abs(_mid(vec))
-        return dd < tol
-
-    n = 0
-    if d != 0.0 and not stopped(d, current):
-        for n in range(1, max_iter + 1):
-            current = mapping.apply(current)
-            d = diameter(current)
-            if keep_trace:
-                steps.append(TraceStep(n, current, d))
-            if stopped(d, current):
-                break
-
-    status = CONVERGED if (d == 0.0 or stopped(d, current)) else MAX_ITER_REACHED
+    status = CONVERGED if done else MAX_ITER_REACHED
     trace = IterationTrace(mapping, steps) if keep_trace else None
     value = current[0] if d == 0.0 else _READERS[readout](current)
     return InvariantEstimate(value, n, d, status, trace)
@@ -167,21 +158,11 @@ class InvariantMean:
         )
 
 
-def invariant_mean(
-    mapping: MeanTypeMapping,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    readout: str = "mid",
-    relative: bool = False,
-) -> InvariantMean:
-    """Wrap Gauss iteration as a mean object K with K(v) = the limit readout.
-
-    When the mapping is continuous and weakly contractive this is the one
-    continuous mean invariant under it; for anything else the object is
-    still well-defined per call but carries no uniqueness claim.
-    """
-    return InvariantMean(mapping, tol=tol, max_iter=max_iter, readout=readout,
-                         relative=relative)
+#: Wrap Gauss iteration as a mean object K with K(v) = the limit readout.
+#: When the mapping is continuous and weakly contractive this is the one
+#: continuous mean invariant under it; for anything else the object is
+#: still well-defined per call but carries no uniqueness claim.
+invariant_mean = InvariantMean
 
 
 # ---------------------------------------------------------------------------

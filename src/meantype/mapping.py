@@ -22,6 +22,7 @@ import io
 import math
 import random
 from dataclasses import dataclass
+from itertools import count, islice
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -97,19 +98,29 @@ class MeanTypeMapping:
                 raise _annotate(exc, f"component {i + 1} ({spec})") from exc
         return tuple(out)
 
+    def orbit(self, v: Sequence[float]) -> Iterator[tuple[int, Vector, float]]:
+        """Yield ``(n, M^n(v), diameter(M^n(v)))`` for n = 0, 1, 2, ...
+
+        Each iterate is computed only when the caller asks for the next
+        one, so stopping early costs no extra application.  Plain tuples,
+        not :class:`TraceStep`, keep the per-step cost low for callers
+        that keep no trace.  An application error is re-raised with the
+        failing step prepended.
+        """
+        v = tuple(float(x) for x in v)
+        yield 0, v, diameter(v)
+        for n in count(1):
+            try:
+                v = self.apply(v)
+            except MeanTypeError as exc:
+                raise _annotate(exc, f"step {n}") from exc
+            yield n, v, diameter(v)
+
     def iterate(self, v: Sequence[float], n: int) -> IterationTrace:
         """Trace of v, M(v), ..., M^n(v) with per-step diameters."""
         if n < 0:
             raise InvalidMapping(f"iteration count must be >= 0, got {n}")
-        v = tuple(float(x) for x in v)
-        steps = [TraceStep(0, v, diameter(v))]
-        for k in range(1, n + 1):
-            try:
-                v = self.apply(v)
-            except MeanTypeError as exc:
-                raise _annotate(exc, f"step {k}") from exc
-            steps.append(TraceStep(k, v, diameter(v)))
-        return IterationTrace(self, steps)
+        return IterationTrace(self, [TraceStep(*s) for s in islice(self.orbit(v), n + 1)])
 
     def describe(self) -> dict:
         """JSON-ready description: p, domain, component strings."""
@@ -273,23 +284,20 @@ def star_apply(mapping: MeanTypeMapping, v: Sequence[float], cap: int = DEFAULT_
 def _search_n0(mapping: MeanTypeMapping, v: Sequence[float], cap: int) -> tuple[int, Vector]:
     if cap < 1:
         raise InvalidMapping(f"cap must be >= 1, got {cap}")
-    v = tuple(float(x) for x in v)
-    d0 = diameter(v)
+    orbit = mapping.orbit(v)
+    step = TraceStep(*next(orbit))
+    d0 = step.diameter
     if d0 == 0.0:
         raise ConstantVector("n0 is defined only for nonconstant vectors")
-    steps = [TraceStep(0, v, d0)]
-    current = v
-    for n in range(1, cap + 1):
-        current = mapping.apply(current)
-        dn = diameter(current)
-        steps.append(TraceStep(n, current, dn))
+    steps = [step]
+    for n, current, dn in islice(orbit, cap):
         if dn < d0:
             return n, current
-    trace = IterationTrace(mapping, steps)
+        steps.append(TraceStep(n, current, dn))
     raise NotFoundWithinCap(
         f"no diameter decrease within {cap} iterations "
         f"(start diameter {d0!r}, final {steps[-1].diameter!r})",
-        trace=trace,
+        trace=IterationTrace(mapping, steps),
         cap=cap,
     )
 

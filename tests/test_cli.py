@@ -129,6 +129,27 @@ class TestFloatEdges:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
 
+    def test_json_non_finite_is_string(self, capsys, cfg):
+        code, out, err = run(capsys, "map-iterate", "--mapping", cfg["shift3"],
+                             "--vector=1e308,-1e308,0", "--steps", "1", "--output", "json")
+        assert code == 0, err
+
+        def bare(token):
+            raise ValueError(f"bare {token} in JSON output")
+
+        steps = json.loads(out, parse_constant=bare)["trace"]["steps"]
+        assert steps[0]["diameter"] == "inf"
+        assert steps[1]["diameter"] == 1e308
+
+    @pytest.mark.parametrize("threshold", ["nan", "-1"])
+    def test_bad_invariance_threshold_is_one(self, capsys, cfg, threshold):
+        code, out, err = run(capsys, "decompose", "--mapping", cfg["shift3"],
+                             "--function", "sum", "--invariance-threshold", threshold,
+                             "--output", "json")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
     @pytest.mark.parametrize("command", ["invariant", "uniqueness", "decompose", "residual"])
     def test_nan_tol_is_one(self, capsys, cfg, command):
         argv = [command, "--mapping", cfg["agm"], "--tol", "nan"]

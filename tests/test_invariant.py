@@ -7,6 +7,7 @@ from meantype import (
     InvalidMapping,
     Interval,
     MeanSpec,
+    MeanTypeMapping,
     agm_mapping,
     arithmetic_harmonic_mapping,
     gauss_iterate,
@@ -42,6 +43,13 @@ class TestGaussIterate:
         assert est.value == 3.0
         assert est.steps == 0
         assert est.final_diameter == 0.0
+        assert est.converged
+
+    def test_constant_iterate_stops_relative_rule(self):
+        # (-1, 1) -> (0, 0): tol * |midpoint| is 0 there, yet a constant iterate is final
+        mapping = MeanTypeMapping((MeanSpec.arithmetic(2),) * 2, Interval())
+        est = gauss_iterate(mapping, (-1.0, 1.0), relative=True)
+        assert (est.value, est.steps, est.final_diameter) == (0.0, 1, 0.0)
         assert est.converged
 
     def test_already_within_tol(self, agm):

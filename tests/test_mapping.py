@@ -18,6 +18,7 @@ from meantype import (
     diameter,
     find_n0,
     format_mapping_config,
+    gauss_iterate,
     internality_probe,
     is_contractive_at,
     parse_mapping_config,
@@ -101,12 +102,19 @@ class TestApply:
                 image = mapping.apply(v)
                 assert all(mapping.domain.contains(x) for x in image), mapping
 
-    def test_component_errors_annotated(self):
+    @pytest.mark.parametrize("call, step", [
+        (lambda m, v: m.apply(v), False),
+        (lambda m, v: m.iterate(v, 3), True),
+        (lambda m, v: gauss_iterate(m, v), True),
+        (lambda m, v: find_n0(m, v), True),
+    ], ids=["apply", "iterate", "gauss_iterate", "find_n0"])
+    def test_component_errors_annotated(self, call, step):
         # arithmetic accepts (-1, 2) on the whole line; geometric then fails
         mapping = MeanTypeMapping(
             (MeanSpec.arithmetic(2), MeanSpec.geometric(2)), Interval())
-        with pytest.raises(DomainViolation, match="component 2"):
-            mapping.apply((-1.0, 2.0))
+        with pytest.raises(DomainViolation, match="component 2") as info:
+            call(mapping, (-1.0, 2.0))
+        assert str(info.value).startswith("step 1: ") == step
 
     def test_arity_enforced_at_construction(self):
         with pytest.raises(InvalidMapping):
