@@ -200,11 +200,8 @@ def _emit(args, doc: dict, human_lines: list[str], trace: IterationTrace | None 
 
 
 def _trace_lines(trace: IterationTrace) -> list[str]:
-    lines = []
-    for s in trace.steps:
-        coords = ", ".join(repr(x) for x in s.vector)
-        lines.append(f"step {s.step}: ({coords})  diameter = {s.diameter!r}")
-    return lines
+    return [f"step {s.step}: ({_fmt_vec(s.vector)})  diameter = {s.diameter!r}"
+            for s in trace.steps]
 
 
 def _fmt_vec(v: Sequence[float]) -> str:
@@ -281,28 +278,15 @@ def _cmd_contractive_probe(args) -> int:
 def _cmd_n0(args) -> int:
     mapping = load_mapping(args.mapping)
     vector = parse_vector(args.vector)
+    doc = {"command": "n0", "mapping": mapping.describe(), "vector": list(vector), "cap": args.cap}
     try:
-        n0 = find_n0(mapping, vector, args.cap)
+        doc["n0"] = find_n0(mapping, vector, args.cap)
     except NotFoundWithinCap as exc:
-        doc = {
-            "command": "n0",
-            "mapping": mapping.describe(),
-            "vector": list(vector),
-            "cap": args.cap,
-            "status": "not_found_within_cap",
-            "start_diameter": exc.trace.steps[0].diameter,
-            "final_diameter": exc.trace.last.diameter,
-        }
+        doc.update(status="not_found_within_cap", start_diameter=exc.trace.steps[0].diameter,
+                   final_diameter=exc.trace.last.diameter)
         _emit(args, doc, [str(exc)])
         return EXIT_NEGATIVE
-    doc = {
-        "command": "n0",
-        "mapping": mapping.describe(),
-        "vector": list(vector),
-        "cap": args.cap,
-        "n0": n0,
-    }
-    _emit(args, doc, [f"n0 = {n0}"])
+    _emit(args, doc, [f"n0 = {doc['n0']}"])
     return EXIT_OK
 
 
@@ -441,10 +425,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except MeanTypeError as exc:
+    except (_CLIError, MeanTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -16,14 +16,13 @@ observed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import InvalidMapping, MeanTypeError
 from .mapping import IterationTrace, MeanTypeMapping, TraceStep, sample_vectors
 from .mapping import diameter  # noqa: F401 -- bench/spans.py patches it here
-from .means import Interval, Vector
+from .means import Interval, Vector, midpoint
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10000
@@ -32,16 +31,9 @@ CONVERGED = "converged"
 MAX_ITER_REACHED = "max_iter_reached"
 
 
-def _mid(v: Vector) -> float:
-    mid = 0.5 * (max(v) + min(v))
-    if math.isinf(mid):  # max + min overflowed; their halves cannot
-        mid = 0.5 * max(v) + 0.5 * min(v)
-    return mid
-
-
 #: Readout name -> the value it reads off the final iterate.
 _READERS: dict[str, Callable[[Vector], float]] = {
-    "mid": _mid, "min": min, "max": max, "first": lambda v: v[0],
+    "mid": midpoint, "min": min, "max": max, "first": lambda v: v[0],
 }
 READOUTS = tuple(_READERS)
 
@@ -102,7 +94,7 @@ def gauss_iterate(
     for n, current, d in mapping.orbit(v):
         if keep_trace:
             steps.append(TraceStep(n, current, d))
-        done = d == 0.0 or d < (tol * abs(_mid(current)) if relative else tol)
+        done = d == 0.0 or d < (tol * abs(midpoint(current)) if relative else tol)
         if done or n == max_iter:
             break
 

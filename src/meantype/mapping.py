@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import random
 from dataclasses import dataclass
 from itertools import count, islice
 from typing import Iterator, Sequence
@@ -35,12 +34,15 @@ from .errors import (
     ParseError,
 )
 from .means import (
+    _KERNELS,
     Interval,
     MeanSpec,
     Vector,
-    eval_mean,
+    check_vector,
+    eval_mean,  # noqa: F401 -- bench/spans.py patches it here
     parse_interval,
     parse_mean,
+    sample_vectors,
 )
 
 #: Sampled vectors with diameter at or below this are treated as constant
@@ -86,17 +88,18 @@ class MeanTypeMapping:
     def apply(self, v: Sequence[float]) -> Vector:
         """One application: (M_1(v), ..., M_p(v)).
 
-        Component evaluation errors are re-raised with the failing
-        component index prepended.
+        ``v`` is checked once for all components (:func:`check_vector`);
+        an error is re-raised with the index of the component that rejects
+        ``v`` prepended.  A constant vector is a fixed point of every mean.
         """
-        v = tuple(float(x) for x in v)
-        out = []
-        for i, spec in enumerate(self.components):
-            try:
-                out.append(eval_mean(spec, v, self.domain))
-            except MeanTypeError as exc:
-                raise _annotate(exc, f"component {i + 1} ({spec})") from exc
-        return tuple(out)
+        try:
+            v = check_vector(v, self.components, self.domain)
+        except MeanTypeError as exc:
+            k = exc.component
+            raise _annotate(exc, f"component {k} ({self.components[k - 1]})") from exc
+        if all(x == v[0] for x in v):
+            return (v[0],) * len(v)
+        return tuple(_KERNELS[spec.kind](v, spec) for spec in self.components)
 
     def orbit(self, v: Sequence[float]) -> Iterator[tuple[int, Vector, float]]:
         """Yield ``(n, M^n(v), diameter(M^n(v)))`` for n = 0, 1, 2, ...
@@ -239,11 +242,12 @@ def probe_contractivity(
     skipped = 0
     tested = 0
     for v in sample_vectors(mapping.domain, mapping.p, sample_count, seed):
-        if diameter(v) <= NEGLIGIBLE_DIAMETER:
+        d = diameter(v)
+        if d <= NEGLIGIBLE_DIAMETER:
             skipped += 1
             continue
         try:
-            contractive = is_contractive_at(mapping, v)
+            contractive = diameter(mapping.apply(v)) < d
         except MeanTypeError:
             skipped += 1
             continue
@@ -263,7 +267,10 @@ def find_n0(mapping: MeanTypeMapping, v: Sequence[float], cap: int = DEFAULT_CAP
     (with the full trace attached) when no iterate within the cap drops --
     which diagnoses, but does not disprove, weak contractivity.
     """
+    _check_cap(cap)
     n0, _ = _search_n0(mapping, v, cap)
+    if n0 == 0:
+        raise ConstantVector("n0 is defined only for nonconstant vectors")
     return n0
 
 
@@ -274,21 +281,23 @@ def star_apply(mapping: MeanTypeMapping, v: Sequence[float], cap: int = DEFAULT_
     vectors are fixed points of every mean-type mapping and are returned
     unchanged (n0 is undefined for them).
     """
-    v = tuple(float(x) for x in v)
-    if diameter(v) == 0.0:
-        return v
     _, image = _search_n0(mapping, v, cap)
     return image
 
 
-def _search_n0(mapping: MeanTypeMapping, v: Sequence[float], cap: int) -> tuple[int, Vector]:
+def _check_cap(cap: int) -> None:
     if cap < 1:
         raise InvalidMapping(f"cap must be >= 1, got {cap}")
+
+
+def _search_n0(mapping: MeanTypeMapping, v: Sequence[float], cap: int) -> tuple[int, Vector]:
+    """``(n0(v), M^n0(v))``, or ``(0, v)`` for a constant ``v``."""
     orbit = mapping.orbit(v)
     step = TraceStep(*next(orbit))
     d0 = step.diameter
     if d0 == 0.0:
-        raise ConstantVector("n0 is defined only for nonconstant vectors")
+        return 0, step.vector
+    _check_cap(cap)
     steps = [step]
     for n, current, dn in islice(orbit, cap):
         if dn < d0:
@@ -300,48 +309,6 @@ def _search_n0(mapping: MeanTypeMapping, v: Sequence[float], cap: int) -> tuple[
         trace=IterationTrace(mapping, steps),
         cap=cap,
     )
-
-
-# ---------------------------------------------------------------------------
-# Sampling
-# ---------------------------------------------------------------------------
-
-def sample_vectors(
-    domain: Interval,
-    p: int,
-    count: int,
-    seed: int = 42,
-    stress: bool = True,
-) -> Iterator[Vector]:
-    """Yield ``count`` vectors in domain^p: stress vectors, then uniform.
-
-    The three stress vectors are deterministic functions of the domain
-    (contractivity failures tend to live at structured vectors):
-    near-constant, one-outlier, and alternating extremes.  The remainder
-    is coordinate-wise uniform on the domain's sampling box, deterministic
-    for a fixed seed.
-    """
-    lo, hi = domain.sampling_box()
-    produced = 0
-    if stress:
-        for v in _stress_vectors(lo, hi, p):
-            if produced >= count:
-                return
-            produced += 1
-            yield v
-    rng = random.Random(seed)
-    while produced < count:
-        produced += 1
-        yield tuple(rng.uniform(lo, hi) for _ in range(p))
-
-
-def _stress_vectors(lo: float, hi: float, p: int) -> list[Vector]:
-    mid = 0.5 * (lo + hi)
-    wiggle = 1e-6 * (hi - lo)
-    near_constant = tuple(mid + (wiggle if i % 2 else 0.0) for i in range(p))
-    one_outlier = tuple(hi if i == p - 1 else lo for i in range(p))
-    alternating = tuple(hi if i % 2 else lo for i in range(p))
-    return [near_constant, one_outlier, alternating]
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import math
 import random
-import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     ArityMismatch,
     DomainViolation,
     InvalidInterval,
     InvalidMeanSpec,
+    MeanTypeError,
     NonFiniteInput,
     ParseError,
 )
@@ -110,15 +110,7 @@ class Interval:
     def __str__(self) -> str:
         left = "[" if self.lower_closed else "("
         right = "]" if self.upper_closed else ")"
-        return f"{left}{_fmt_endpoint(self.lower)}, {_fmt_endpoint(self.upper)}{right}"
-
-
-def _fmt_endpoint(x: float) -> str:
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
-    return repr(x)
+        return f"{left}{self.lower!r}, {self.upper!r}{right}"
 
 
 def parse_interval(text: str) -> Interval:
@@ -140,13 +132,8 @@ def parse_interval(text: str) -> Interval:
 
 
 def _parse_endpoint(token: str) -> float:
-    t = token.strip().lower()
-    if t in ("inf", "+inf", "infinity", "+infinity"):
-        return math.inf
-    if t in ("-inf", "-infinity"):
-        return -math.inf
-    try:
-        return float(t)
+    try:  # float() reads inf, -inf, infinity, ... in any case
+        return float(token)
     except ValueError:
         raise ParseError(f"bad interval endpoint {token.strip()!r}", token=token.strip()) from None
 
@@ -156,6 +143,44 @@ REALS = Interval()
 
 #: The positive half-line, natural domain of geometric-type means.
 POSITIVE_REALS = Interval(0.0, math.inf)
+
+
+def sample_vectors(
+    domain: Interval,
+    p: int,
+    count: int,
+    seed: int = 42,
+    stress: bool = True,
+) -> Iterator[Vector]:
+    """Yield ``count`` vectors in domain^p: stress vectors, then uniform.
+
+    The three stress vectors are deterministic functions of the domain
+    (contractivity failures tend to live at structured vectors):
+    near-constant, one-outlier, and alternating extremes.  The remainder
+    is coordinate-wise uniform on the domain's sampling box, deterministic
+    for a fixed seed.
+    """
+    lo, hi = domain.sampling_box()
+    produced = 0
+    if stress:
+        for v in _stress_vectors(lo, hi, p):
+            if produced >= count:
+                return
+            produced += 1
+            yield v
+    rng = random.Random(seed)
+    while produced < count:
+        produced += 1
+        yield tuple(rng.uniform(lo, hi) for _ in range(p))
+
+
+def _stress_vectors(lo: float, hi: float, p: int) -> list[Vector]:
+    mid = 0.5 * (lo + hi)
+    wiggle = 1e-6 * (hi - lo)
+    near_constant = tuple(mid + (wiggle if i % 2 else 0.0) for i in range(p))
+    one_outlier = tuple(hi if i == p - 1 else lo for i in range(p))
+    alternating = tuple(hi if i % 2 else lo for i in range(p))
+    return [near_constant, one_outlier, alternating]
 
 
 # ---------------------------------------------------------------------------
@@ -404,32 +429,49 @@ def eval_mean(spec: MeanSpec, v: Sequence[float], domain: Interval = REALS) -> f
     :class:`DomainViolation` when the vector is unusable; otherwise the
     result satisfies internality up to rounding.
     """
+    v = check_vector(v, (spec,), domain)
+    # Constant vectors are exact fixed points of every mean; returning the
+    # coordinate directly keeps reflexivity free of rounding.
+    if all(x == v[0] for x in v):
+        return v[0]
+    return _KERNELS[spec.kind](v, spec)
+
+
+def check_vector(v: Sequence[float], specs: Sequence[MeanSpec], domain: Interval) -> Vector:
+    """``v`` as a float tuple, checked once as an input of every mean in ``specs``.
+
+    The means share one arity.  The checks run in this order: the arity,
+    then finiteness and membership of ``domain`` coordinate by coordinate,
+    then strict positivity for the first mean that requires it.  The first
+    failure raises :class:`ArityMismatch`, :class:`NonFiniteInput` or
+    :class:`DomainViolation`; its ``component`` attribute is the 1-based
+    position in ``specs`` of the mean that rejects ``v``.
+    """
     v = tuple(float(x) for x in v)
-    if len(v) != spec.arity:
-        raise ArityMismatch(
-            f"mean {spec} has arity {spec.arity}, got vector of length {len(v)}"
-        )
-    _check_coordinates(v, domain)
-    if spec.requires_positive:
-        _check_positive(v, spec)
-    return _dispatch(spec, v)
-
-
-def _check_coordinates(v: Vector, domain: Interval) -> None:
-    for i, x in enumerate(v):
-        if not math.isfinite(x):
-            raise NonFiniteInput(f"coordinate {i + 1} is {x!r}")
-        if not domain.contains(x):
-            raise DomainViolation(f"coordinate {i + 1} = {x!r} outside domain {domain}")
-
-
-def _check_positive(v: Vector, spec: MeanSpec) -> None:
-    for i, x in enumerate(v):
-        if x <= 0.0:
-            raise DomainViolation(
-                f"mean {spec} requires strictly positive coordinates; "
-                f"coordinate {i + 1} = {x!r}"
+    k, spec = 1, specs[0]
+    try:
+        if len(v) != spec.arity:
+            raise ArityMismatch(
+                f"mean {spec} has arity {spec.arity}, got vector of length {len(v)}"
             )
+        for i, x in enumerate(v):
+            if not math.isfinite(x):
+                raise NonFiniteInput(f"coordinate {i + 1} is {x!r}")
+            if not domain.contains(x):
+                raise DomainViolation(f"coordinate {i + 1} = {x!r} outside domain {domain}")
+        for k, spec in enumerate(specs, 1):
+            if spec.requires_positive:
+                for i, x in enumerate(v):
+                    if x <= 0.0:
+                        raise DomainViolation(
+                            f"mean {spec} requires strictly positive coordinates; "
+                            f"coordinate {i + 1} = {x!r}"
+                        )
+                break
+    except MeanTypeError as exc:
+        exc.component = k
+        raise
+    return v
 
 
 def _arithmetic(v: Vector, spec: MeanSpec) -> float:
@@ -445,12 +487,18 @@ def _geometric(v: Vector, spec: MeanSpec) -> float:
 
 
 def _harmonic(v: Vector, spec: MeanSpec) -> float:
-    total = math.fsum(1.0 / x for x in v)
-    if total == math.inf:
-        # a subnormal coordinate overflows its reciprocal; scale by min(v)
-        m = min(v)
-        return m * len(v) / math.fsum(m / x for x in v)
-    return len(v) / total
+    try:
+        total = math.fsum(1.0 / x for x in v)
+    except OverflowError:  # finite reciprocals whose sum leaves the float range
+        total = math.inf
+    h = len(v) / total
+    if h == 0.0 or h == math.inf:
+        # Some reciprocal or their sum overflowed (h = 0), or all of them are
+        # subnormal (h = inf).  Scale by min(v) or max(v) respectively, so
+        # every m / x stays finite and m * (n / sum) cannot overflow.
+        m = min(v) if h == 0.0 else max(v)
+        return m * (len(v) / math.fsum(m / x for x in v))
+    return h
 
 
 def _power_mean(v: Vector, t: float) -> float:
@@ -460,8 +508,29 @@ def _power_mean(v: Vector, t: float) -> float:
     # exp(t*L_max) * mean(exp(t*(L_i - L_max))).
     logs = [t * math.log(x) for x in v]
     top = max(logs)
+    if math.isinf(top):
+        # t*log(x) overflowed: scale by the extreme coordinate r instead
+        # (max for t > 0, min for t < 0), so that t*(log(x) - log(r)) <= 0.
+        r = max(v) if t > 0 else min(v)
+        log_r = math.log(r)
+        acc = math.fsum(math.exp(t * (math.log(x) - log_r)) for x in v) / len(v)
+        return r * math.exp(math.log(acc) / t)
     acc = math.fsum(math.exp(l - top) for l in logs) / len(v)
     return math.exp((top + math.log(acc)) / t)
+
+
+def midpoint(v: Vector) -> float:
+    """0.5 * (max(v) + min(v)), also where that sum overflows."""
+    mid = 0.5 * (max(v) + min(v))
+    if math.isinf(mid):  # max + min overflowed; their halves cannot
+        mid = 0.5 * max(v) + 0.5 * min(v)
+    return mid
+
+
+def _median(v: Vector, spec: MeanSpec) -> float:
+    s = sorted(v)
+    i = len(s) // 2
+    return s[i] if len(s) % 2 else midpoint(s[i - 1:i + 1])
 
 
 def _log_mean_exp(v: Vector, spec: MeanSpec) -> float:
@@ -482,20 +551,12 @@ _KERNELS: dict[str, Callable[[Vector, MeanSpec], float]] = {
     "quasi:log": _geometric,
     "quasi:exp": _log_mean_exp,
     "quasi:power": lambda v, spec: _power_mean(v, spec.generator.parameter),
-    "median": lambda v, spec: float(statistics.median(v)),
+    "median": _median,
     "min": lambda v, spec: min(v),
     "max": lambda v, spec: max(v),
     "projection": lambda v, spec: v[spec.index - 1],
     "weighted_arithmetic": lambda v, spec: math.fsum(w * x for w, x in zip(spec.weights, v)),
 }
-
-
-def _dispatch(spec: MeanSpec, v: Vector) -> float:
-    # Constant vectors are exact fixed points of every mean; returning the
-    # coordinate directly keeps reflexivity free of rounding.
-    if all(x == v[0] for x in v):
-        return v[0]
-    return _KERNELS[spec.kind](v, spec)
 
 
 def mean_callable(spec: MeanSpec, domain: Interval = REALS) -> Callable[[Sequence[float]], float]:
@@ -553,11 +614,8 @@ def internality_probe(
     """
     if sample_count < 1:
         raise InvalidMeanSpec(f"sample_count must be >= 1, got {sample_count}")
-    rng = random.Random(seed)
-    lo, hi = domain.sampling_box()
     report = InternalityReport(spec, domain, sample_count)
-    for _ in range(sample_count):
-        v = tuple(rng.uniform(lo, hi) for _ in range(spec.arity))
+    for v in sample_vectors(domain, spec.arity, sample_count, seed, stress=False):
         try:
             value = eval_mean(spec, v, domain)
         except (ArityMismatch, DomainViolation, NonFiniteInput):

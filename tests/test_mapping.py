@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import meantype.mapping
 from meantype import (
     ConstantVector,
     EmptyVector,
@@ -11,11 +12,13 @@ from meantype import (
     InvalidMapping,
     Interval,
     MeanSpec,
+    MeanTypeError,
     MeanTypeMapping,
     NonFiniteInput,
     NotFoundWithinCap,
     ParseError,
     diameter,
+    eval_mean,
     find_n0,
     format_mapping_config,
     gauss_iterate,
@@ -24,6 +27,7 @@ from meantype import (
     parse_mapping_config,
     probe_contractivity,
     sample_vectors,
+    shift_average_mapping,
     star_apply,
 )
 from conftest import catalog_mappings
@@ -75,6 +79,35 @@ class TestDiameter:
 # apply / iterate
 # ---------------------------------------------------------------------------
 
+def _reference_apply(mapping, v):
+    """One eval_mean call per component, errors prefixed with the component."""
+    out = []
+    for i, spec in enumerate(mapping.components):
+        try:
+            out.append(eval_mean(spec, v, mapping.domain))
+        except MeanTypeError as exc:
+            raise type(exc)(f"component {i + 1} ({spec}): {exc}") from exc
+    return tuple(out)
+
+
+def _outcome(fn, *args):
+    """The bits of fn's result, or the class and message of what it raised."""
+    try:
+        return [repr(x) for x in fn(*args)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# The catalog plus a sign-requiring mean after two that accept any sign.
+APPLY_MAPPINGS = catalog_mappings() + [MeanTypeMapping(
+    (MeanSpec.arithmetic(3), MeanSpec.median(3), MeanSpec.power(2.0, 3)), Interval(),
+    name="mixed-sign")]
+EDGE_COORDS = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -1e-310, 1.0, -2.5, 1.7e308, -1.7e308,
+                     math.nan, math.inf, -math.inf)),
+    st.floats(),
+)
+
 class TestApply:
     def test_agm_pair(self, agm):
         result = agm.apply((1.0, 2.0))
@@ -115,6 +148,18 @@ class TestApply:
         with pytest.raises(DomainViolation, match="component 2") as info:
             call(mapping, (-1.0, 2.0))
         assert str(info.value).startswith("step 1: ") == step
+
+    def test_checks_each_coordinate_once(self, monkeypatch):
+        calls = []
+        contains = Interval.contains
+        monkeypatch.setattr(Interval, "contains", lambda dom, x: calls.append(x) or contains(dom, x))
+        shift_average_mapping(10).apply(tuple(float(i) for i in range(10)))
+        assert len(calls) == 10
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(APPLY_MAPPINGS), st.lists(EDGE_COORDS, min_size=1, max_size=4))
+    def test_matches_per_component_eval_mean(self, mapping, v):
+        assert _outcome(mapping.apply, v) == _outcome(_reference_apply, mapping, v)
 
     def test_arity_enforced_at_construction(self):
         with pytest.raises(InvalidMapping):
@@ -206,6 +251,14 @@ class TestContractivity:
         assert verdict.found
         assert not is_contractive_at(shift3, verdict.counterexample)
 
+    def test_probe_computes_each_diameter_once(self, monkeypatch, agm):
+        calls = []
+        monkeypatch.setattr(meantype.mapping, "diameter",
+                            lambda v: calls.append(v) or diameter(v))
+        verdict = probe_contractivity(agm, 50, seed=3)
+        # one call per sample, one per image of a tested sample
+        assert len(calls) == 50 + verdict.samples_tested
+
     def test_probe_deterministic(self, shift3):
         a = probe_contractivity(shift3, 500, seed=1)
         b = probe_contractivity(shift3, 500, seed=1)
@@ -285,6 +338,21 @@ class TestStarApply:
             if diameter(v) == 0.0:
                 continue
             assert diameter(star_apply(shift3, v)) < diameter(v)
+
+    def test_start_diameter_computed_once(self, monkeypatch, shift3):
+        calls = []
+        monkeypatch.setattr(meantype.mapping, "diameter",
+                            lambda v: calls.append(v) or diameter(v))
+        find_n0(shift3, (0.0, 1.0, 0.0))
+        assert len(calls) == 3  # M^0, M^1, M^2
+        calls.clear()
+        star_apply(shift3, (0.0, 1.0, 0.0))
+        assert len(calls) == 3
+
+    def test_constant_checked_before_cap(self, shift3):
+        assert star_apply(shift3, (2.0, 2.0, 2.0), cap=0) == (2.0, 2.0, 2.0)
+        with pytest.raises(InvalidMapping):
+            find_n0(shift3, (2.0, 2.0, 2.0), cap=0)
 
     def test_not_found_propagates(self, projections):
         with pytest.raises(NotFoundWithinCap):

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from meantype import (
     ArityMismatch,
@@ -10,6 +10,7 @@ from meantype import (
     InvalidMeanSpec,
     Interval,
     MeanSpec,
+    MeanTypeError,
     NonFiniteInput,
     ParseError,
     eval_mean,
@@ -17,6 +18,7 @@ from meantype import (
     make_generator,
     parse_interval,
     parse_mean,
+    sample_vectors,
 )
 
 POSITIVE = Interval(0.0, math.inf)
@@ -202,7 +204,62 @@ class TestMeanProperties:
         assert 1.0 <= value <= 1000.0
 
 
+FLOAT_MAX = 1.7976931348623157e308
+_EXTREMES = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0, 1e300,
+             1.6983e308, 1.7e308, math.nextafter(FLOAT_MAX, 0.0), FLOAT_MAX)
+extreme_vectors = st.lists(
+    st.one_of(st.sampled_from(_EXTREMES + tuple(-x for x in _EXTREMES)),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=2, max_size=5,
+).map(tuple)
+
+
 class TestFloatEdges:
+    @settings(max_examples=500, deadline=None)
+    @given(extreme_vectors)
+    @example((1.0, 10.0))
+    @example((1.7e308, 1.6983e308))
+    def test_catalog_internal_or_mean_type_error(self, v):
+        lo, hi = min(v), max(v)
+        specs = all_specs(len(v)) + [MeanSpec.power(t, len(v)) for t in (400.0, 1e308, -1e308)]
+        specs.append(MeanSpec.quasi_arithmetic("power", len(v), parameter=1e308))
+        for spec in specs:
+            try:
+                value = eval_mean(spec, v)
+            except MeanTypeError:
+                continue
+            # internal up to rounding: exp(log(x)) is ~100 ulps off near FLOAT_MAX
+            assert math.isfinite(value), spec
+            assert max(lo - value, value - hi) <= 1e-12 * max(abs(lo), abs(hi)), spec
+
+    @pytest.mark.parametrize("text,v", [
+        ("power:1e308", (1.0, 10.0)),
+        ("power:-1e308", (1e300, 9.99e299)),
+        ("quasi:power:1e308", (1.0, 10.0)),
+        ("power:-1e308", (0.5, 10.0)),
+    ])
+    def test_power_huge_exponent_is_finite(self, text, v):
+        value = eval_mean(parse_mean(text, len(v)), v, POSITIVE)
+        assert math.isfinite(value)
+        assert min(v) <= value <= max(v)
+
+    @pytest.mark.parametrize("v", [
+        (1.7e308, 1.6983e308), (-1.7e308, -1.6983e308), (FLOAT_MAX, 1e308, 1.7e308, 1.5e308),
+    ])
+    def test_median_near_float_max(self, v):
+        value = eval_mean(MeanSpec.median(len(v)), v)
+        assert math.isfinite(value)
+        assert min(v) <= value <= max(v)
+
+    @pytest.mark.parametrize("v", [
+        (math.nextafter(FLOAT_MAX, 0.0), FLOAT_MAX, FLOAT_MAX),  # n / sum(1/x) overflows
+        (1e-308, 1.1e-308),  # finite reciprocals, their sum overflows
+    ])
+    def test_harmonic_reciprocal_overflow(self, v):
+        value = eval_mean(MeanSpec.harmonic(len(v)), v, POSITIVE)
+        assert math.isfinite(value)
+        assert min(v) * (1 - 1e-15) <= value <= max(v)
+
     @pytest.mark.parametrize("text", ["arithmetic", "quasi:identity"])
     @pytest.mark.parametrize("v", [
         (1e308, 1.7e308), (1.7e308, 1.7e308, 1e308), (1.7976931348623157e308, 1e308, 1.5e308),
@@ -355,6 +412,12 @@ class TestInternalityProbe:
         for spec in all_specs(3):
             report = internality_probe(spec, POSITIVE, sample_count=300, seed=11)
             assert report.violation_count == 0, spec
+
+    def test_errors_follow_the_shared_sample_stream(self):
+        dom = Interval(-5.0, 3.0)
+        report = internality_probe(MeanSpec.geometric(2), dom, 200, seed=1)
+        stream = sample_vectors(dom, 2, 200, seed=1, stress=False)
+        assert report.error_count == sum(min(v) <= 0.0 for v in stream) > 0
 
     def test_deterministic_for_fixed_seed(self):
         a = internality_probe(MeanSpec.arithmetic(2), UNIT, 100, seed=5)
