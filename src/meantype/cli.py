@@ -420,10 +420,26 @@ _COMMANDS = {
 }
 
 
+def _attach_vectors(argv: Sequence[str]) -> list[str]:
+    """``argv`` with ``--vector -1,2`` rewritten as ``--vector=-1,2``.
+
+    argparse reads a value that starts with a single ``-`` as an option
+    (``-1,2`` is not a plain negative number), so a vector whose first
+    coordinate is negative is attached to its flag before parsing.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--vector" and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"--vector={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         parser = build_parser()
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_vectors(sys.argv[1:] if argv is None else argv))
         return _COMMANDS[args.command](args)
     except (_CLIError, MeanTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

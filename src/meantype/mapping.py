@@ -20,9 +20,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import count, islice
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     ConstantVector,
@@ -34,10 +34,10 @@ from .errors import (
     ParseError,
 )
 from .means import (
-    _KERNELS,
     Interval,
     MeanSpec,
     Vector,
+    bind_kernel,
     check_vector,
     eval_mean,  # noqa: F401 -- bench/spans.py patches it here
     parse_interval,
@@ -56,9 +56,10 @@ def diameter(v: Sequence[float]) -> float:
     """max(v) - min(v); zero exactly when the vector is constant."""
     if len(v) == 0:
         raise EmptyVector("diameter of an empty vector is undefined")
-    for i, x in enumerate(v):
-        if not math.isfinite(x):
-            raise NonFiniteInput(f"coordinate {i + 1} is {x!r}")
+    if not math.isfinite(sum(v)):  # some coordinate is not finite, or the sum overflowed
+        for i, x in enumerate(v):
+            if not math.isfinite(x):
+                raise NonFiniteInput(f"coordinate {i + 1} is {x!r}")
     return max(v) - min(v)
 
 
@@ -69,6 +70,12 @@ class MeanTypeMapping:
     components: tuple[MeanSpec, ...]
     domain: Interval
     name: str | None = None
+    # Bound once here, so that apply reads no spec field or kernel table:
+    # one kernel(v) per component, and the position of the first component
+    # that requires strictly positive coordinates (None if none does).
+    _kernels: tuple[Callable[[Vector], float], ...] = field(
+        init=False, repr=False, compare=False)
+    _positive: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -80,6 +87,9 @@ class MeanTypeMapping:
                 raise InvalidMapping(
                     f"component {i + 1} ({spec}) has arity {spec.arity}, expected {p}"
                 )
+        object.__setattr__(self, "_kernels", tuple(map(bind_kernel, self.components)))
+        object.__setattr__(self, "_positive", next(
+            (i for i, spec in enumerate(self.components) if spec.requires_positive), None))
 
     @property
     def p(self) -> int:
@@ -90,16 +100,17 @@ class MeanTypeMapping:
 
         ``v`` is checked once for all components (:func:`check_vector`);
         an error is re-raised with the index of the component that rejects
-        ``v`` prepended.  A constant vector is a fixed point of every mean.
+        ``v`` prepended.  A constant vector is a fixed point of every mean;
+        any other runs the kernels bound at construction.
         """
         try:
-            v = check_vector(v, self.components, self.domain)
+            v = check_vector(v, self.components, self.domain, self._positive)
         except MeanTypeError as exc:
             k = exc.component
             raise _annotate(exc, f"component {k} ({self.components[k - 1]})") from exc
-        if all(x == v[0] for x in v):
+        if v.count(v[0]) == len(v):
             return (v[0],) * len(v)
-        return tuple(_KERNELS[spec.kind](v, spec) for spec in self.components)
+        return tuple([kernel(v) for kernel in self._kernels])
 
     def orbit(self, v: Sequence[float]) -> Iterator[tuple[int, Vector, float]]:
         """Yield ``(n, M^n(v), diameter(M^n(v)))`` for n = 0, 1, 2, ...
@@ -110,7 +121,7 @@ class MeanTypeMapping:
         that keep no trace.  An application error is re-raised with the
         failing step prepended.
         """
-        v = tuple(float(x) for x in v)
+        v = tuple(map(float, v))
         yield 0, v, diameter(v)
         for n in count(1):
             try:

@@ -16,7 +16,9 @@ concurrently without synchronization.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -429,26 +431,41 @@ def eval_mean(spec: MeanSpec, v: Sequence[float], domain: Interval = REALS) -> f
     :class:`DomainViolation` when the vector is unusable; otherwise the
     result satisfies internality up to rounding.
     """
-    v = check_vector(v, (spec,), domain)
+    v = check_vector(v, (spec,), domain, 0 if spec.requires_positive else None)
     # Constant vectors are exact fixed points of every mean; returning the
     # coordinate directly keeps reflexivity free of rounding.
-    if all(x == v[0] for x in v):
+    if v.count(v[0]) == len(v):
         return v[0]
-    return _KERNELS[spec.kind](v, spec)
+    return bind_kernel(spec)(v)
 
 
-def check_vector(v: Sequence[float], specs: Sequence[MeanSpec], domain: Interval) -> Vector:
+def check_vector(v: Sequence[float], specs: Sequence[MeanSpec], domain: Interval,
+                 positive: int | None) -> Vector:
     """``v`` as a float tuple, checked once as an input of every mean in ``specs``.
 
-    The means share one arity.  The checks run in this order: the arity,
-    then finiteness and membership of ``domain`` coordinate by coordinate,
-    then strict positivity for the first mean that requires it.  The first
-    failure raises :class:`ArityMismatch`, :class:`NonFiniteInput` or
+    The means share one arity.  ``positive`` is the 0-based position in
+    ``specs`` of the first mean that requires strictly positive
+    coordinates, or None.  The checks run in this order: the arity, then
+    finiteness and membership of ``domain`` coordinate by coordinate, then
+    strict positivity for ``specs[positive]``.  The first failure raises
+    :class:`ArityMismatch`, :class:`NonFiniteInput` or
     :class:`DomainViolation`; its ``component`` attribute is the 1-based
     position in ``specs`` of the mean that rejects ``v``.
+
+    A valid vector passes in a few C-level passes: a finite sum means
+    every coordinate is finite, and an interval that contains min(v) and
+    max(v) contains every coordinate.  Any miss (an overflowing sum
+    included) falls through to the coordinate-by-coordinate scan, which
+    names the failure.
     """
-    v = tuple(float(x) for x in v)
-    k, spec = 1, specs[0]
+    v = tuple(map(float, v))
+    spec = specs[0]
+    if len(v) == spec.arity and math.isfinite(sum(v)):
+        lo = min(v)
+        if (domain.contains(lo) and domain.contains(max(v))
+                and (positive is None or lo > 0.0)):
+            return v
+    k = 1
     try:
         if len(v) != spec.arity:
             raise ArityMismatch(
@@ -459,22 +476,21 @@ def check_vector(v: Sequence[float], specs: Sequence[MeanSpec], domain: Interval
                 raise NonFiniteInput(f"coordinate {i + 1} is {x!r}")
             if not domain.contains(x):
                 raise DomainViolation(f"coordinate {i + 1} = {x!r} outside domain {domain}")
-        for k, spec in enumerate(specs, 1):
-            if spec.requires_positive:
-                for i, x in enumerate(v):
-                    if x <= 0.0:
-                        raise DomainViolation(
-                            f"mean {spec} requires strictly positive coordinates; "
-                            f"coordinate {i + 1} = {x!r}"
-                        )
-                break
+        if positive is not None:
+            k, spec = positive + 1, specs[positive]
+            for i, x in enumerate(v):
+                if x <= 0.0:
+                    raise DomainViolation(
+                        f"mean {spec} requires strictly positive coordinates; "
+                        f"coordinate {i + 1} = {x!r}"
+                    )
     except MeanTypeError as exc:
         exc.component = k
         raise
     return v
 
 
-def _arithmetic(v: Vector, spec: MeanSpec) -> float:
+def _arithmetic(spec: MeanSpec, v: Vector) -> float:
     try:
         return math.fsum(v) / len(v)
     except OverflowError:  # the sum leaves the float range; the mean does not
@@ -482,11 +498,11 @@ def _arithmetic(v: Vector, spec: MeanSpec) -> float:
         return math.fsum(x / n for x in v)
 
 
-def _geometric(v: Vector, spec: MeanSpec) -> float:
+def _geometric(spec: MeanSpec, v: Vector) -> float:
     return math.exp(math.fsum(math.log(x) for x in v) / len(v))
 
 
-def _harmonic(v: Vector, spec: MeanSpec) -> float:
+def _harmonic(spec: MeanSpec, v: Vector) -> float:
     try:
         total = math.fsum(1.0 / x for x in v)
     except OverflowError:  # finite reciprocals whose sum leaves the float range
@@ -503,7 +519,7 @@ def _harmonic(v: Vector, spec: MeanSpec) -> float:
 
 def _power_mean(v: Vector, t: float) -> float:
     if abs(t) < POWER_ZERO_CUTOFF:
-        return _geometric(v, None)
+        return _geometric(None, v)
     # Work in log space so large |t| cannot overflow: the mean of x^t is
     # exp(t*L_max) * mean(exp(t*(L_i - L_max))).
     logs = [t * math.log(x) for x in v]
@@ -519,6 +535,14 @@ def _power_mean(v: Vector, t: float) -> float:
     return math.exp((top + math.log(acc)) / t)
 
 
+def _power(spec: MeanSpec, v: Vector) -> float:
+    return _power_mean(v, spec.exponent)
+
+
+def _quasi_power(spec: MeanSpec, v: Vector) -> float:
+    return _power_mean(v, spec.generator.parameter)
+
+
 def midpoint(v: Vector) -> float:
     """0.5 * (max(v) + min(v)), also where that sum overflows."""
     mid = 0.5 * (max(v) + min(v))
@@ -527,36 +551,62 @@ def midpoint(v: Vector) -> float:
     return mid
 
 
-def _median(v: Vector, spec: MeanSpec) -> float:
+def _median(spec: MeanSpec, v: Vector) -> float:
     s = sorted(v)
     i = len(s) // 2
     return s[i] if len(s) % 2 else midpoint(s[i - 1:i + 1])
 
 
-def _log_mean_exp(v: Vector, spec: MeanSpec) -> float:
+def _log_mean_exp(spec: MeanSpec, v: Vector) -> float:
     # log of the average of exp(x_i), stabilized against overflow.
     top = max(v)
     return top + math.log(math.fsum(math.exp(x - top) for x in v) / len(v))
 
 
-#: Mean kind -> kernel(v, spec).  A quasi-arithmetic mean runs the kernel
-#: it equals, found under ``quasi:<generator name>``.
-_KERNELS: dict[str, Callable[[Vector, MeanSpec], float]] = {
+def _minimum(spec: MeanSpec, v: Vector) -> float:
+    return min(v)
+
+
+def _maximum(spec: MeanSpec, v: Vector) -> float:
+    return max(v)
+
+
+def _weighted(spec: MeanSpec, v: Vector) -> float:
+    return math.fsum(w * x for w, x in zip(spec.weights, v))
+
+
+#: Mean kind -> kernel(spec, v).  A quasi-arithmetic mean runs the kernel
+#: it equals, found under ``quasi:<generator name>``; a projection is an
+#: item getter (:func:`bind_kernel`).  Kernels are named module functions,
+#: so a mapping's bound kernels pickle.
+_KERNELS: dict[str, Callable[[MeanSpec, Vector], float]] = {
     "arithmetic": _arithmetic,
     "geometric": _geometric,
     "harmonic": _harmonic,
-    "power": lambda v, spec: _power_mean(v, spec.exponent),
-    "quasi_arithmetic": lambda v, spec: _KERNELS["quasi:" + spec.generator.name](v, spec),
+    "power": _power,
     "quasi:identity": _arithmetic,
     "quasi:log": _geometric,
     "quasi:exp": _log_mean_exp,
-    "quasi:power": lambda v, spec: _power_mean(v, spec.generator.parameter),
+    "quasi:power": _quasi_power,
     "median": _median,
-    "min": lambda v, spec: min(v),
-    "max": lambda v, spec: max(v),
-    "projection": lambda v, spec: v[spec.index - 1],
-    "weighted_arithmetic": lambda v, spec: math.fsum(w * x for w, x in zip(spec.weights, v)),
+    "min": _minimum,
+    "max": _maximum,
+    "weighted_arithmetic": _weighted,
 }
+
+
+def bind_kernel(spec: MeanSpec) -> Callable[[Vector], float]:
+    """``v -> kernel(spec, v)`` for a checked, nonconstant ``v``.
+
+    The table lookup happens here, once, so a caller that binds its
+    kernels up front (as :class:`~meantype.mapping.MeanTypeMapping` does)
+    reads neither the table nor the spec's kind per evaluation.
+    """
+    if spec.kind == "projection":
+        return operator.itemgetter(spec.index - 1)
+    if spec.kind == "quasi_arithmetic":
+        return functools.partial(_KERNELS["quasi:" + spec.generator.name], spec)
+    return functools.partial(_KERNELS[spec.kind], spec)
 
 
 def mean_callable(spec: MeanSpec, domain: Interval = REALS) -> Callable[[Sequence[float]], float]:

@@ -161,6 +161,83 @@ class TestFloatEdges:
         assert "tol must be positive" in err
 
 
+class TestNegativeVector:
+    @pytest.mark.parametrize("argv", [
+        ["map-apply", "--mapping", "{shift3}"],
+        ["map-iterate", "--mapping", "{shift3}", "--steps", "2"],
+        ["mean-eval", "--mean", "arithmetic"],
+    ], ids=["map-apply", "map-iterate", "mean-eval"])
+    def test_two_token_form_matches_attached(self, capsys, cfg, argv):
+        argv = [a.format(**cfg) for a in argv]
+        attached = run(capsys, *argv, "--vector=-1,2,0.5")
+        two_token = run(capsys, *argv, "--vector", "-1,2,0.5")
+        assert two_token[0] == 0, two_token[2]
+        assert two_token == attached
+
+    def test_wrong_arity_reads_as_vector(self, capsys, cfg):
+        # p = 3: the two-token form fails on the arity, as the attached form does
+        code, out, err = run(capsys, "map-apply", "--mapping", cfg["shift3"], "--vector", "-1,2")
+        assert (code, out) == (1, "")
+        assert "length 2" in err
+        attached = run(capsys, "map-apply", "--mapping", cfg["shift3"], "--vector=-1,2")
+        assert attached == (code, out, err)
+
+    def test_option_after_vector_flag_is_not_joined(self, capsys, cfg):
+        code, _, err = run(capsys, "map-apply", "--mapping", cfg["shift3"], "--vector", "--output")
+        assert code == 1
+        assert "--vector" in err
+
+
+# A valid argv per command; each hostile flag below is appended, so it
+# overrides the same flag given earlier (argparse keeps the last) or is
+# rejected by a command that has no such flag.
+_VALID_ARGV = {
+    "mean-eval": ["--mean", "arithmetic", "--vector", "1,2"],
+    "map-apply": ["--mapping", "{agm}", "--vector", "1,2"],
+    "map-iterate": ["--mapping", "{agm}", "--vector", "1,2", "--steps", "3"],
+    "contractive-probe": ["--mapping", "{agm}", "--samples", "5"],
+    "n0": ["--mapping", "{shift3}", "--vector", "0,1,0"],
+    "invariant": ["--mapping", "{agm}", "--vector", "1,2"],
+    "residual": ["--mapping", "{agm}", "--samples", "5"],
+    "uniqueness": ["--mapping", "{agm}", "--samples", "5"],
+    "decompose": ["--mapping", "{ah}", "--samples", "5", "--function", "product"],
+}
+_HOSTILE = {
+    "nan": ["--vector=nan,1"],
+    "inf": ["--vector=inf,1"],
+    "1e309": ["--vector=1e309,1"],
+    "empty-vector": ["--vector="],
+    "wrong-arity": ["--vector=1,2,3,4"],
+    "tol": ["--tol", "-1"],
+    "samples": ["--samples", "0"],
+    "cap": ["--cap", "0"],
+    "steps": ["--steps", "-1"],
+    "unknown-mean": ["--mean", "quadratic"],
+}
+
+
+class TestHostileInputs:
+    @pytest.mark.parametrize("hostile", list(_HOSTILE))
+    @pytest.mark.parametrize("command", list(_VALID_ARGV))
+    def test_exits_cleanly(self, capsys, cfg, command, hostile):
+        argv = [command] + [a.format(**cfg) for a in _VALID_ARGV[command]] + _HOSTILE[hostile]
+        code, out, err = run(capsys, *argv)  # raising fails the test
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 1:
+            assert sum(line.startswith("error:") for line in err.splitlines()) == 1, err
+        # every case is a bad value or a flag the command lacks, except a
+        # 4-vector for mean-eval, which takes its arity from the vector
+        assert code == (0 if (command, hostile) == ("mean-eval", "wrong-arity") else 1), err
+
+    @pytest.mark.parametrize("command", list(_VALID_ARGV))
+    def test_valid_argv_succeeds(self, capsys, cfg, command):
+        # the hostile cases above differ from a run that exits 0 or 2 by one flag
+        argv = [command] + [a.format(**cfg) for a in _VALID_ARGV[command]]
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 2), err
+
+
 class TestCommands:
     def test_invariant_agm(self, capsys, cfg):
         code, out, _ = run(capsys, "invariant", "--mapping", cfg["agm"], "--vector", "1,2")

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,7 @@ from meantype import (
     invariant_mean,
     mean_callable,
     sample_vectors,
+    shift_average_mapping,
     uniqueness_probe,
 )
 
@@ -251,3 +253,82 @@ class TestConvergenceAcrossFixtures:
         for _ in range(4):
             v = agm.apply(v)
             assert k(v) == pytest.approx(orbit_value, abs=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# Exact oracle for linear mappings
+# ---------------------------------------------------------------------------
+
+def _linear_rows(mapping):
+    """The row-stochastic A with M(v) = A v, in exact rationals, for a mapping
+    built from arithmetic, projection and weighted-arithmetic means."""
+    p = mapping.p
+    rows = []
+    for spec in mapping.components:
+        if spec.kind == "arithmetic":
+            rows.append([Fraction(1, p)] * p)
+        elif spec.kind == "projection":
+            rows.append([Fraction(int(j == spec.index - 1)) for j in range(p)])
+        else:  # weighted: the decimal weights, which sum to 1 exactly
+            rows.append([Fraction(repr(w)) for w in spec.weights])
+    return rows
+
+
+def _stationary(rows):
+    """pi with pi A = pi and sum(pi) = 1, by exact Gauss-Jordan elimination.
+
+    The p balance equations sum_i pi_i A[i][j] = pi_j are dependent (A is
+    row-stochastic), so the last is replaced by the normalization.
+    """
+    p = len(rows)
+    m = [[rows[i][j] - (i == j) for i in range(p)] + [Fraction(0)] for j in range(p - 1)]
+    m.append([Fraction(1)] * (p + 1))
+    for c in range(p):
+        pivot = next(r for r in range(c, p) if m[r][c] != 0)
+        m[c], m[pivot] = m[pivot], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for r in range(p):
+            if r != c and m[r][c] != 0:
+                m[r] = [a - m[r][c] * b for a, b in zip(m[r], m[c])]
+    return [row[p] for row in m]
+
+
+def _weighted_mix(weight_rows, *extra):
+    p = len(weight_rows[0])
+    specs = [MeanSpec.weighted_arithmetic(w) for w in weight_rows] + [make(p) for make in extra]
+    return MeanTypeMapping(tuple(specs), Interval(), name=f"weighted-mix-{p}")
+
+
+LINEAR_MAPPINGS = [
+    shift_average_mapping(3),
+    shift_average_mapping(10),
+    _weighted_mix([(0.3, 0.7)], lambda p: MeanSpec.projection(1, p)),
+    _weighted_mix([(0.5, 0.25, 0.25)], lambda p: MeanSpec.projection(1, p), MeanSpec.arithmetic),
+    _weighted_mix([(0.1, 0.2, 0.3, 0.4), (0.7, 0.0, 0.0, 0.3)],
+                  lambda p: MeanSpec.projection(1, p), MeanSpec.arithmetic),
+]
+
+
+class TestLinearOracle:
+    """A linear mean-type mapping is v -> A v with A row-stochastic; its
+    invariant mean is pi . v for the stationary vector pi A = pi (Seneta,
+    Non-negative Matrices and Markov Chains), solved here in rationals."""
+
+    @pytest.mark.parametrize("p", [3, 10])
+    def test_stationary_vector_of_shift_average(self, p):
+        # the shift-average closed form K(v) = sum 2j v_j / (p(p+1))
+        assert _stationary(_linear_rows(shift_average_mapping(p))) == [
+            Fraction(2 * j, p * (p + 1)) for j in range(1, p + 1)]
+
+    @pytest.mark.parametrize("mapping", LINEAR_MAPPINGS, ids=lambda m: m.name)
+    def test_gauss_matches_stationary_vector(self, mapping):
+        rows = _linear_rows(mapping)
+        pi = _stationary(rows)
+        assert [sum(w * row[j] for w, row in zip(pi, rows)) for j in range(mapping.p)] == pi
+        vectors = list(sample_vectors(mapping.domain, mapping.p, 20, seed=11))
+        vectors.append(tuple(1e3 * (-1) ** j for j in range(mapping.p)))
+        for v in vectors:
+            est = gauss_iterate(mapping, v)
+            assert est.converged, v
+            exact = sum(w * Fraction(x) for w, x in zip(pi, v))
+            assert abs(est.value - float(exact)) <= 4e-12 * max(1.0, max(map(abs, v))), v

@@ -1,10 +1,12 @@
 import json
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import meantype.mapping
+import meantype.means
 from meantype import (
     ConstantVector,
     EmptyVector,
@@ -74,6 +76,25 @@ class TestDiameter:
         with pytest.raises(NonFiniteInput):
             diameter((1.0, math.inf))
 
+    @pytest.mark.parametrize("v, name", [
+        ((1.0, math.inf), "coordinate 2 is inf"),
+        ((1.7e308, 1.7e308, math.nan), "coordinate 3 is nan"),
+        ((-math.inf, math.inf, 1.0), "coordinate 1 is -inf"),
+    ])
+    def test_non_finite_coordinate_named(self, v, name):
+        with pytest.raises(NonFiniteInput, match=f"^{name}$"):
+            diameter(v)
+
+    @pytest.mark.parametrize("v", [
+        (1.7e308, 1.7e308), (1.7e308, -1.7e308), (1.7e308, -1.7e308, 1.7e308),
+        (1.7976931348623157e308, 1e308, 1.5e308), (-1.7e308, -1.7e308, -1e308),
+    ])
+    def test_finite_vector_whose_sum_overflows(self, v):
+        assert diameter(v) == max(v) - min(v)
+
+    def test_overflowing_diameter_is_inf(self):
+        assert diameter((1.7e308, -1.7e308)) == math.inf
+
 
 # ---------------------------------------------------------------------------
 # apply / iterate
@@ -98,10 +119,13 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-# The catalog plus a sign-requiring mean after two that accept any sign.
+# The catalog plus a sign-requiring mean after two that accept any sign,
+# and two sign-requiring means after one that accepts any sign.
 APPLY_MAPPINGS = catalog_mappings() + [MeanTypeMapping(
     (MeanSpec.arithmetic(3), MeanSpec.median(3), MeanSpec.power(2.0, 3)), Interval(),
-    name="mixed-sign")]
+    name="mixed-sign"), MeanTypeMapping(
+    (MeanSpec.median(3), MeanSpec.harmonic(3), MeanSpec.geometric(3)), Interval(),
+    name="two-signed")]
 EDGE_COORDS = st.one_of(
     st.sampled_from((0.0, -0.0, 5e-324, -1e-310, 1.0, -2.5, 1.7e308, -1.7e308,
                      math.nan, math.inf, -math.inf)),
@@ -150,11 +174,47 @@ class TestApply:
         assert str(info.value).startswith("step 1: ") == step
 
     def test_checks_each_coordinate_once(self, monkeypatch):
+        # a valid vector is in the domain when its min and max are
         calls = []
         contains = Interval.contains
         monkeypatch.setattr(Interval, "contains", lambda dom, x: calls.append(x) or contains(dom, x))
         shift_average_mapping(10).apply(tuple(float(i) for i in range(10)))
-        assert len(calls) == 10
+        assert sorted(calls) == [0.0, 9.0]
+
+    def test_reads_no_spec_flag_or_kernel_table_per_call(self, monkeypatch):
+        reads = []
+        requires_positive = MeanSpec.requires_positive.fget
+        monkeypatch.setattr(MeanSpec, "requires_positive",
+                            property(lambda spec: reads.append(spec) or requires_positive(spec)))
+
+        class CountingTable(dict):
+            def __getitem__(self, kind):
+                reads.append(kind)
+                return super().__getitem__(kind)
+
+        table = CountingTable(meantype.means._KERNELS)
+        monkeypatch.setattr(meantype.means, "_KERNELS", table)
+        monkeypatch.setattr(meantype.mapping, "_KERNELS", table, raising=False)
+        mappings = catalog_mappings()
+        mixed_sign = MeanTypeMapping(
+            (MeanSpec.arithmetic(3), MeanSpec.median(3), MeanSpec.power(2.0, 3)), Interval())
+        assert reads  # construction binds through both
+        reads.clear()
+        for mapping in mappings:
+            for v in sample_vectors(mapping.domain, mapping.p, 5, seed=3):
+                mapping.apply(v)
+        mixed_sign.apply((1.0, 2.0, 3.0))
+        mixed_sign.apply((2.0, 2.0, 2.0))
+        with pytest.raises(DomainViolation, match="component 3"):
+            mixed_sign.apply((-1.0, 2.0, 3.0))
+        assert reads == []
+
+    def test_pickles_with_bound_kernels(self):
+        for mapping in APPLY_MAPPINGS:
+            copy = pickle.loads(pickle.dumps(mapping))
+            assert copy == mapping
+            v = (2.0, 3.0, 5.0)[:mapping.p]
+            assert copy.apply(v) == mapping.apply(v)
 
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from(APPLY_MAPPINGS), st.lists(EDGE_COORDS, min_size=1, max_size=4))

@@ -20,6 +20,7 @@ from meantype import (
     parse_mean,
     sample_vectors,
 )
+from meantype.means import REALS, check_vector
 
 POSITIVE = Interval(0.0, math.inf)
 UNIT = Interval(0.0, 1.0, lower_closed=True, upper_closed=True)
@@ -148,6 +149,98 @@ class TestEvalErrors:
             eval_mean(MeanSpec.harmonic(2), (-1.0, 2.0))
         with pytest.raises(DomainViolation):
             eval_mean(MeanSpec.quasi_arithmetic("log", 2), (0.0, 1.0))
+
+
+def _reference_check(v, specs, domain):
+    """The coordinate-by-coordinate scan, written out: arity, finiteness and
+    domain per coordinate, then positivity for the first spec needing it."""
+    v = tuple(float(x) for x in v)
+    k, spec = 1, specs[0]
+    try:
+        if len(v) != spec.arity:
+            raise ArityMismatch(
+                f"mean {spec} has arity {spec.arity}, got vector of length {len(v)}")
+        for i, x in enumerate(v):
+            if not math.isfinite(x):
+                raise NonFiniteInput(f"coordinate {i + 1} is {x!r}")
+            if not domain.contains(x):
+                raise DomainViolation(f"coordinate {i + 1} = {x!r} outside domain {domain}")
+        for k, spec in enumerate(specs, 1):
+            if spec.requires_positive:
+                for i, x in enumerate(v):
+                    if x <= 0.0:
+                        raise DomainViolation(
+                            f"mean {spec} requires strictly positive coordinates; "
+                            f"coordinate {i + 1} = {x!r}")
+                break
+    except MeanTypeError as exc:
+        exc.component = k
+        raise
+    return v
+
+
+def _check_outcome(fn, *args):
+    """The bits of the checked vector, or the class, message and component raised."""
+    try:
+        return [repr(x) for x in fn(*args)]
+    except MeanTypeError as exc:
+        return type(exc), str(exc), exc.component
+
+
+_CHECK_DOMAINS = (
+    REALS, POSITIVE, UNIT,
+    Interval(-1.0, 2.0, lower_closed=True),
+    Interval(-math.inf, 0.0, upper_closed=True),
+    Interval(5e-324, 1.7e308),
+)
+_CHECK_COORDS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0, 2.0, -2.5,
+                 1.7e308, -1.7e308, 1.7976931348623157e308, math.nan, math.inf, -math.inf)
+_ANY_SIGN_SPECS = (MeanSpec.arithmetic, MeanSpec.median,
+                   lambda p: MeanSpec.quasi_arithmetic("exp", p),
+                   lambda p: MeanSpec.projection(1, p))
+_POSITIVE_SPECS = (MeanSpec.geometric, MeanSpec.harmonic,
+                   lambda p: MeanSpec.power(2.0, p),
+                   lambda p: MeanSpec.quasi_arithmetic("log", p))
+
+
+@st.composite
+def check_cases(draw):
+    """(v, specs, domain): domain endpoints among the coordinates, vectors
+    one short or one long, positivity-needing specs at any positions."""
+    domain = draw(st.sampled_from(_CHECK_DOMAINS))
+    p = draw(st.integers(1, 4))
+    makers = draw(st.lists(st.sampled_from(_ANY_SIGN_SPECS + _POSITIVE_SPECS),
+                           min_size=p, max_size=p))
+    ends = tuple(x for x in (domain.lower, domain.upper) if math.isfinite(x))
+    coord = st.one_of(st.sampled_from(_CHECK_COORDS + ends), st.floats())
+    v = draw(st.lists(coord, min_size=p - 1, max_size=p + 1))
+    return v, tuple(make(p) for make in makers), domain
+
+
+_A2, _G2 = MeanSpec.arithmetic(2), MeanSpec.geometric(2)
+_A3, _G3 = MeanSpec.arithmetic(3), MeanSpec.geometric(3)
+
+
+class TestCheckVector:
+    @settings(max_examples=500, deadline=None)
+    @given(check_cases())
+    # finite vectors whose sum overflows, valid and invalid
+    @example(((1.7e308, 1.7e308), (_A2, _A2), REALS))
+    @example(((1.7e308, -1.7e308, 1.7e308), (_A3, _A3, _A3), REALS))
+    @example(((1.7e308, 1.7e308, 1.7e308), (_A3, _G3, _A3), POSITIVE))
+    @example(((1.7e308, 1.7e308, -1.0), (_A3, _A3, _G3), REALS))
+    @example(((1.7e308, 1.7e308, math.nan), (_A3, _A3, _A3), REALS))
+    # exactly on open and closed endpoints, signed zeros
+    @example(((0.0, 1.0), (_A2, _A2), UNIT))
+    @example(((-0.0, 0.5), (_A2, _A2), POSITIVE))
+    @example(((-1.0, 2.0), (_A2, _A2), Interval(-1.0, 2.0, lower_closed=True)))
+    @example(((5e-324, 1.0), (_A2, _G2), REALS))
+    @example(((), (_A2, _A2), REALS))
+    def test_matches_per_coordinate_scan(self, case):
+        v, specs, domain = case
+        positive = next((i for i, spec in enumerate(specs) if spec.requires_positive), None)
+        assert (_check_outcome(check_vector, v, specs, domain, positive)
+                == _check_outcome(_reference_check, v, specs, domain))
 
 
 # ---------------------------------------------------------------------------
