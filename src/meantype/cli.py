@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, mapping=True, vector=False, samples=False, iteration=False,
-                   cap=False):
+                   readout=False, relative=False, cap=False, csv=False):
         if mapping:
             p.add_argument("--mapping", required=True, metavar="FILE",
                            help="mapping config file (keys p, domain, components)")
@@ -105,26 +105,29 @@ def build_parser() -> argparse.ArgumentParser:
         if iteration:
             p.add_argument("--tol", type=float, default=DEFAULT_TOL, metavar="T")
             p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, metavar="N")
+        if readout:
             p.add_argument("--readout", choices=READOUTS, default="mid")
+        if relative:
             p.add_argument("--relative", action="store_true",
                            help="stop on diameter < tol * |midpoint| instead of absolute")
         if cap:
             p.add_argument("--cap", type=int, default=DEFAULT_CAP, metavar="N")
-        p.add_argument("--output", choices=["human", "json", "csv"], default="human")
+        # csv writes a trace, so only the commands that produce one offer it
+        p.add_argument("--output", choices=["human", "json", "csv"] if csv else ["human", "json"],
+                       default="human")
 
     p = sub.add_parser("mean-eval", help="evaluate a single catalog mean")
     p.add_argument("--mean", required=True, metavar="SPEC",
                    help="canonical mean string, e.g. power:0.5")
-    p.add_argument("--vector", required=True, metavar="X1,...,XP")
     p.add_argument("--domain", default=None, metavar="INTERVAL",
                    help="bracket notation, e.g. '(0, inf)'; default the whole line")
-    p.add_argument("--output", choices=["human", "json", "csv"], default="human")
+    add_common(p, mapping=False, vector=True)
 
     p = sub.add_parser("map-apply", help="apply a mapping to a vector once")
     add_common(p, vector=True)
 
     p = sub.add_parser("map-iterate", help="iterate a mapping, emitting the trace")
-    add_common(p, vector=True)
+    add_common(p, vector=True, csv=True)
     p.add_argument("--steps", type=int, default=10, metavar="N",
                    help="number of applications (default 10)")
 
@@ -136,19 +139,22 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, vector=True, cap=True)
 
     p = sub.add_parser("invariant", help="Gauss-iterate to the invariant mean value")
-    add_common(p, vector=True, iteration=True)
-    p.add_argument("--trace", action="store_true", help="attach the full trace")
+    add_common(p, vector=True, iteration=True, readout=True, relative=True, csv=True)
+    p.add_argument("--trace", action="store_true",
+                   help="attach the full trace (required by --output csv)")
 
     p = sub.add_parser("residual",
                        help="max |K(M(v)) - K(v)| over samples (K defaults to the "
                             "mapping's own invariant mean)")
-    add_common(p, samples=True, iteration=True)
+    add_common(p, samples=True, iteration=True, readout=True, relative=True)
     p.add_argument("--mean", default=None, metavar="SPEC",
                    help="use this catalog mean as K instead")
 
+    # uniqueness always reads min and max; verify_decomposition builds its own
+    # K with the absolute stop rule and the mid readout
     p = sub.add_parser("uniqueness",
                        help="max disagreement of the invariant mean across readouts")
-    add_common(p, samples=True, iteration=True)
+    add_common(p, samples=True, iteration=True, relative=True)
 
     p = sub.add_parser("decompose",
                        help="check F = phi o K for a catalog function F")
@@ -190,9 +196,6 @@ def _emit(args, doc: dict, human_lines: list[str], trace: IterationTrace | None 
         doc = {**_json_safe(doc), "timestamp": _timestamp()}
         print(json.dumps(doc, indent=2, allow_nan=False))
     elif args.output == "csv":
-        if trace is None:
-            raise _CLIError("csv output is only available for trace-producing "
-                            "commands (map-iterate, invariant --trace)")
         sys.stdout.write(trace.to_csv())
     else:
         for line in human_lines:
@@ -291,6 +294,9 @@ def _cmd_n0(args) -> int:
 
 
 def _cmd_invariant(args) -> int:
+    if args.output == "csv" and not args.trace:
+        raise _CLIError("csv output is only available for trace-producing "
+                        "commands (map-iterate, invariant --trace)")
     mapping = load_mapping(args.mapping)
     vector = parse_vector(args.vector)
     est = gauss_iterate(
@@ -327,14 +333,14 @@ def _cmd_invariant(args) -> int:
 
 def _cmd_residual(args) -> int:
     mapping = load_mapping(args.mapping)
+    # built first so that the Gauss flags are checked with --mean too
+    k = InvariantMean(mapping, tol=args.tol, max_iter=args.max_iter,
+                      readout=args.readout, relative=args.relative)
+    k_name = "invariant"
     if args.mean:
         spec = parse_mean(args.mean, mapping.p)
         k = mean_callable(spec, mapping.domain)
         k_name = spec.canonical()
-    else:
-        k = InvariantMean(mapping, tol=args.tol, max_iter=args.max_iter,
-                          readout=args.readout, relative=args.relative)
-        k_name = "invariant"
     residual = invariance_residual(k, mapping, args.samples, args.seed)
     doc = {
         "command": "residual",

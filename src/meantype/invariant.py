@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import InvalidMapping, MeanTypeError
-from .mapping import IterationTrace, MeanTypeMapping, TraceStep, sample_vectors
+from .mapping import IterationTrace, MeanTypeMapping, TraceStep, _annotate, sample_vectors
 from .mapping import diameter  # noqa: F401 -- bench/spans.py patches it here
 from .means import Interval, Vector, midpoint
 
@@ -146,7 +146,7 @@ class InvariantMean:
     def __repr__(self) -> str:
         return (
             f"InvariantMean({self.mapping}, tol={self.tol!r}, "
-            f"max_iter={self.max_iter}, readout={self.readout!r})"
+            f"max_iter={self.max_iter}, readout={self.readout!r}, relative={self.relative!r})"
         )
 
 
@@ -174,7 +174,7 @@ def over_samples(
     """``fn(v)`` for each of :func:`sample_vectors`' vectors, in order.
 
     An evaluation error aborts the probe, re-raised with the offending
-    sample attached.
+    sample attached and its attributes (``component``, say) kept.
     """
     if sample_count < 1:
         raise InvalidMapping(f"sample_count must be >= 1, got {sample_count}")
@@ -183,7 +183,7 @@ def over_samples(
         try:
             out.append(fn(v))
         except MeanTypeError as exc:
-            raise type(exc)(f"sample {idx} {list(v)}: {exc}") from exc
+            raise _annotate(exc, f"sample {idx} {list(v)}") from exc
     return out
 
 

@@ -1,9 +1,13 @@
+import argparse
 import json
 
 import pytest
 
-from meantype.cli import main, parse_vector
+import meantype.cli
+import meantype.invariant
+from meantype.cli import build_parser, main, parse_vector
 from meantype.errors import ParseError
+from meantype.invariant import gauss_iterate
 
 AGM_CFG = "p = 2\ndomain = (0, inf)\ncomponents = arithmetic, geometric\n"
 AH_BOX_CFG = "p = 2\ndomain = [0.5, 10]\ncomponents = arithmetic, harmonic\n"
@@ -383,3 +387,93 @@ class TestSeedEnvVar:
                            "--samples", "20")
         assert code == 1
         assert "MEANTYPE_SEED" in err
+
+
+# Options each command offers (besides -h), with its --output and --readout
+# choices ("" where it has no --readout).
+_SOLVE = {"--tol", "--max-iter"}
+_SAMPLE = {"--mapping", "--samples", "--seed", "--output"}
+_SURFACE = {
+    "mean-eval": ({"--mean", "--vector", "--domain", "--output"}, "human,json", ""),
+    "map-apply": ({"--mapping", "--vector", "--output"}, "human,json", ""),
+    "map-iterate": ({"--mapping", "--vector", "--steps", "--output"}, "human,json,csv", ""),
+    "contractive-probe": (_SAMPLE, "human,json", ""),
+    "n0": ({"--mapping", "--vector", "--cap", "--output"}, "human,json", ""),
+    "invariant": ({"--mapping", "--vector", "--readout", "--relative", "--trace", "--output"}
+                  | _SOLVE, "human,json,csv", "mid,min,max,first"),
+    "residual": (_SAMPLE | _SOLVE | {"--readout", "--relative", "--mean"}, "human,json",
+                 "mid,min,max,first"),
+    "uniqueness": (_SAMPLE | _SOLVE | {"--relative"}, "human,json", ""),
+    "decompose": (_SAMPLE | _SOLVE | {"--function", "--invariance-threshold"}, "human,json",
+                  ""),
+}
+
+
+# Removed flags and csv without a trace: (command, appended flags, part of the error).
+_REJECTED = [
+    ("decompose", ["--relative"], "unrecognized arguments: --relative"),
+    ("decompose", ["--readout", "mid"], "unrecognized arguments: --readout mid"),
+    ("uniqueness", ["--readout", "mid"], "unrecognized arguments: --readout mid"),
+    *[(c, ["--output", "csv"], "invalid choice: 'csv'")
+      for c in _SURFACE if c not in ("map-iterate", "invariant")],
+    ("invariant", ["--output", "csv"], "csv output is only available"),
+]
+
+
+def _subparsers() -> dict:
+    parser = build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestParserSurface:
+    def test_each_command_offers_the_options_it_reads(self):
+        commands = _subparsers()
+        assert set(commands) == set(_SURFACE)
+        for name, sub in commands.items():
+            actions = {a.option_strings[0]: a for a in sub._actions if a.option_strings[0] != "-h"}
+            options, outputs, readouts = _SURFACE[name]
+            assert set(actions) == options, name
+            assert ",".join(actions["--output"].choices) == outputs, name
+            assert ",".join(getattr(actions.get("--readout"), "choices", ())) == readouts, name
+
+    @pytest.mark.parametrize("command, extra, message", _REJECTED,
+                             ids=[f"{c} {' '.join(e)}" for c, e, _ in _REJECTED])
+    def test_rejected_with_one_error_line(self, capsys, cfg, command, extra, message):
+        argv = [command] + [a.format(**cfg) for a in _VALID_ARGV[command]] + extra
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert message in err
+
+    @pytest.mark.parametrize("argv, solves", [
+        (["uniqueness", "--mapping", "{agm}", "--samples", "5"], 10),
+        (["uniqueness", "--mapping", "{agm}", "--samples", "5", "--output", "csv"], 0),
+        (["invariant", "--mapping", "{agm}", "--vector", "1,2"], 1),
+        (["invariant", "--mapping", "{agm}", "--vector", "1,2", "--output", "csv"], 0),
+    ], ids=["uniqueness", "uniqueness-csv", "invariant", "invariant-csv"])
+    def test_csv_rejected_before_any_solve(self, capsys, cfg, monkeypatch, argv, solves):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return gauss_iterate(*args, **kwargs)
+
+        monkeypatch.setattr(meantype.cli, "gauss_iterate", counted)
+        monkeypatch.setattr(meantype.invariant, "gauss_iterate", counted)
+        code, _, _ = run(capsys, *[a.format(**cfg) for a in argv])
+        assert code == (1 if "csv" in argv else 0)
+        assert len(calls) == solves
+
+
+class TestResidualFlags:
+    @pytest.mark.parametrize("flag, message", [
+        (["--tol", "-1"], "tol must be positive, got -1.0"),
+        (["--max-iter", "0"], "max_iter must be >= 1, got 0"),
+    ], ids=["tol", "max-iter"])
+    def test_gauss_flags_checked_with_mean(self, capsys, cfg, flag, message):
+        # K is the geometric mean here, but a bad Gauss flag still exits 1
+        code, out, err = run(capsys, "residual", "--mapping", cfg["ah"], "--samples", "5",
+                             "--mean", "geometric", *flag)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"

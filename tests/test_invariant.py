@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from meantype import (
+    DomainViolation,
     InvalidMapping,
     Interval,
     MeanSpec,
@@ -187,6 +188,10 @@ class TestInvariantMean:
     def test_arity(self, shift3):
         assert invariant_mean(shift3).arity == 3
 
+    def test_repr_shows_stop_rule(self, agm):
+        assert repr(invariant_mean(agm)).endswith("readout='mid', relative=False)")
+        assert repr(invariant_mean(agm, relative=True)).endswith(", relative=True)")
+
 
 class TestInvarianceResidual:
     def test_own_invariant_mean_residual_small(self, ah):
@@ -212,6 +217,18 @@ class TestInvarianceResidual:
         a = invariance_residual(k, ah, 100, seed=9)
         b = invariance_residual(k, ah, 100, seed=9)
         assert a == b
+
+    def test_sample_error_keeps_its_attributes(self):
+        # the geometric component rejects the first sample, which has a 0.0
+        reals = MeanTypeMapping((MeanSpec.arithmetic(2), MeanSpec.geometric(2)),
+                                Interval(-math.inf, math.inf))
+        with pytest.raises(DomainViolation) as direct:
+            reals.apply((0.0, 1.0))
+        with pytest.raises(DomainViolation) as probed:
+            invariance_residual(invariant_mean(reals), reals, 10, 1)
+        assert direct.value.component == probed.value.component == 2
+        assert str(probed.value).startswith("sample 0 [0.0, ")
+        assert str(probed.value).endswith(": " + str(direct.value))
 
 
 class TestUniquenessProbe:
