@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from datetime import datetime, timezone
 from typing import Sequence
 
 from .decompose import parse_function, verify_decomposition
@@ -54,11 +53,26 @@ class _CLIError(Exception):
     """Usage error surfaced by argparse; mapped to exit code 1."""
 
 
+class _HelpShown(Exception):
+    """argparse printed the help; mapped to exit code 0."""
+
+
 class _Parser(argparse.ArgumentParser):
+    # No prefix of a flag stands for the flag: with abbreviations on, adding
+    # or removing a flag would silently change what a prefix means.  The
+    # subparsers are built by this class too.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with code 2 on usage errors; this package reserves 2
     # for negative mathematical results, so route usage errors to 1.
     def error(self, message):
         raise _CLIError(message)
+
+    # With error routed above, argparse exits only after -h/--help has
+    # printed the help; main returns 0 instead, as for every other success.
+    def exit(self, status=0, message=None):
+        raise _HelpShown
 
 
 def _default_seed() -> int:
@@ -173,6 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _timestamp() -> str:
+    from datetime import datetime, timezone
+
     return datetime.now(timezone.utc).isoformat()
 
 
@@ -447,6 +463,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser = build_parser()
         args = parser.parse_args(_attach_vectors(sys.argv[1:] if argv is None else argv))
         return _COMMANDS[args.command](args)
+    except _HelpShown:
+        return EXIT_OK
     except (_CLIError, MeanTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -16,9 +16,9 @@ than a verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from ._record import FrozenRecord, set_field
 from .errors import DomainViolation, InvalidMapping, ParseError
 from .invariant import (DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_ITER_REACHED, InvariantMean,
                         invariance_residual, over_samples)
@@ -26,13 +26,15 @@ from .mapping import MeanTypeMapping, sample_vectors  # noqa: F401 -- bench/span
 from .means import mean_callable, parse_mean
 
 
-@dataclass(frozen=True)
-class InvariantFunction:
+class InvariantFunction(FrozenRecord):
     """A named continuous function I^p -> R, the F of the probes."""
 
-    name: str
-    arity: int
-    fn: Callable[[Sequence[float]], float]
+    __slots__ = _fields = ("name", "arity", "fn")
+
+    def __init__(self, name: str, arity: int, fn: Callable[[Sequence[float]], float]):
+        set_field(self, "name", name)
+        set_field(self, "arity", arity)
+        set_field(self, "fn", fn)
 
     def __call__(self, v: Sequence[float]) -> float:
         return self.fn(v)
@@ -156,20 +158,27 @@ def diagonal_restriction(f: InvariantFunction) -> Callable[[float], float]:
 check_invariance = invariance_residual
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(FrozenRecord):
     """Both residuals of F = phi o K over one shared sample set."""
 
-    fixture: str
-    mapping: MeanTypeMapping
-    invariance_residual: float
-    decomposition_residual: float
-    samples: int
-    tol: float
-    k_steps_min: int
-    k_steps_max: int
-    k_steps_mean: float
-    max_iter_hits: int  # K runs that stopped on max_iter rather than tol
+    __slots__ = _fields = (
+        "fixture", "mapping", "invariance_residual", "decomposition_residual", "samples", "tol",
+        "k_steps_min", "k_steps_max", "k_steps_mean", "max_iter_hits")
+
+    def __init__(self, fixture: str, mapping: MeanTypeMapping, invariance_residual: float,
+                 decomposition_residual: float, samples: int, tol: float, k_steps_min: int,
+                 k_steps_max: int, k_steps_mean: float, max_iter_hits: int):
+        set_field(self, "fixture", fixture)
+        set_field(self, "mapping", mapping)
+        set_field(self, "invariance_residual", invariance_residual)
+        set_field(self, "decomposition_residual", decomposition_residual)
+        set_field(self, "samples", samples)
+        set_field(self, "tol", tol)
+        set_field(self, "k_steps_min", k_steps_min)
+        set_field(self, "k_steps_max", k_steps_max)
+        set_field(self, "k_steps_mean", k_steps_mean)
+        # K runs that stopped on max_iter rather than tol
+        set_field(self, "max_iter_hits", max_iter_hits)
 
     @property
     def k_converged(self) -> bool:

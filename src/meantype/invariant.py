@@ -16,9 +16,9 @@ observed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from ._record import FrozenRecord, set_field
 from .errors import InvalidMapping, MeanTypeError
 from .mapping import IterationTrace, MeanTypeMapping, TraceStep, _annotate, sample_vectors
 from .mapping import diameter  # noqa: F401 -- bench/spans.py patches it here
@@ -48,8 +48,7 @@ def _check_iteration(tol: float, max_iter: int, readout: str) -> None:
         raise InvalidMapping(f"unknown readout {readout!r}; available: {READOUTS}")
 
 
-@dataclass(frozen=True)
-class InvariantEstimate:
+class InvariantEstimate(FrozenRecord):
     """Outcome of one Gauss iteration run.
 
     ``value`` lies in [min(v), max(v)] of the starting vector, and within
@@ -58,11 +57,15 @@ class InvariantEstimate:
     one) differs from the midpoint readout by at most final_diameter / 2.
     """
 
-    value: float
-    steps: int
-    final_diameter: float
-    status: str
-    trace: IterationTrace | None = None
+    __slots__ = _fields = ("value", "steps", "final_diameter", "status", "trace")
+
+    def __init__(self, value: float, steps: int, final_diameter: float, status: str,
+                 trace: IterationTrace | None = None):
+        set_field(self, "value", value)
+        set_field(self, "steps", steps)
+        set_field(self, "final_diameter", final_diameter)
+        set_field(self, "status", status)
+        set_field(self, "trace", trace)
 
     @property
     def converged(self) -> bool:

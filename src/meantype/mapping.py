@@ -17,13 +17,11 @@ Everything is pure; probes are sequential loops, deterministic per seed.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from dataclasses import dataclass, field
 from itertools import count, islice
 from typing import Callable, Iterator, Sequence
 
+from ._record import FrozenRecord, set_field
 from .errors import (
     ConstantVector,
     EmptyVector,
@@ -63,33 +61,33 @@ def diameter(v: Sequence[float]) -> float:
     return max(v) - min(v)
 
 
-@dataclass(frozen=True)
-class MeanTypeMapping:
+class MeanTypeMapping(FrozenRecord):
     """An ordered tuple of p means of arity p over a shared interval."""
 
-    components: tuple[MeanSpec, ...]
-    domain: Interval
-    name: str | None = None
-    # Bound once here, so that apply reads no spec field or kernel table:
-    # one kernel(v) per component, and the position of the first component
-    # that requires strictly positive coordinates (None if none does).
-    _kernels: tuple[Callable[[Vector], float], ...] = field(
-        init=False, repr=False, compare=False)
-    _positive: int | None = field(init=False, repr=False, compare=False)
+    # _kernels and _positive are bound once here, so that apply reads no
+    # spec field or kernel table: one kernel(v) per component, and the
+    # position of the first component that requires strictly positive
+    # coordinates (None if none does).  Neither is compared or shown.
+    __slots__ = ("components", "domain", "name", "_kernels", "_positive")
+    _fields = ("components", "domain", "name")
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        p = len(self.components)
+    def __init__(self, components: Sequence[MeanSpec], domain: Interval,
+                 name: str | None = None):
+        components = tuple(components)
+        p = len(components)
         if p < 2:
             raise InvalidMapping(f"a mean-type mapping needs p >= 2 components, got {p}")
-        for i, spec in enumerate(self.components):
+        for i, spec in enumerate(components):
             if spec.arity != p:
                 raise InvalidMapping(
                     f"component {i + 1} ({spec}) has arity {spec.arity}, expected {p}"
                 )
-        object.__setattr__(self, "_kernels", tuple(map(bind_kernel, self.components)))
-        object.__setattr__(self, "_positive", next(
-            (i for i, spec in enumerate(self.components) if spec.requires_positive), None))
+        set_field(self, "components", components)
+        set_field(self, "domain", domain)
+        set_field(self, "name", name)
+        set_field(self, "_kernels", tuple(map(bind_kernel, components)))
+        set_field(self, "_positive", next(
+            (i for i, spec in enumerate(components) if spec.requires_positive), None))
 
     @property
     def p(self) -> int:
@@ -155,19 +153,23 @@ def _annotate(exc: MeanTypeError, context: str) -> MeanTypeError:
     return new
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    step: int
-    vector: Vector
-    diameter: float
+class TraceStep(FrozenRecord):
+    __slots__ = _fields = ("step", "vector", "diameter")
+
+    def __init__(self, step: int, vector: Vector, diameter: float):
+        set_field(self, "step", step)
+        set_field(self, "vector", vector)
+        set_field(self, "diameter", diameter)
 
 
-@dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(FrozenRecord):
     """Iterates of a mapping together with their diameters."""
 
-    mapping: MeanTypeMapping
-    steps: list[TraceStep]
+    __slots__ = _fields = ("mapping", "steps")
+
+    def __init__(self, mapping: MeanTypeMapping, steps: list[TraceStep]):
+        set_field(self, "mapping", mapping)
+        set_field(self, "steps", steps)
 
     @property
     def last(self) -> TraceStep:
@@ -187,6 +189,9 @@ class IterationTrace:
 
     def to_csv(self) -> str:
         """CSV with fixed column order: step, x1..xp, diameter."""
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["step"] + [f"x{i + 1}" for i in range(self.mapping.p)] + ["diameter"])
@@ -212,18 +217,21 @@ def is_contractive_at(mapping: MeanTypeMapping, v: Sequence[float]) -> bool:
     return diameter(mapping.apply(v)) < d
 
 
-@dataclass(frozen=True)
-class ContractivityVerdict:
+class ContractivityVerdict(FrozenRecord):
     """Result of sampling for a contractivity counterexample.
 
     Sampling can refute the for-all-v definition, never prove it: a
     ``counterexample`` of None means only that no witness was found.
     """
 
-    mapping: MeanTypeMapping
-    counterexample: Vector | None
-    samples_tested: int
-    skipped: int
+    __slots__ = _fields = ("mapping", "counterexample", "samples_tested", "skipped")
+
+    def __init__(self, mapping: MeanTypeMapping, counterexample: Vector | None,
+                 samples_tested: int, skipped: int):
+        set_field(self, "mapping", mapping)
+        set_field(self, "counterexample", counterexample)
+        set_field(self, "samples_tested", samples_tested)
+        set_field(self, "skipped", skipped)
 
     @property
     def found(self) -> bool:

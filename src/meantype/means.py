@@ -20,9 +20,9 @@ import functools
 import math
 import operator
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
+from ._record import FrozenRecord, Record, set_field
 from .errors import (
     ArityMismatch,
     DomainViolation,
@@ -51,31 +51,31 @@ _WEIGHT_SUM_TOL = 1e-12
 # Interval
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(FrozenRecord):
     """A nondegenerate subinterval of the reals, endpoints possibly infinite.
 
     ``lower_closed`` / ``upper_closed`` control whether the finite
     endpoints belong to the interval.  Infinite endpoints are always open.
     """
 
-    lower: float = -math.inf
-    upper: float = math.inf
-    lower_closed: bool = False
-    upper_closed: bool = False
+    __slots__ = _fields = ("lower", "upper", "lower_closed", "upper_closed")
 
-    def __post_init__(self):
-        if math.isnan(self.lower) or math.isnan(self.upper):
+    def __init__(self, lower: float = -math.inf, upper: float = math.inf,
+                 lower_closed: bool = False, upper_closed: bool = False):
+        if math.isnan(lower) or math.isnan(upper):
             raise InvalidInterval("interval endpoints must not be NaN")
-        if not self.lower < self.upper:
+        if not lower < upper:
             raise InvalidInterval(
-                f"interval endpoints must satisfy lower < upper, got "
-                f"[{self.lower}, {self.upper}]"
+                f"interval endpoints must satisfy lower < upper, got [{lower}, {upper}]"
             )
-        if math.isinf(self.lower) and self.lower_closed:
+        if math.isinf(lower) and lower_closed:
             raise InvalidInterval("-inf endpoint cannot be closed")
-        if math.isinf(self.upper) and self.upper_closed:
+        if math.isinf(upper) and upper_closed:
             raise InvalidInterval("+inf endpoint cannot be closed")
+        set_field(self, "lower", lower)
+        set_field(self, "upper", upper)
+        set_field(self, "lower_closed", lower_closed)
+        set_field(self, "upper_closed", upper_closed)
 
     def contains(self, x: float) -> bool:
         """Membership test consistent with the closedness flags."""
@@ -189,8 +189,7 @@ def _stress_vectors(lo: float, hi: float, p: int) -> list[Vector]:
 # Generators for quasi-arithmetic means
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(FrozenRecord):
     """A generator g of a quasi-arithmetic mean g^{-1}(average of g(x_i)).
 
     The catalog is fixed, so the name (and the exponent of ``power``)
@@ -199,9 +198,15 @@ class Generator:
     equal when name and parameter agree.
     """
 
-    name: str
-    domain: Interval = field(compare=False)
-    parameter: float | None = None
+    __slots__ = _fields = ("name", "domain", "parameter")
+
+    def __init__(self, name: str, domain: Interval, parameter: float | None = None):
+        set_field(self, "name", name)
+        set_field(self, "domain", domain)
+        set_field(self, "parameter", parameter)
+
+    def _key(self) -> tuple:
+        return self.name, self.parameter
 
     def canonical(self) -> str:
         if self.parameter is None:
@@ -257,8 +262,7 @@ KINDS = (
 _POSITIVE_ONLY = {"geometric", "harmonic", "power"}
 
 
-@dataclass(frozen=True)
-class MeanSpec:
+class MeanSpec(FrozenRecord):
     """Declarative description of a single mean of arity ``arity``.
 
     Use the classmethod constructors (``MeanSpec.arithmetic(3)``,
@@ -266,38 +270,37 @@ class MeanSpec:
     filling fields by hand.
     """
 
-    kind: str
-    arity: int
-    exponent: float | None = None
-    generator: Generator | None = None
-    index: int | None = None
-    weights: tuple[float, ...] | None = None
+    __slots__ = _fields = ("kind", "arity", "exponent", "generator", "index", "weights")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidMeanSpec(f"unknown mean kind {self.kind!r}; available: {KINDS}")
-        if not isinstance(self.arity, int) or self.arity < 1:
-            raise InvalidMeanSpec(f"arity must be a positive integer, got {self.arity!r}")
-        if self.kind == "power":
-            if self.exponent is None or not math.isfinite(self.exponent):
+    def __init__(self, kind: str, arity: int, exponent: float | None = None,
+                 generator: Generator | None = None, index: int | None = None,
+                 weights: tuple[float, ...] | None = None):
+        if kind not in KINDS:
+            raise InvalidMeanSpec(f"unknown mean kind {kind!r}; available: {KINDS}")
+        if not isinstance(arity, int) or arity < 1:
+            raise InvalidMeanSpec(f"arity must be a positive integer, got {arity!r}")
+        if kind == "power":
+            if exponent is None or not math.isfinite(exponent):
                 raise InvalidMeanSpec("power mean requires a finite exponent")
-        if self.kind == "quasi_arithmetic" and self.generator is None:
+        if kind == "quasi_arithmetic" and generator is None:
             raise InvalidMeanSpec("quasi-arithmetic mean requires a generator")
-        if self.kind == "projection":
-            if self.index is None or not 1 <= self.index <= self.arity:
-                raise InvalidMeanSpec(
-                    f"projection index must lie in 1..{self.arity}, got {self.index!r}"
-                )
-        if self.kind == "weighted_arithmetic":
-            w = self.weights
-            if w is None or len(w) != self.arity:
-                raise InvalidMeanSpec(
-                    f"weighted_arithmetic requires {self.arity} weights, got {w!r}"
-                )
+        if kind == "projection":
+            if index is None or not 1 <= index <= arity:
+                raise InvalidMeanSpec(f"projection index must lie in 1..{arity}, got {index!r}")
+        if kind == "weighted_arithmetic":
+            w = weights
+            if w is None or len(w) != arity:
+                raise InvalidMeanSpec(f"weighted_arithmetic requires {arity} weights, got {w!r}")
             if any(wi < 0 or not math.isfinite(wi) for wi in w):
                 raise InvalidMeanSpec(f"weights must be finite and nonnegative, got {w!r}")
             if abs(math.fsum(w) - 1.0) > _WEIGHT_SUM_TOL:
                 raise InvalidMeanSpec(f"weights must sum to 1, got sum {math.fsum(w)!r}")
+        set_field(self, "kind", kind)
+        set_field(self, "arity", arity)
+        set_field(self, "exponent", exponent)
+        set_field(self, "generator", generator)
+        set_field(self, "index", index)
+        set_field(self, "weights", weights)
 
     # -- constructors -------------------------------------------------------
 
@@ -622,22 +625,28 @@ def mean_callable(spec: MeanSpec, domain: Interval = REALS) -> Callable[[Sequenc
 # Internality probe
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InternalityViolation:
-    vector: Vector
-    value: float
-    excess: float  # how far outside [min(v), max(v)] the value fell
+class InternalityViolation(FrozenRecord):
+    __slots__ = _fields = ("vector", "value", "excess")
+
+    def __init__(self, vector: Vector, value: float, excess: float):
+        set_field(self, "vector", vector)
+        set_field(self, "value", value)
+        # how far outside [min(v), max(v)] the value fell
+        set_field(self, "excess", excess)
 
 
-@dataclass
-class InternalityReport:
+class InternalityReport(Record):
     """Outcome of sampling a mean for internality violations."""
 
-    spec: MeanSpec
-    domain: Interval
-    sample_count: int
-    violations: list[InternalityViolation] = field(default_factory=list)
-    error_count: int = 0
+    __slots__ = _fields = ("spec", "domain", "sample_count", "violations", "error_count")
+
+    def __init__(self, spec: MeanSpec, domain: Interval, sample_count: int,
+                 violations: list[InternalityViolation] | None = None, error_count: int = 0):
+        self.spec = spec
+        self.domain = domain
+        self.sample_count = sample_count
+        self.violations = [] if violations is None else violations
+        self.error_count = error_count
 
     @property
     def violation_count(self) -> int:

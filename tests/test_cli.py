@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -409,7 +413,8 @@ _SURFACE = {
 }
 
 
-# Removed flags and csv without a trace: (command, appended flags, part of the error).
+# Removed flags, csv without a trace and flag prefixes: (command, appended flags, part of
+# the error).
 _REJECTED = [
     ("decompose", ["--relative"], "unrecognized arguments: --relative"),
     ("decompose", ["--readout", "mid"], "unrecognized arguments: --readout mid"),
@@ -417,6 +422,8 @@ _REJECTED = [
     *[(c, ["--output", "csv"], "invalid choice: 'csv'")
       for c in _SURFACE if c not in ("map-iterate", "invariant")],
     ("invariant", ["--output", "csv"], "csv output is only available"),
+    ("residual", ["--me", "geometric"], "unrecognized arguments: --me geometric"),
+    ("uniqueness", ["--re"], "unrecognized arguments: --re"),
 ]
 
 
@@ -445,6 +452,14 @@ class TestParserSurface:
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert message in err
+
+    @pytest.mark.parametrize("command", [None, *_SURFACE])
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_returns_zero(self, capsys, command, flag):
+        argv = [flag] if command is None else [command, flag]
+        code, out, err = run(capsys, *argv)  # raising SystemExit fails the test
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: meantype {command or ''}".rstrip())
 
     @pytest.mark.parametrize("argv, solves", [
         (["uniqueness", "--mapping", "{agm}", "--samples", "5"], 10),
@@ -477,3 +492,14 @@ class TestResidualFlags:
                              "--mean", "geometric", *flag)
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
+
+
+def test_import_loads_no_unneeded_modules():
+    # A fresh interpreter, since pytest has loaded these modules itself; -S
+    # keeps site-packages start-up hooks from loading any of them first.
+    unneeded = ("dataclasses", "inspect", "csv", "datetime")
+    code = f"import sys, meantype.cli; print(sorted(set({unneeded!r}) & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
