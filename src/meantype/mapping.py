@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from itertools import count, islice
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from ._record import FrozenRecord, set_field
 from .errors import (
