@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from .decompose import parse_function, verify_decomposition
 from .errors import MeanTypeError, NotFoundWithinCap, ParseError

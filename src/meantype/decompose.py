@@ -16,7 +16,7 @@ than a verdict.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from ._record import FrozenRecord, set_field
 from .errors import DomainViolation, InvalidMapping, ParseError

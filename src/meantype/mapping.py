@@ -18,8 +18,8 @@ Everything is pure; probes are sequential loops, deterministic per seed.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from itertools import count, islice
-from typing import Iterator, Sequence
 
 from ._record import FrozenRecord, set_field
 from .errors import (

@@ -20,7 +20,7 @@ import functools
 import math
 import operator
 import random
-from typing import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from ._record import FrozenRecord, Record, set_field
 from .errors import (

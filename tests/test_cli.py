@@ -462,11 +462,13 @@ class TestParserSurface:
         assert out.startswith(f"usage: meantype {command or ''}".rstrip())
 
     @pytest.mark.parametrize("argv, solves", [
-        (["uniqueness", "--mapping", "{agm}", "--samples", "5"], 10),
+        # one solve per sample: both readouts, or K(M(v)) and K(v), come from one orbit
+        (["uniqueness", "--mapping", "{agm}", "--samples", "5"], 5),
         (["uniqueness", "--mapping", "{agm}", "--samples", "5", "--output", "csv"], 0),
+        (["residual", "--mapping", "{agm}", "--samples", "5"], 5),
         (["invariant", "--mapping", "{agm}", "--vector", "1,2"], 1),
         (["invariant", "--mapping", "{agm}", "--vector", "1,2", "--output", "csv"], 0),
-    ], ids=["uniqueness", "uniqueness-csv", "invariant", "invariant-csv"])
+    ], ids=["uniqueness", "uniqueness-csv", "residual", "invariant", "invariant-csv"])
     def test_csv_rejected_before_any_solve(self, capsys, cfg, monkeypatch, argv, solves):
         calls = []
 
@@ -497,7 +499,7 @@ class TestResidualFlags:
 def test_import_loads_no_unneeded_modules():
     # A fresh interpreter, since pytest has loaded these modules itself; -S
     # keeps site-packages start-up hooks from loading any of them first.
-    unneeded = ("dataclasses", "inspect", "csv", "datetime")
+    unneeded = ("dataclasses", "inspect", "csv", "datetime", "typing")
     code = f"import sys, meantype.cli; print(sorted(set({unneeded!r}) & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,

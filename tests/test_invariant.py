@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,8 @@ from meantype import (
     shift_average_mapping,
     uniqueness_probe,
 )
+from meantype import invariant as invariant_module
+from meantype.invariant import READOUTS, _gap_at, _residual_at
 
 # pi / (2 * integral_0^{pi/2} dt / sqrt(cos^2 t + 4 sin^2 t)), computed by
 # adaptive quadrature (scipy.integrate.quad, epsabs=1e-14); the acceptance
@@ -252,6 +255,148 @@ class TestUniquenessProbe:
         geom = mean_callable(MeanSpec.geometric(2), box)
         # at (1, 4): 2.5 vs 2.0
         assert uniqueness_probe(arith, geom, box, 2, 100, seed=42) >= 0.25
+
+
+# ---------------------------------------------------------------------------
+# One solve per sample: the probes' shared-orbit path against the generic one
+# ---------------------------------------------------------------------------
+
+MIXED5 = MeanTypeMapping(
+    (MeanSpec.arithmetic(5), MeanSpec.geometric(5), MeanSpec.harmonic(5),
+     MeanSpec.power(2.0, 5), MeanSpec.median(5)),
+    Interval(0.0, math.inf), name="mixed5")
+SHARED_ORBIT_MAPPINGS = [agm_mapping(), arithmetic_harmonic_mapping(),
+                         shift_average_mapping(3), shift_average_mapping(10), MIXED5]
+READOUT_PAIRS = list(itertools.product(READOUTS, repeat=2))
+
+
+def _generic(k):
+    """``k`` behind a lambda, which the probes cannot see through: two solves a sample."""
+    return lambda v: k(v)
+
+
+def _assert_same_bits(fast, generic, domain, p, count, seed, context):
+    """``fast(v)`` and ``generic(v)`` agree to the bit on every sample, one by one."""
+    for v in sample_vectors(domain, p, count, seed):
+        a, b = fast(v), generic(v)
+        assert a.hex() == b.hex(), (context, v, a, b)
+
+
+def _assert_uniqueness_matches(k1, k2, domain, p, count, seed):
+    _assert_same_bits(_gap_at(k1, k2), _gap_at(_generic(k1), k2), domain, p, count, seed,
+                      (k1, k2.readout))
+
+
+def _assert_residual_matches(k, mapping, count, seed):
+    _assert_same_bits(_residual_at(k, mapping), _residual_at(_generic(k), mapping),
+                      mapping.domain, mapping.p, count, seed, k)
+
+
+class TestOneSolvePerSample:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return gauss_iterate(*args, **kwargs)
+
+        monkeypatch.setattr(invariant_module, "gauss_iterate", counted)
+        return calls
+
+    @pytest.mark.parametrize("relative", [False, True])
+    @pytest.mark.parametrize("mapping", SHARED_ORBIT_MAPPINGS, ids=lambda m: m.name)
+    def test_uniqueness_every_readout_pair(self, mapping, relative):
+        means = {r: invariant_mean(mapping, readout=r, relative=relative) for r in READOUTS}
+        for a, b in READOUT_PAIRS:
+            _assert_uniqueness_matches(means[a], means[b], mapping.domain, mapping.p, 12, 5)
+
+    @pytest.mark.parametrize("relative", [False, True])
+    @pytest.mark.parametrize("mapping", SHARED_ORBIT_MAPPINGS, ids=lambda m: m.name)
+    def test_residual_every_readout(self, mapping, relative):
+        for r in READOUTS:
+            _assert_residual_matches(invariant_mean(mapping, readout=r, relative=relative),
+                                     mapping, 12, 5)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 4, 5])
+    def test_short_max_iter_on_agm(self, agm, max_iter):
+        for r in READOUTS:
+            k = invariant_mean(agm, max_iter=max_iter, readout=r)
+            _assert_residual_matches(k, agm, 30, 7)
+            _assert_uniqueness_matches(k, invariant_mean(agm, max_iter=max_iter),
+                                       agm.domain, 2, 30, 7)
+
+    def test_short_max_iter_covers_convergence_at_max_iter(self, agm):
+        # the residual's fallback case: the solve from M(v) converges at exactly max_iter
+        hits = [
+            max_iter for max_iter in range(1, 6)
+            for v in sample_vectors(agm.domain, 2, 30, 7)
+            if (est := gauss_iterate(agm, agm.apply(v), max_iter=max_iter)).converged
+            and est.steps == max_iter
+        ]
+        assert hits
+
+    def test_projections_stall(self, projections):
+        for r in READOUTS:
+            k = invariant_mean(projections, max_iter=40, readout=r)
+            assert k.estimate((0.0, 1.0)).status == "max_iter_reached"
+            _assert_residual_matches(k, projections, 8, 3)
+            _assert_uniqueness_matches(k, invariant_mean(projections, max_iter=40),
+                                       projections.domain, 2, 8, 3)
+
+    @pytest.mark.parametrize("relative", [False, True])
+    def test_near_constant_sample_done_at_step_zero(self, agm, relative):
+        near_constant = next(sample_vectors(agm.domain, 2, 1))
+        k = invariant_mean(agm, tol=1e-3, relative=relative)
+        assert k.estimate(near_constant).steps == 0
+        _assert_residual_matches(k, agm, 10, 1)
+        for r in READOUTS:
+            _assert_uniqueness_matches(k, invariant_mean(agm, tol=1e-3, readout=r,
+                                                         relative=relative),
+                                       agm.domain, 2, 10, 1)
+
+    def test_wider_sampling_domain_raises_the_same_error(self, agm):
+        wide = Interval(-10.0, 10.0)
+        k_min, k_max = (invariant_mean(agm, readout=r) for r in ("min", "max"))
+        with pytest.raises(DomainViolation) as fast:
+            uniqueness_probe(k_min, k_max, wide, 2, 10, seed=1)
+        with pytest.raises(DomainViolation) as generic:
+            uniqueness_probe(_generic(k_min), k_max, wide, 2, 10, seed=1)
+        assert ": step 1: component " in str(fast.value)
+        assert str(fast.value) == str(generic.value)
+
+    def test_sample_error_in_residual_is_the_generic_one(self):
+        reals = MeanTypeMapping((MeanSpec.arithmetic(2), MeanSpec.geometric(2)),
+                                Interval(-math.inf, math.inf))
+        k = invariant_mean(reals)
+        with pytest.raises(DomainViolation) as fast:
+            invariance_residual(k, reals, 10, 1)
+        with pytest.raises(DomainViolation) as generic:
+            invariance_residual(_generic(k), reals, 10, 1)
+        assert str(fast.value) == str(generic.value)
+
+    def test_one_solve_per_converged_sample(self, agm, solves):
+        k_min, k_max = (invariant_mean(agm, readout=r) for r in ("min", "max"))
+        uniqueness_probe(k_min, k_max, agm.domain, 2, 20, seed=3)
+        assert len(solves) == 20
+        invariance_residual(k_min, agm, 20, seed=3)
+        assert len(solves) == 40
+
+    @pytest.mark.parametrize("other", [
+        lambda m: invariant_mean(m, tol=1e-11, readout="max"),
+        lambda m: invariant_mean(m, max_iter=9999, readout="max"),
+        lambda m: invariant_mean(m, relative=True, readout="max"),
+        lambda m: invariant_mean(agm_mapping(), readout="max"),
+        lambda m: _generic(invariant_mean(m, readout="max")),
+    ], ids=["tol", "max_iter", "relative", "equal-mapping", "wrapped"])
+    def test_two_solves_unless_the_iteration_is_shared(self, agm, solves, other):
+        k2 = other(agm)
+        uniqueness_probe(invariant_mean(agm, readout="min"), k2, agm.domain, 2, 20, seed=3)
+        assert len(solves) == 40
+
+    def test_residual_of_a_mean_on_another_mapping_takes_two_solves(self, agm, solves):
+        invariance_residual(invariant_mean(agm_mapping()), agm, 20, seed=3)
+        assert len(solves) == 40
 
 
 class TestConvergenceAcrossFixtures:

@@ -91,10 +91,10 @@ CASES = {
     "InvariantEstimate": (
         InvariantEstimate(1.5, 4, 0.0, "converged"),
         InvariantEstimate(value=1.5, steps=4, final_diameter=0.0, status="converged",
-                          trace=None),
-        InvariantEstimate(1.5, 4, 0.0, "max_iter_reached"),
+                          trace=None, final=None),
+        InvariantEstimate(1.5, 4, 0.0, "converged", final=(1.5, 1.5)),
         "InvariantEstimate(value=1.5, steps=4, final_diameter=0.0, status='converged', "
-        "trace=None)",
+        "trace=None, final=None)",
     ),
     "InvariantFunction": (
         InvariantFunction("sum", 2, math.fsum),
@@ -189,7 +189,7 @@ def test_mapping_equality_ignores_bound_kernels():
     MeanSpec.quasi_arithmetic("power", 3, parameter=0.5),
     MeanSpec.weighted_arithmetic([0.25, 0.75]),
     AGM,
-    InvariantEstimate(1.5, 4, 0.0, "converged", IterationTrace(AGM, [STEP])),
+    InvariantEstimate(1.5, 4, 0.0, "converged", IterationTrace(AGM, [STEP]), (1.5, 1.5)),
 ], ids=lambda value: type(value).__name__)
 def test_pickle_round_trip(value):
     copy = pickle.loads(pickle.dumps(value))
