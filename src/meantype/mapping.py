@@ -116,17 +116,41 @@ class MeanTypeMapping(FrozenRecord):
         Each iterate is computed only when the caller asks for the next
         one, so stopping early costs no extra application.  Plain tuples,
         not :class:`TraceStep`, keep the per-step cost low for callers
-        that keep no trace.  An application error is re-raised with the
-        failing step prepended.
+        that keep no trace.
+
+        An iterate is checked once, in the same pass that measures its
+        diameter: one ``sum``, ``min`` and ``max`` give the diameter and
+        decide whether the iterate passes :func:`check_vector` (right
+        arity, finite sum, min and max in the domain, min positive if a
+        component needs it).  One that passes maps straight through the
+        bound kernels, as in :meth:`apply`; any other goes through
+        :meth:`apply` and :func:`diameter`, which name the error.  An
+        application error is re-raised with the failing step prepended.
         """
+        p, kernels, positive = self.p, self._kernels, self._positive is not None
+        dom = self.domain
+        lower, upper = dom.lower, dom.upper
+        lower_closed, upper_closed = dom.lower_closed, dom.upper_closed
         v = tuple(map(float, v))
-        yield 0, v, diameter(v)
-        for n in count(1):
+        for n in count():
+            if len(v) == p and math.isfinite(sum(v)):
+                lo, hi = min(v), max(v)
+                d = hi - lo
+                valid = ((lo > lower or lo == lower and lower_closed)
+                         and (hi < upper or hi == upper and upper_closed)
+                         and (not positive or lo > 0.0))
+            else:
+                d, valid = diameter(v), False
+            yield n, v, d
             try:
-                v = self.apply(v)
+                if not valid:
+                    v = self.apply(v)
+                elif d == 0.0:  # constant: a fixed point of every mean
+                    v = (v[0],) * p
+                else:
+                    v = tuple([kernel(v) for kernel in kernels])
             except MeanTypeError as exc:
-                raise _annotate(exc, f"step {n}") from exc
-            yield n, v, diameter(v)
+                raise _annotate(exc, f"step {n + 1}") from exc
 
     def iterate(self, v: Sequence[float], n: int) -> IterationTrace:
         """Trace of v, M(v), ..., M^n(v) with per-step diameters."""
@@ -312,20 +336,20 @@ def _check_cap(cap: int) -> None:
 def _search_n0(mapping: MeanTypeMapping, v: Sequence[float], cap: int) -> tuple[int, Vector]:
     """``(n0(v), M^n0(v))``, or ``(0, v)`` for a constant ``v``."""
     orbit = mapping.orbit(v)
-    step = TraceStep(*next(orbit))
-    d0 = step.diameter
+    steps = [next(orbit)]  # plain (n, v, d) tuples: TraceSteps only for the error
+    _, start, d0 = steps[0]
     if d0 == 0.0:
-        return 0, step.vector
+        return 0, start
     _check_cap(cap)
-    steps = [step]
-    for n, current, dn in islice(orbit, cap):
+    for step in islice(orbit, cap):
+        n, current, dn = step
         if dn < d0:
             return n, current
-        steps.append(TraceStep(n, current, dn))
+        steps.append(step)
     raise NotFoundWithinCap(
         f"no diameter decrease within {cap} iterations "
-        f"(start diameter {d0!r}, final {steps[-1].diameter!r})",
-        trace=IterationTrace(mapping, steps),
+        f"(start diameter {d0!r}, final {dn!r})",
+        trace=IterationTrace(mapping, [TraceStep(*s) for s in steps]),
         cap=cap,
     )
 

@@ -39,5 +39,7 @@ def test_tracer_patches_and_restores():
 
     metrics = tracer.layer_metrics()
     assert metrics["invariant.solves"] == 1
-    assert metrics["mapping.apply_calls"] == metrics["invariant.steps"] > 0
-    assert metrics["mapping.diameter_calls"] == metrics["invariant.steps"] + 1
+    assert metrics["invariant.steps"] == 4
+    # orbit checks, measures and maps a valid iterate itself, without apply or diameter
+    assert metrics["mapping.apply_calls"] == 0
+    assert metrics["mapping.diameter_calls"] == 0

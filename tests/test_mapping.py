@@ -1,13 +1,15 @@
 import json
 import math
 import pickle
+from itertools import count, islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import meantype.mapping
 import meantype.means
 from meantype import (
+    ArityMismatch,
     ConstantVector,
     EmptyVector,
     DomainViolation,
@@ -28,6 +30,7 @@ from meantype import (
     is_contractive_at,
     parse_mapping_config,
     probe_contractivity,
+    projection_mapping,
     sample_vectors,
     shift_average_mapping,
     star_apply,
@@ -275,6 +278,115 @@ class TestIterate:
             agm.iterate((1.0, 2.0), -1)
 
 
+def _reference_orbit(mapping, v):
+    """``apply`` then ``diameter`` per step, errors prefixed with the step."""
+    v = tuple(map(float, v))
+    yield 0, v, diameter(v)
+    for n in count(1):
+        try:
+            v = mapping.apply(v)
+        except MeanTypeError as exc:
+            new = type(exc)(f"step {n}: {exc}")
+            new.__dict__.update(exc.__dict__)
+            raise new from exc
+        yield n, v, diameter(v)
+
+
+def _orbit_outcome(orbit, steps):
+    """The bits of the first ``steps`` yields, then what was raised (class,
+    message, ``component``) if anything was."""
+    seen = []
+    try:
+        for n, v, d in islice(orbit, steps):
+            seen.append((n, [x.hex() for x in v], d.hex()))
+    except Exception as exc:
+        seen.append((type(exc), str(exc), getattr(exc, "component", None)))
+    return seen
+
+
+def _mixed(p):
+    kinds = (MeanSpec.arithmetic, MeanSpec.geometric, MeanSpec.harmonic,
+             lambda n: MeanSpec.power(2.0, n), MeanSpec.median,
+             MeanSpec.minimum, MeanSpec.maximum, lambda n: MeanSpec.power(-1.0, n),
+             lambda n: MeanSpec.quasi_arithmetic("log", n), lambda n: MeanSpec.projection(1, n))
+    return MeanTypeMapping([kinds[i](p) for i in range(p)], Interval(0.0, math.inf),
+                           name=f"mixed{p}")
+
+
+UNIT = Interval(0.0, 1.0, lower_closed=True, upper_closed=True)
+UNIT_OPEN_LOW = Interval(0.0, 1.0, upper_closed=True)
+UNIT_OPEN_HIGH = Interval(0.0, 1.0, lower_closed=True)
+# The apply mappings (catalog, mixed-sign, two-signed), wider and longer
+# ones, two stalls, and finite closed and open domain endpoints.
+ORBIT_MAPPINGS = APPLY_MAPPINGS + [
+    shift_average_mapping(10), _mixed(5), _mixed(10),
+    projection_mapping(2),
+    MeanTypeMapping((MeanSpec.projection(2, 2), MeanSpec.projection(1, 2)), Interval(),
+                    name="swap"),
+    shift_average_mapping(3, UNIT), shift_average_mapping(3, UNIT_OPEN_LOW),
+    shift_average_mapping(3, UNIT_OPEN_HIGH),
+    MeanTypeMapping((MeanSpec.arithmetic(2), MeanSpec.geometric(2)), UNIT_OPEN_LOW),
+    MeanTypeMapping((MeanSpec.median(3), MeanSpec.harmonic(3), MeanSpec.geometric(3)), UNIT,
+                    name="two-signed-unit"),
+    MeanTypeMapping((MeanSpec.minimum(2), MeanSpec.maximum(2)), UNIT_OPEN_HIGH),
+    MeanTypeMapping((MeanSpec.arithmetic(3), MeanSpec.median(3), MeanSpec.power(2.0, 3)),
+                    UNIT_OPEN_LOW, name="mixed-sign-unit"),
+]
+ORBIT_COORDS = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-310, 0.5, 1.0, -2.5, 1.7e308, -1.7e308,
+                     math.nan, math.inf, -math.inf)),
+    st.floats(), st.floats(min_value=0.0, max_value=1.0), st.integers(-3, 3), st.integers(),
+)
+
+
+@st.composite
+def orbit_cases(draw):
+    """A mapping and a start vector: mostly of its arity, sometimes constant,
+    sometimes empty, one short or one long."""
+    mapping = draw(st.sampled_from(ORBIT_MAPPINGS))
+    p = mapping.p
+    size = draw(st.sampled_from((p, p, p, 0, 1, p - 1, p + 1)))
+    if size and draw(st.booleans()):
+        return mapping, [draw(ORBIT_COORDS)] * size
+    return mapping, draw(st.lists(ORBIT_COORDS, min_size=size, max_size=size))
+
+
+class TestOrbit:
+    """``orbit`` checks and maps each iterate in one pass; it yields what
+    ``apply`` then ``diameter`` per step give, and raises what they raise."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(orbit_cases())
+    @example((shift_average_mapping(3), [1.7e308, 1.7e308, -1.7e308]))  # the sum overflows
+    @example((shift_average_mapping(3), [1, 2, 3]))
+    @example((shift_average_mapping(3), []))
+    @example((shift_average_mapping(3), [0.0, -0.0, 0.0]))
+    @example((shift_average_mapping(3, UNIT), [0.0, 1.0, 0.5]))
+    @example((shift_average_mapping(3, UNIT_OPEN_LOW), [0.0, 1.0, 0.5]))
+    @example((shift_average_mapping(3, UNIT_OPEN_HIGH), [0.0, 1.0, 0.5]))
+    @example((MeanTypeMapping((MeanSpec.arithmetic(2), MeanSpec.geometric(2)), UNIT_OPEN_LOW),
+              [0.0, 1.0]))
+    @example((ORBIT_MAPPINGS[-4], [0.0, 0.5, 1.0]))  # in [0, 1], not positive
+    def test_matches_apply_then_diameter(self, case):
+        mapping, v = case
+        assert (_orbit_outcome(mapping.orbit(v), 12)
+                == _orbit_outcome(_reference_orbit(mapping, v), 12))
+
+    def test_wrong_arity_raises_at_step_one(self, shift3):
+        orbit = shift3.orbit((1, 2))
+        assert next(orbit) == (0, (1.0, 2.0), 1.0)
+        with pytest.raises(ArityMismatch, match=r"^step 1: component 1 \(") as info:
+            next(orbit)
+        assert info.value.component == 1
+
+    def test_valid_iterates_bypass_apply_and_diameter(self, monkeypatch, shift3):
+        calls = []
+        monkeypatch.setattr(MeanTypeMapping, "apply", lambda m, v: calls.append(v))
+        monkeypatch.setattr(meantype.mapping, "diameter", lambda v: calls.append(v))
+        assert [d for _, _, d in islice(shift3.orbit((0.0, 1.0, 0.0)), 3)] == [1.0, 1.0, 4 / 9]
+        assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # Contractivity
 # ---------------------------------------------------------------------------
@@ -362,6 +474,12 @@ class TestFindN0:
         assert len(err.trace) == 51
         assert err.trace.last.diameter == 1.0
 
+    @pytest.mark.parametrize("search", [find_n0, star_apply])
+    def test_cap_trace_equals_iterate(self, search, projections):
+        with pytest.raises(NotFoundWithinCap) as exc:
+            search(projections, (0.0, 1.0), cap=7)
+        assert exc.value.trace == projections.iterate((0.0, 1.0), 7)
+
     def test_constant_vector_rejected(self, shift3):
         with pytest.raises(ConstantVector):
             find_n0(shift3, (1.0, 1.0, 1.0))
@@ -404,10 +522,10 @@ class TestStarApply:
         monkeypatch.setattr(meantype.mapping, "diameter",
                             lambda v: calls.append(v) or diameter(v))
         find_n0(shift3, (0.0, 1.0, 0.0))
-        assert len(calls) == 3  # M^0, M^1, M^2
+        assert len(calls) == 0  # orbit measures M^0, M^1, M^2 as it checks them
         calls.clear()
         star_apply(shift3, (0.0, 1.0, 0.0))
-        assert len(calls) == 3
+        assert len(calls) == 0
 
     def test_constant_checked_before_cap(self, shift3):
         assert star_apply(shift3, (2.0, 2.0, 2.0), cap=0) == (2.0, 2.0, 2.0)
