@@ -18,7 +18,8 @@ Everything is pure; probes are sequential loops, deterministic per seed.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+import operator
+from collections.abc import Callable, Iterator, Sequence
 from itertools import count, islice
 
 from ._record import FrozenRecord, set_field
@@ -35,6 +36,7 @@ from .means import (
     Interval,
     MeanSpec,
     Vector,
+    _LOG_KERNELS,
     bind_kernel,
     check_vector,
     eval_mean,  # noqa: F401 -- bench/spans.py patches it here
@@ -64,11 +66,11 @@ def diameter(v: Sequence[float]) -> float:
 class MeanTypeMapping(FrozenRecord):
     """An ordered tuple of p means of arity p over a shared interval."""
 
-    # _kernels and _positive are bound once here, so that apply reads no
-    # spec field or kernel table: one kernel(v) per component, and the
+    # _step and _positive are bound once here, so that apply reads no spec
+    # field or kernel table: the step v -> M(v) (:func:`_bind_step`), and the
     # position of the first component that requires strictly positive
     # coordinates (None if none does).  Neither is compared or shown.
-    __slots__ = ("components", "domain", "name", "_kernels", "_positive")
+    __slots__ = ("components", "domain", "name", "_step", "_positive")
     _fields = ("components", "domain", "name")
 
     def __init__(self, components: Sequence[MeanSpec], domain: Interval,
@@ -85,7 +87,7 @@ class MeanTypeMapping(FrozenRecord):
         set_field(self, "components", components)
         set_field(self, "domain", domain)
         set_field(self, "name", name)
-        set_field(self, "_kernels", tuple(map(bind_kernel, components)))
+        set_field(self, "_step", _bind_step(components))
         set_field(self, "_positive", next(
             (i for i, spec in enumerate(components) if spec.requires_positive), None))
 
@@ -99,7 +101,7 @@ class MeanTypeMapping(FrozenRecord):
         ``v`` is checked once for all components (:func:`check_vector`);
         an error is re-raised with the index of the component that rejects
         ``v`` prepended.  A constant vector is a fixed point of every mean;
-        any other runs the kernels bound at construction.
+        any other runs the step bound at construction.
         """
         try:
             v = check_vector(v, self.components, self.domain, self._positive)
@@ -108,7 +110,7 @@ class MeanTypeMapping(FrozenRecord):
             raise _annotate(exc, f"component {k} ({self.components[k - 1]})") from exc
         if v.count(v[0]) == len(v):
             return (v[0],) * len(v)
-        return tuple([kernel(v) for kernel in self._kernels])
+        return self._step(v)
 
     def orbit(self, v: Sequence[float]) -> Iterator[tuple[int, Vector, float]]:
         """Yield ``(n, M^n(v), diameter(M^n(v)))`` for n = 0, 1, 2, ...
@@ -121,24 +123,24 @@ class MeanTypeMapping(FrozenRecord):
         An iterate is checked once, in the same pass that measures its
         diameter: one ``sum``, ``min`` and ``max`` give the diameter and
         decide whether the iterate passes :func:`check_vector` (right
-        arity, finite sum, min and max in the domain, min positive if a
-        component needs it).  One that passes maps straight through the
-        bound kernels, as in :meth:`apply`; any other goes through
+        arity, a sum that is not NaN, min and max in the domain and so finite,
+        min positive if a component needs it).  One that passes maps straight
+        through the bound step, as in :meth:`apply`; any other goes through
         :meth:`apply` and :func:`diameter`, which name the error.  An
         application error is re-raised with the failing step prepended.
         """
-        p, kernels, positive = self.p, self._kernels, self._positive is not None
+        p, step, positive = self.p, self._step, self._positive is not None
         dom = self.domain
         lower, upper = dom.lower, dom.upper
         lower_closed, upper_closed = dom.lower_closed, dom.upper_closed
         v = tuple(map(float, v))
         for n in count():
-            if len(v) == p and math.isfinite(sum(v)):
+            if len(v) == p and (s := sum(v)) == s:
                 lo, hi = min(v), max(v)
-                d = hi - lo
                 valid = ((lo > lower or lo == lower and lower_closed)
                          and (hi < upper or hi == upper and upper_closed)
                          and (not positive or lo > 0.0))
+                d = hi - lo if valid else diameter(v)
             else:
                 d, valid = diameter(v), False
             yield n, v, d
@@ -148,7 +150,7 @@ class MeanTypeMapping(FrozenRecord):
                 elif d == 0.0:  # constant: a fixed point of every mean
                     v = (v[0],) * p
                 else:
-                    v = tuple([kernel(v) for kernel in kernels])
+                    v = step(v)
             except MeanTypeError as exc:
                 raise _annotate(exc, f"step {n + 1}") from exc
 
@@ -169,6 +171,39 @@ class MeanTypeMapping(FrozenRecord):
     def __str__(self) -> str:
         comps = ", ".join(spec.canonical() for spec in self.components)
         return f"({comps}) on {self.domain}"
+
+
+def _bind_step(specs: Sequence[MeanSpec]) -> Callable[[Vector], Vector]:
+    """``v -> (M_1(v), ..., M_p(v))`` for a checked, nonconstant ``v``; p >= 2.
+
+    With two or more log-space means, log(x) is taken once per coordinate
+    and passed to every kernel (the same float operations, so the same
+    bits).  One item getter gathers projections and kernel results in order.
+    """
+    ks, gather, logged = [], [], 0
+    for spec in specs:  # gather M_i(v) from v + kernels(v)
+        if spec.kind == "projection":
+            gather.append(spec.index - 1)
+        else:
+            gather.append(len(specs) + len(ks))
+            ks.append(bind_kernel(spec))
+            logged += ks[-1].func in _LOG_KERNELS
+    take = operator.itemgetter(*gather)
+    if not ks:
+        return take
+    if logged >= 2:
+        def kernels(v: Vector) -> Vector:
+            logs = [*map(math.log, v)]
+            return tuple([k(v, logs) for k in ks])
+    elif len(ks) == 1:
+        (k0,) = ks
+        kernels = lambda v: (k0(v),)  # noqa: E731
+    elif len(ks) == 2:
+        k0, k1 = ks
+        kernels = lambda v: (k0(v), k1(v))  # noqa: E731
+    else:
+        kernels = lambda v: tuple([k(v) for k in ks])  # noqa: E731
+    return kernels if len(ks) == len(specs) else lambda v: take(v + kernels(v))
 
 
 def _annotate(exc: MeanTypeError, context: str) -> MeanTypeError:

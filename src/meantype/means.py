@@ -34,6 +34,8 @@ from .errors import (
 )
 
 Vector = tuple[float, ...]
+#: ``[log(x) for x in v]``, shared by the log-space kernels of one step.
+Logs = list[float] | None
 
 #: Absolute tolerance used when asserting internality numerically.  Exact
 #: internality can fail by an ulp under floating-point rounding; anything
@@ -434,12 +436,16 @@ def eval_mean(spec: MeanSpec, v: Sequence[float], domain: Interval = REALS) -> f
     :class:`DomainViolation` when the vector is unusable; otherwise the
     result satisfies internality up to rounding.
     """
+    return _eval(spec, v, domain, None)
+
+
+def _eval(spec: MeanSpec, v: Sequence[float], domain: Interval, kernel: Callable | None) -> float:
     v = check_vector(v, (spec,), domain, 0 if spec.requires_positive else None)
     # Constant vectors are exact fixed points of every mean; returning the
     # coordinate directly keeps reflexivity free of rounding.
     if v.count(v[0]) == len(v):
         return v[0]
-    return bind_kernel(spec)(v)
+    return (kernel or bind_kernel(spec))(v)
 
 
 def check_vector(v: Sequence[float], specs: Sequence[MeanSpec], domain: Interval,
@@ -455,15 +461,15 @@ def check_vector(v: Sequence[float], specs: Sequence[MeanSpec], domain: Interval
     :class:`DomainViolation`; its ``component`` attribute is the 1-based
     position in ``specs`` of the mean that rejects ``v``.
 
-    A valid vector passes in a few C-level passes: a finite sum means
-    every coordinate is finite, and an interval that contains min(v) and
-    max(v) contains every coordinate.  Any miss (an overflowing sum
-    included) falls through to the coordinate-by-coordinate scan, which
-    names the failure.
+    A valid vector passes in a few C-level passes: a sum that is not NaN
+    means no coordinate is NaN, an interval that contains min(v) and max(v)
+    contains every coordinate, and it contains no infinity.  A finite sum
+    that overflows to +-inf therefore passes.  Any miss falls through to
+    the coordinate-by-coordinate scan, which names the failure.
     """
     v = tuple(map(float, v))
     spec = specs[0]
-    if len(v) == spec.arity and math.isfinite(sum(v)):
+    if len(v) == spec.arity and (s := sum(v)) == s:
         lo = min(v)
         if (domain.contains(lo) and domain.contains(max(v))
                 and (positive is None or lo > 0.0)):
@@ -493,7 +499,7 @@ def check_vector(v: Sequence[float], specs: Sequence[MeanSpec], domain: Interval
     return v
 
 
-def _arithmetic(spec: MeanSpec, v: Vector) -> float:
+def _arithmetic(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
     try:
         return math.fsum(v) / len(v)
     except OverflowError:  # the sum leaves the float range; the mean does not
@@ -501,11 +507,11 @@ def _arithmetic(spec: MeanSpec, v: Vector) -> float:
         return math.fsum(x / n for x in v)
 
 
-def _geometric(spec: MeanSpec, v: Vector) -> float:
-    return math.exp(math.fsum(math.log(x) for x in v) / len(v))
+def _geometric(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
+    return math.exp(math.fsum(map(math.log, v) if logs is None else logs) / len(v))
 
 
-def _harmonic(spec: MeanSpec, v: Vector) -> float:
+def _harmonic(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
     try:
         total = math.fsum(1.0 / x for x in v)
     except OverflowError:  # finite reciprocals whose sum leaves the float range
@@ -520,30 +526,25 @@ def _harmonic(spec: MeanSpec, v: Vector) -> float:
     return h
 
 
-def _power_mean(v: Vector, t: float) -> float:
+def _power_mean(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
+    # power:t, or quasi:power:t, which is the same mean
+    t = spec.exponent if spec.kind == "power" else spec.generator.parameter
     if abs(t) < POWER_ZERO_CUTOFF:
-        return _geometric(None, v)
+        return _geometric(spec, v, logs)
+    logs = [*map(math.log, v)] if logs is None else logs
     # Work in log space so large |t| cannot overflow: the mean of x^t is
     # exp(t*L_max) * mean(exp(t*(L_i - L_max))).
-    logs = [t * math.log(x) for x in v]
-    top = max(logs)
+    scaled = [t * l for l in logs]
+    top = max(scaled)
     if math.isinf(top):
         # t*log(x) overflowed: scale by the extreme coordinate r instead
         # (max for t > 0, min for t < 0), so that t*(log(x) - log(r)) <= 0.
         r = max(v) if t > 0 else min(v)
         log_r = math.log(r)
-        acc = math.fsum(math.exp(t * (math.log(x) - log_r)) for x in v) / len(v)
+        acc = math.fsum(math.exp(t * (l - log_r)) for l in logs) / len(v)
         return r * math.exp(math.log(acc) / t)
-    acc = math.fsum(math.exp(l - top) for l in logs) / len(v)
+    acc = math.fsum(math.exp(l - top) for l in scaled) / len(v)
     return math.exp((top + math.log(acc)) / t)
-
-
-def _power(spec: MeanSpec, v: Vector) -> float:
-    return _power_mean(v, spec.exponent)
-
-
-def _quasi_power(spec: MeanSpec, v: Vector) -> float:
-    return _power_mean(v, spec.generator.parameter)
 
 
 def midpoint(v: Vector) -> float:
@@ -554,56 +555,58 @@ def midpoint(v: Vector) -> float:
     return mid
 
 
-def _median(spec: MeanSpec, v: Vector) -> float:
+def _median(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
     s = sorted(v)
     i = len(s) // 2
     return s[i] if len(s) % 2 else midpoint(s[i - 1:i + 1])
 
 
-def _log_mean_exp(spec: MeanSpec, v: Vector) -> float:
+def _log_mean_exp(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
     # log of the average of exp(x_i), stabilized against overflow.
     top = max(v)
     return top + math.log(math.fsum(math.exp(x - top) for x in v) / len(v))
 
 
-def _minimum(spec: MeanSpec, v: Vector) -> float:
+def _minimum(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
     return min(v)
 
 
-def _maximum(spec: MeanSpec, v: Vector) -> float:
+def _maximum(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
     return max(v)
 
 
-def _weighted(spec: MeanSpec, v: Vector) -> float:
+def _weighted(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
     return math.fsum(w * x for w, x in zip(spec.weights, v))
 
 
-#: Mean kind -> kernel(spec, v).  A quasi-arithmetic mean runs the kernel
-#: it equals, found under ``quasi:<generator name>``; a projection is an
-#: item getter (:func:`bind_kernel`).  Kernels are named module functions,
-#: so a mapping's bound kernels pickle.
-_KERNELS: dict[str, Callable[[MeanSpec, Vector], float]] = {
+#: Mean kind -> kernel(spec, v, logs).  A quasi-arithmetic mean runs the
+#: kernel it equals, found under ``quasi:<generator name>``; a projection is
+#: an item getter (:func:`bind_kernel`).  Only the log-space kernels read
+#: ``logs``; the others take it so that a step can call all kernels alike.
+#: A mapping pickles by rebuilding through its ``__init__``, so what is
+#: bound here never needs to pickle.
+_KERNELS: dict[str, Callable[..., float]] = {
     "arithmetic": _arithmetic,
     "geometric": _geometric,
     "harmonic": _harmonic,
-    "power": _power,
+    "power": _power_mean,
     "quasi:identity": _arithmetic,
     "quasi:log": _geometric,
     "quasi:exp": _log_mean_exp,
-    "quasi:power": _quasi_power,
+    "quasi:power": _power_mean,
     "median": _median,
     "min": _minimum,
     "max": _maximum,
     "weighted_arithmetic": _weighted,
 }
+_LOG_KERNELS = {_geometric, _power_mean}  # the kernels that work on log(x)
 
-
-def bind_kernel(spec: MeanSpec) -> Callable[[Vector], float]:
+def bind_kernel(spec: MeanSpec) -> Callable[..., float]:
     """``v -> kernel(spec, v)`` for a checked, nonconstant ``v``.
 
     The table lookup happens here, once, so a caller that binds its
-    kernels up front (as :class:`~meantype.mapping.MeanTypeMapping` does)
-    reads neither the table nor the spec's kind per evaluation.
+    kernel up front reads neither the table nor the spec's kind per
+    evaluation.  The bound kernel also takes the optional ``logs``.
     """
     if spec.kind == "projection":
         return operator.itemgetter(spec.index - 1)
@@ -613,9 +616,11 @@ def bind_kernel(spec: MeanSpec) -> Callable[[Vector], float]:
 
 
 def mean_callable(spec: MeanSpec, domain: Interval = REALS) -> Callable[[Sequence[float]], float]:
-    """Bind a spec and domain into a plain ``f(v) -> float`` callable."""
+    """Bind a spec and domain into a plain ``f(v) -> float``; the kernel is bound once."""
+    kernel = bind_kernel(spec)
+
     def fn(v: Sequence[float]) -> float:
-        return eval_mean(spec, v, domain)
+        return _eval(spec, v, domain, kernel)
 
     fn.__name__ = f"mean_{spec.canonical()}"
     return fn

@@ -21,6 +21,7 @@ from meantype import (
     NonFiniteInput,
     NotFoundWithinCap,
     ParseError,
+    agm_mapping,
     diameter,
     eval_mean,
     find_n0,
@@ -29,13 +30,14 @@ from meantype import (
     internality_probe,
     is_contractive_at,
     parse_mapping_config,
+    parse_mean,
     probe_contractivity,
     projection_mapping,
     sample_vectors,
     shift_average_mapping,
     star_apply,
 )
-from conftest import catalog_mappings
+from conftest import POSITIVE, catalog_mappings
 
 
 def shift3_oracle(v, n):
@@ -122,13 +124,38 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _parsed(names, domain=POSITIVE):
+    return MeanTypeMapping([parse_mean(name, len(names)) for name in names], domain,
+                           name="; ".join(names))
+
+
+# One mapping per shape of the bound step: projections after a kernel, so
+# that the step reorders; one projection only; projections only (the swap
+# and a 3-cycle); two or more log-space means, which share their logs,
+# among them the geometric cutoff, a negative exponent and the overflow
+# path, with and without a projection.
+STEP_SHAPES = [
+    _parsed(("arithmetic", "projection:1", "projection:3"), Interval()),
+    _parsed(("median", "projection:3", "harmonic")),
+    _parsed(("projection:2", "projection:1"), Interval()),
+    _parsed(("projection:3", "projection:1", "projection:2"), Interval()),
+    _parsed(("power:1e-9", "harmonic", "power:-2")),
+    _parsed(("quasi:log", "median", "quasi:power:0.5")),
+    _parsed(("power:1e308", "weighted:0.2,0.3,0.5", "geometric")),
+    _parsed(("geometric", "projection:1", "power:0.5")),
+]
 # The catalog plus a sign-requiring mean after two that accept any sign,
-# and two sign-requiring means after one that accepts any sign.
+# two sign-requiring means after one that accepts any sign, and the step
+# shapes.
 APPLY_MAPPINGS = catalog_mappings() + [MeanTypeMapping(
     (MeanSpec.arithmetic(3), MeanSpec.median(3), MeanSpec.power(2.0, 3)), Interval(),
     name="mixed-sign"), MeanTypeMapping(
     (MeanSpec.median(3), MeanSpec.harmonic(3), MeanSpec.geometric(3)), Interval(),
-    name="two-signed")]
+    name="two-signed")] + STEP_SHAPES
+# A valid, nonconstant vector for each step shape; 1.7e308 sends
+# power:1e308 down its overflow path.
+STEP_VECTORS = [(-1.5, 2.0, 7.0), (0.5, 3.0, 2.0), (1.0, -4.0), (1.0, 2.0, 3.0),
+                (0.25, 3.0, 1e-300), (0.5, 2.0, 8.0), (0.5, 3.0, 1.7e308), (4.0, 0.5, 9.0)]
 EDGE_COORDS = st.one_of(
     st.sampled_from((0.0, -0.0, 5e-324, -1e-310, 1.0, -2.5, 1.7e308, -1.7e308,
                      math.nan, math.inf, -math.inf)),
@@ -184,6 +211,19 @@ class TestApply:
         shift_average_mapping(10).apply(tuple(float(i) for i in range(10)))
         assert sorted(calls) == [0.0, 9.0]
 
+    def test_takes_one_log_per_coordinate(self, monkeypatch):
+        # five log-space means share the logs of one step
+        mapping = _parsed(("arithmetic", "geometric", "harmonic", "power:0.5", "power:3",
+                           "quasi:log", "quasi:exp", "quasi:power:2", "median",
+                           "weighted:" + ",".join(["0.1"] * 10)))
+        v = tuple(1.5 + i for i in range(10))
+        expected = _reference_apply(mapping, v)
+        logged, log = [], math.log
+        monkeypatch.setattr(math, "log", lambda x: logged.append(x) or log(x))
+        assert mapping.apply(v) == expected
+        # each kernel's own log of its average is left out
+        assert sorted(x for x in logged if x in v) == list(v)
+
     def test_reads_no_spec_flag_or_kernel_table_per_call(self, monkeypatch):
         reads = []
         requires_positive = MeanSpec.requires_positive.fget
@@ -221,6 +261,14 @@ class TestApply:
 
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from(APPLY_MAPPINGS), st.lists(EDGE_COORDS, min_size=1, max_size=4))
+    @example(STEP_SHAPES[0], STEP_VECTORS[0])
+    @example(STEP_SHAPES[1], STEP_VECTORS[1])
+    @example(STEP_SHAPES[2], STEP_VECTORS[2])
+    @example(STEP_SHAPES[3], STEP_VECTORS[3])
+    @example(STEP_SHAPES[4], STEP_VECTORS[4])
+    @example(STEP_SHAPES[5], STEP_VECTORS[5])
+    @example(STEP_SHAPES[6], STEP_VECTORS[6])
+    @example(STEP_SHAPES[7], STEP_VECTORS[7])
     def test_matches_per_component_eval_mean(self, mapping, v):
         assert _outcome(mapping.apply, v) == _outcome(_reference_apply, mapping, v)
 
@@ -316,13 +364,12 @@ def _mixed(p):
 UNIT = Interval(0.0, 1.0, lower_closed=True, upper_closed=True)
 UNIT_OPEN_LOW = Interval(0.0, 1.0, upper_closed=True)
 UNIT_OPEN_HIGH = Interval(0.0, 1.0, lower_closed=True)
-# The apply mappings (catalog, mixed-sign, two-signed), wider and longer
-# ones, two stalls, and finite closed and open domain endpoints.
+# The apply mappings (catalog, mixed-sign, two-signed, step shapes), wider
+# and longer ones, the projections stall, and finite closed and open domain
+# endpoints.
 ORBIT_MAPPINGS = APPLY_MAPPINGS + [
     shift_average_mapping(10), _mixed(5), _mixed(10),
     projection_mapping(2),
-    MeanTypeMapping((MeanSpec.projection(2, 2), MeanSpec.projection(1, 2)), Interval(),
-                    name="swap"),
     shift_average_mapping(3, UNIT), shift_average_mapping(3, UNIT_OPEN_LOW),
     shift_average_mapping(3, UNIT_OPEN_HIGH),
     MeanTypeMapping((MeanSpec.arithmetic(2), MeanSpec.geometric(2)), UNIT_OPEN_LOW),
@@ -367,6 +414,16 @@ class TestOrbit:
     @example((MeanTypeMapping((MeanSpec.arithmetic(2), MeanSpec.geometric(2)), UNIT_OPEN_LOW),
               [0.0, 1.0]))
     @example((ORBIT_MAPPINGS[-4], [0.0, 0.5, 1.0]))  # in [0, 1], not positive
+    @example((agm_mapping(), [1.7e308, 1e308]))  # a stall whose sums overflow
+    @example((agm_mapping(), [1.7e308, math.inf]))  # an infinite sum, not an overflow
+    @example((STEP_SHAPES[0], STEP_VECTORS[0]))
+    @example((STEP_SHAPES[1], STEP_VECTORS[1]))
+    @example((STEP_SHAPES[2], STEP_VECTORS[2]))
+    @example((STEP_SHAPES[3], STEP_VECTORS[3]))
+    @example((STEP_SHAPES[4], STEP_VECTORS[4]))
+    @example((STEP_SHAPES[5], STEP_VECTORS[5]))
+    @example((STEP_SHAPES[6], STEP_VECTORS[6]))
+    @example((STEP_SHAPES[7], STEP_VECTORS[7]))
     def test_matches_apply_then_diameter(self, case):
         mapping, v = case
         assert (_orbit_outcome(mapping.orbit(v), 12)
@@ -384,6 +441,15 @@ class TestOrbit:
         monkeypatch.setattr(MeanTypeMapping, "apply", lambda m, v: calls.append(v))
         monkeypatch.setattr(meantype.mapping, "diameter", lambda v: calls.append(v))
         assert [d for _, _, d in islice(shift3.orbit((0.0, 1.0, 0.0)), 3)] == [1.0, 1.0, 4 / 9]
+        assert calls == []
+
+    def test_overflowing_sums_bypass_apply_and_diameter(self, monkeypatch, agm):
+        # every sum overflows, yet each iterate is finite and in the domain
+        calls = []
+        monkeypatch.setattr(MeanTypeMapping, "apply", lambda m, v: calls.append(v))
+        monkeypatch.setattr(meantype.mapping, "diameter", lambda v: calls.append(v))
+        assert [d for _, _, d in islice(agm.orbit((1.7e308, 1e308)), 3)] == [
+            6.999999999999999e307, 4.615951895948154e306, 2.007338404467172e304]
         assert calls == []
 
 

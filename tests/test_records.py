@@ -179,7 +179,7 @@ def test_generator_equality_ignores_domain():
 def test_mapping_equality_ignores_bound_kernels():
     a = MeanTypeMapping([ARITH, GEOM], POS, "agm")
     assert a.components == (ARITH, GEOM)
-    assert a._kernels is not AGM._kernels
+    assert a._step is not AGM._step
     assert a == AGM and hash(a) == hash(AGM)
     assert repr(a) == AGM_REPR
 
