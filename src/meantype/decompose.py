@@ -20,8 +20,7 @@ from collections.abc import Callable, Sequence
 
 from ._record import FrozenRecord, set_field
 from .errors import DomainViolation, InvalidMapping, ParseError
-from .invariant import (DEFAULT_MAX_ITER, DEFAULT_TOL, MAX_ITER_REACHED, InvariantMean,
-                        invariance_residual, over_samples)
+from .invariant import DEFAULT_MAX_ITER, DEFAULT_TOL, _check_iteration, _read, _solve, over_samples
 from .mapping import MeanTypeMapping, sample_vectors  # noqa: F401 -- bench/spans.py patches it here
 from .means import mean_callable, parse_mean
 
@@ -154,10 +153,6 @@ def diagonal_restriction(f: InvariantFunction) -> Callable[[float], float]:
     return phi
 
 
-#: max over samples of |F(M(v)) - F(v)|; zero for an invariant F.
-check_invariance = invariance_residual
-
-
 class DecompositionReport(FrozenRecord):
     """Both residuals of F = phi o K over one shared sample set."""
 
@@ -218,26 +213,26 @@ def verify_decomposition(
     itself fails, and the decomposition residual is then expected to be
     large as well.
     """
-    k = InvariantMean(mapping, tol=tol, max_iter=max_iter)
+    _check_iteration(tol, max_iter, "mid")
     phi = diagonal_restriction(f)
 
     def row(v):
         fv = f(v)
         invariance = abs(f(mapping.apply(v)) - fv)
-        est = k.estimate(v)
-        return invariance, abs(phi(est.value) - fv), est
+        n, final, d, done = _solve(mapping, v, tol, max_iter, False)  # K(v), mid readout
+        return invariance, abs(phi(_read(final, d, "mid")) - fv), n, done
 
     rows = over_samples(row, mapping.domain, mapping.p, sample_count, seed)
-    steps = [est.steps for _, _, est in rows]
+    steps = [n for _, _, n, _ in rows]
     return DecompositionReport(
         fixture=f.name,
         mapping=mapping,
-        invariance_residual=max(0.0, *(inv for inv, _, _ in rows)),
-        decomposition_residual=max(0.0, *(dec for _, dec, _ in rows)),
+        invariance_residual=max(0.0, *(inv for inv, _, _, _ in rows)),
+        decomposition_residual=max(0.0, *(dec for _, dec, _, _ in rows)),
         samples=sample_count,
         tol=tol,
         k_steps_min=min(steps),
         k_steps_max=max(steps),
         k_steps_mean=math.fsum(steps) / len(steps),
-        max_iter_hits=sum(est.status == MAX_ITER_REACHED for _, _, est in rows),
+        max_iter_hits=sum(not done for _, _, _, done in rows),
     )

@@ -12,6 +12,11 @@ Convergence is a hypothesis, not a guarantee the engine can check:
 mappings that never mix coordinates (pure projections) simply report
 ``max_iter_reached``.  No rate is assumed; the step count is reported as
 observed.
+
+Every run is one ``_solve`` over ``MeanTypeMapping.orbit``; the stop rule
+is written there only.  :func:`gauss_iterate` wraps a run in an
+:class:`InvariantEstimate`; the sampling probes call ``_solve`` per sample
+with parameters read once per probe, and build no result object.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from collections.abc import Callable, Sequence
 from ._record import FrozenRecord, set_field
 from .errors import InvalidMapping, MeanTypeError
 from .mapping import IterationTrace, MeanTypeMapping, TraceStep, _annotate, sample_vectors
-from .mapping import diameter
+from .mapping import diameter  # noqa: F401 -- bench/spans.py patches it here
 from .means import Interval, Vector, midpoint
 
 DEFAULT_TOL = 1e-12
@@ -48,14 +53,27 @@ def _check_iteration(tol: float, max_iter: int, readout: str) -> None:
         raise InvalidMapping(f"unknown readout {readout!r}; available: {READOUTS}")
 
 
-def _stops(current: Vector, d: float, tol: float, relative: bool) -> bool:
-    """The stop rule: ``current`` is constant or its diameter ``d`` is below tolerance."""
-    return d == 0.0 or d < (tol * abs(midpoint(current)) if relative else tol)
-
-
 def _read(current: Vector, d: float, readout: str) -> float:
     """``readout`` of an iterate of diameter ``d``; a constant one reads its coordinate."""
     return current[0] if d == 0.0 else _READERS[readout](current)
+
+
+def _solve(mapping: MeanTypeMapping, v: Sequence[float], tol: float, max_iter: int,
+           relative: bool, keep: list | None = None) -> tuple[int, Vector, float, bool]:
+    """``(n, M^n(v), its diameter, done)`` at the end of the Gauss run from ``v``.
+
+    The stop rule, written only here: the run is ``done`` at the first
+    iterate that is constant or whose diameter is below ``tol`` (times
+    |midpoint| when ``relative``); otherwise it ends at ``n == max_iter``,
+    so ``max_iter=0`` tests ``v`` alone.  ``keep``, if given, receives a
+    :class:`TraceStep` per iterate.  No parameter is checked.
+    """
+    for n, current, d in mapping.orbit(v):
+        if keep is not None:
+            keep.append(TraceStep(n, current, d))
+        done = d == 0.0 or d < (tol * abs(midpoint(current)) if relative else tol)
+        if done or n == max_iter:
+            return n, current, d, done
 
 
 class InvariantEstimate(FrozenRecord):
@@ -105,19 +123,11 @@ def gauss_iterate(
     contractive mappings but cannot be assumed for arbitrary input.
     """
     _check_iteration(tol, max_iter, readout)
-
     steps = [] if keep_trace else None
-    for n, current, d in mapping.orbit(v):
-        if keep_trace:
-            steps.append(TraceStep(n, current, d))
-        # _stops, written out: a call per step costs long solves about 4%
-        done = d == 0.0 or d < (tol * abs(midpoint(current)) if relative else tol)
-        if done or n == max_iter:
-            break
-
-    status = CONVERGED if done else MAX_ITER_REACHED
-    trace = IterationTrace(mapping, steps) if keep_trace else None
-    return InvariantEstimate(_read(current, d, readout), n, d, status, trace, current)
+    n, current, d, done = _solve(mapping, v, tol, max_iter, relative, steps)
+    return InvariantEstimate(_read(current, d, readout), n, d,
+                             CONVERGED if done else MAX_ITER_REACHED,
+                             IterationTrace(mapping, steps) if keep_trace else None, current)
 
 
 class InvariantMean:
@@ -149,12 +159,8 @@ class InvariantMean:
         return self.mapping.p
 
     def estimate(self, v: Sequence[float], keep_trace: bool = False) -> InvariantEstimate:
-        return gauss_iterate(
-            self.mapping, v,
-            tol=self.tol, max_iter=self.max_iter,
-            readout=self.readout, relative=self.relative,
-            keep_trace=keep_trace,
-        )
+        return gauss_iterate(self.mapping, v, self.tol, self.max_iter, self.readout,
+                             self.relative, keep_trace)
 
     def __call__(self, v: Sequence[float]) -> float:
         return self.estimate(v).value
@@ -164,13 +170,6 @@ class InvariantMean:
             f"InvariantMean({self.mapping}, tol={self.tol!r}, "
             f"max_iter={self.max_iter}, readout={self.readout!r}, relative={self.relative!r})"
         )
-
-
-#: Wrap Gauss iteration as a mean object K with K(v) = the limit readout.
-#: When the mapping is continuous and weakly contractive this is the one
-#: continuous mean invariant under it; for anything else the object is
-#: still well-defined per call but carries no uniqueness claim.
-invariant_mean = InvariantMean
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +218,20 @@ def _residual_at(k: MeanFn, mapping: MeanTypeMapping) -> Callable[[Vector], floa
     """
     if type(k) is not InvariantMean or k.mapping is not mapping:
         return lambda v: abs(k(mapping.apply(v)) - k(v))
+    tol, max_iter, relative, readout = k.tol, k.max_iter, k.relative, k.readout
 
     def residual(v: Vector) -> float:
-        at_w = k.estimate(mapping.apply(v))
-        v = tuple(map(float, v))  # as the solve from v would see it
-        d = diameter(v)
-        if _stops(v, d, k.tol, k.relative):
-            k_v = _read(v, d, k.readout)
-        elif at_w.converged and at_w.steps < k.max_iter:
-            k_v = at_w.value  # the same final iterate, one step later
+        n, final, d, done = _solve(mapping, mapping.apply(v), tol, max_iter, relative)
+        k_w = _read(final, d, readout)
+        _, v, d, stops = _solve(mapping, v, tol, 0, relative)  # does v meet the rule?
+        if stops:
+            k_v = _read(v, d, readout)
+        elif done and n < max_iter:
+            k_v = k_w  # the same final iterate, one step later
         else:
-            k_v = k(v)
-        return abs(at_w.value - k_v)
+            _, final, d, _ = _solve(mapping, v, tol, max_iter, relative)
+            k_v = _read(final, d, readout)
+        return abs(k_w - k_v)
 
     return residual
 
@@ -265,10 +266,12 @@ def _gap_at(k1: MeanFn, k2: MeanFn) -> Callable[[Vector], float]:
             and k1.tol == k2.tol and k1.max_iter == k2.max_iter
             and k1.relative == k2.relative):
         return lambda v: abs(k1(v) - k2(v))
+    mapping, tol, max_iter, relative = k1.mapping, k1.tol, k1.max_iter, k1.relative
+    r1, r2 = k1.readout, k2.readout
 
     def gap(v: Vector) -> float:
-        est = k1.estimate(v)
-        return abs(est.value - _read(est.final, est.final_diameter, k2.readout))
+        _, final, d, _ = _solve(mapping, v, tol, max_iter, relative)
+        return abs(_read(final, d, r1) - _read(final, d, r2))
 
     return gap
 

@@ -17,6 +17,7 @@ Everything is pure; probes are sequential loops, deterministic per seed.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Callable, Iterator, Sequence
@@ -37,7 +38,8 @@ from .means import (
     MeanSpec,
     Vector,
     _LOG_KERNELS,
-    bind_kernel,
+    _kernel,
+    admissible,
     check_vector,
     eval_mean,  # noqa: F401 -- bench/spans.py patches it here
     parse_interval,
@@ -56,21 +58,22 @@ def diameter(v: Sequence[float]) -> float:
     """max(v) - min(v); zero exactly when the vector is constant."""
     if len(v) == 0:
         raise EmptyVector("diameter of an empty vector is undefined")
-    if not math.isfinite(sum(v)):  # some coordinate is not finite, or the sum overflowed
+    s, lo, hi = sum(v), min(v), max(v)
+    if not (s == s and -math.inf < lo and hi < math.inf):  # a NaN sum means a NaN coordinate
         for i, x in enumerate(v):
             if not math.isfinite(x):
                 raise NonFiniteInput(f"coordinate {i + 1} is {x!r}")
-    return max(v) - min(v)
+    return hi - lo
 
 
 class MeanTypeMapping(FrozenRecord):
     """An ordered tuple of p means of arity p over a shared interval."""
 
-    # _step and _positive are bound once here, so that apply reads no spec
-    # field or kernel table: the step v -> M(v) (:func:`_bind_step`), and the
-    # position of the first component that requires strictly positive
-    # coordinates (None if none does).  Neither is compared or shown.
-    __slots__ = ("components", "domain", "name", "_step", "_positive")
+    # Bound once here, so that apply reads no spec field or kernel table:
+    # _step, v -> M(v) (:func:`_bind_step`); _positive, the first component
+    # that requires positive coordinates (or None); _bounds, the least and
+    # greatest valid coordinates (:func:`admissible`).  None is compared or shown.
+    __slots__ = ("components", "domain", "name", "_step", "_positive", "_bounds")
     _fields = ("components", "domain", "name")
 
     def __init__(self, components: Sequence[MeanSpec], domain: Interval,
@@ -88,8 +91,9 @@ class MeanTypeMapping(FrozenRecord):
         set_field(self, "domain", domain)
         set_field(self, "name", name)
         set_field(self, "_step", _bind_step(components))
-        set_field(self, "_positive", next(
-            (i for i, spec in enumerate(components) if spec.requires_positive), None))
+        positive = next((i for i, spec in enumerate(components) if spec.requires_positive), None)
+        set_field(self, "_positive", positive)
+        set_field(self, "_bounds", admissible(domain, positive is not None))
 
     @property
     def p(self) -> int:
@@ -104,7 +108,7 @@ class MeanTypeMapping(FrozenRecord):
         any other runs the step bound at construction.
         """
         try:
-            v = check_vector(v, self.components, self.domain, self._positive)
+            v = check_vector(v, self.components, self.domain, self._positive, self._bounds)
         except MeanTypeError as exc:
             k = exc.component
             raise _annotate(exc, f"component {k} ({self.components[k - 1]})") from exc
@@ -123,24 +127,17 @@ class MeanTypeMapping(FrozenRecord):
         An iterate is checked once, in the same pass that measures its
         diameter: one ``sum``, ``min`` and ``max`` give the diameter and
         decide whether the iterate passes :func:`check_vector` (right
-        arity, a sum that is not NaN, min and max in the domain and so finite,
-        min positive if a component needs it).  One that passes maps straight
-        through the bound step, as in :meth:`apply`; any other goes through
-        :meth:`apply` and :func:`diameter`, which name the error.  An
-        application error is re-raised with the failing step prepended.
+        arity, a sum that is not NaN, min and max within ``_bounds``).  One
+        that passes maps straight through the bound step, as in
+        :meth:`apply`; any other goes through :meth:`apply` and
+        :func:`diameter`, which name the error.  An application error is
+        re-raised with the failing step prepended.
         """
-        p, step, positive = self.p, self._step, self._positive is not None
-        dom = self.domain
-        lower, upper = dom.lower, dom.upper
-        lower_closed, upper_closed = dom.lower_closed, dom.upper_closed
+        p, step, (a, b) = self.p, self._step, self._bounds
         v = tuple(map(float, v))
         for n in count():
-            if len(v) == p and (s := sum(v)) == s:
-                lo, hi = min(v), max(v)
-                valid = ((lo > lower or lo == lower and lower_closed)
-                         and (hi < upper or hi == upper and upper_closed)
-                         and (not positive or lo > 0.0))
-                d = hi - lo if valid else diameter(v)
+            if len(v) == p and (s := sum(v)) == s and a <= (lo := min(v)) and (hi := max(v)) <= b:
+                d, valid = hi - lo, True
             else:
                 d, valid = diameter(v), False
             yield n, v, d
@@ -186,7 +183,7 @@ def _bind_step(specs: Sequence[MeanSpec]) -> Callable[[Vector], Vector]:
             gather.append(spec.index - 1)
         else:
             gather.append(len(specs) + len(ks))
-            ks.append(bind_kernel(spec))
+            ks.append(functools.partial(_kernel(spec), spec))
             logged += ks[-1].func in _LOG_KERNELS
     take = operator.itemgetter(*gather)
     if not ks:

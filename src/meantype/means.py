@@ -16,9 +16,7 @@ concurrently without synchronization.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 import random
 from collections.abc import Callable, Iterator, Sequence
 
@@ -172,10 +170,10 @@ def sample_vectors(
                 return
             produced += 1
             yield v
-    rng = random.Random(seed)
+    rnd, span = random.Random(seed).random, hi - lo
     while produced < count:
         produced += 1
-        yield tuple(rng.uniform(lo, hi) for _ in range(p))
+        yield tuple([lo + span * rnd() for _ in range(p)])  # rng.uniform(lo, hi), written out
 
 
 def _stress_vectors(lo: float, hi: float, p: int) -> list[Vector]:
@@ -436,25 +434,37 @@ def eval_mean(spec: MeanSpec, v: Sequence[float], domain: Interval = REALS) -> f
     :class:`DomainViolation` when the vector is unusable; otherwise the
     result satisfies internality up to rounding.
     """
-    return _eval(spec, v, domain, None)
+    positive = spec.requires_positive
+    return _eval(spec, v, domain, _kernel(spec), positive, admissible(domain, positive))
 
 
-def _eval(spec: MeanSpec, v: Sequence[float], domain: Interval, kernel: Callable | None) -> float:
-    v = check_vector(v, (spec,), domain, 0 if spec.requires_positive else None)
+def _eval(spec: MeanSpec, v: Sequence[float], domain: Interval, kernel: Callable[..., float],
+          positive: bool, bounds: tuple[float, float]) -> float:
+    v = check_vector(v, (spec,), domain, 0 if positive else None, bounds)
     # Constant vectors are exact fixed points of every mean; returning the
     # coordinate directly keeps reflexivity free of rounding.
     if v.count(v[0]) == len(v):
         return v[0]
-    return (kernel or bind_kernel(spec))(v)
+    return kernel(spec, v)
+
+
+def admissible(domain: Interval, positive: bool) -> tuple[float, float]:
+    """``(a, b)`` with ``a <= x <= b`` exactly for the floats x in ``domain``,
+    and > 0 if ``positive``: an open end moves to its neighbouring float.
+    NaN fails both comparisons; with no such float, ``a > b``."""
+    a = domain.lower if domain.lower_closed else math.nextafter(domain.lower, math.inf)
+    b = domain.upper if domain.upper_closed else math.nextafter(domain.upper, -math.inf)
+    return (max(a, 5e-324) if positive else a), b
 
 
 def check_vector(v: Sequence[float], specs: Sequence[MeanSpec], domain: Interval,
-                 positive: int | None) -> Vector:
+                 positive: int | None, bounds: tuple[float, float]) -> Vector:
     """``v`` as a float tuple, checked once as an input of every mean in ``specs``.
 
     The means share one arity.  ``positive`` is the 0-based position in
     ``specs`` of the first mean that requires strictly positive
-    coordinates, or None.  The checks run in this order: the arity, then
+    coordinates, or None, and ``bounds`` is ``admissible(domain, positive
+    is not None)``.  The checks run in this order: the arity, then
     finiteness and membership of ``domain`` coordinate by coordinate, then
     strict positivity for ``specs[positive]``.  The first failure raises
     :class:`ArityMismatch`, :class:`NonFiniteInput` or
@@ -462,18 +472,16 @@ def check_vector(v: Sequence[float], specs: Sequence[MeanSpec], domain: Interval
     position in ``specs`` of the mean that rejects ``v``.
 
     A valid vector passes in a few C-level passes: a sum that is not NaN
-    means no coordinate is NaN, an interval that contains min(v) and max(v)
-    contains every coordinate, and it contains no infinity.  A finite sum
+    means no coordinate is NaN, and ``a <= min(v)`` and ``max(v) <= b`` put
+    every coordinate in ``bounds``, which holds no infinity.  A finite sum
     that overflows to +-inf therefore passes.  Any miss falls through to
     the coordinate-by-coordinate scan, which names the failure.
     """
     v = tuple(map(float, v))
     spec = specs[0]
-    if len(v) == spec.arity and (s := sum(v)) == s:
-        lo = min(v)
-        if (domain.contains(lo) and domain.contains(max(v))
-                and (positive is None or lo > 0.0)):
-            return v
+    a, b = bounds
+    if len(v) == spec.arity and (s := sum(v)) == s and a <= min(v) and max(v) <= b:
+        return v
     k = 1
     try:
         if len(v) != spec.arity:
@@ -579,9 +587,13 @@ def _weighted(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
     return math.fsum(w * x for w, x in zip(spec.weights, v))
 
 
+def _projection(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
+    return v[spec.index - 1]
+
+
 #: Mean kind -> kernel(spec, v, logs).  A quasi-arithmetic mean runs the
-#: kernel it equals, found under ``quasi:<generator name>``; a projection is
-#: an item getter (:func:`bind_kernel`).  Only the log-space kernels read
+#: kernel it equals, found under ``quasi:<generator name>``.  A mapping's step
+#: gathers its projections itself.  Only the log-space kernels read
 #: ``logs``; the others take it so that a step can call all kernels alike.
 #: A mapping pickles by rebuilding through its ``__init__``, so what is
 #: bound here never needs to pickle.
@@ -598,29 +610,25 @@ _KERNELS: dict[str, Callable[..., float]] = {
     "min": _minimum,
     "max": _maximum,
     "weighted_arithmetic": _weighted,
+    "projection": _projection,
 }
 _LOG_KERNELS = {_geometric, _power_mean}  # the kernels that work on log(x)
 
-def bind_kernel(spec: MeanSpec) -> Callable[..., float]:
-    """``v -> kernel(spec, v)`` for a checked, nonconstant ``v``.
 
-    The table lookup happens here, once, so a caller that binds its
-    kernel up front reads neither the table nor the spec's kind per
-    evaluation.  The bound kernel also takes the optional ``logs``.
-    """
-    if spec.kind == "projection":
-        return operator.itemgetter(spec.index - 1)
+def _kernel(spec: MeanSpec) -> Callable[..., float]:
+    """``kernel(spec, v, logs=None)`` for ``spec``; callers look it up once, up front."""
     if spec.kind == "quasi_arithmetic":
-        return functools.partial(_KERNELS["quasi:" + spec.generator.name], spec)
-    return functools.partial(_KERNELS[spec.kind], spec)
+        return _KERNELS["quasi:" + spec.generator.name]
+    return _KERNELS[spec.kind]
 
 
 def mean_callable(spec: MeanSpec, domain: Interval = REALS) -> Callable[[Sequence[float]], float]:
     """Bind a spec and domain into a plain ``f(v) -> float``; the kernel is bound once."""
-    kernel = bind_kernel(spec)
+    kernel, positive = _kernel(spec), spec.requires_positive
+    bounds = admissible(domain, positive)
 
     def fn(v: Sequence[float]) -> float:
-        return _eval(spec, v, domain, kernel)
+        return _eval(spec, v, domain, kernel, positive, bounds)
 
     fn.__name__ = f"mean_{spec.canonical()}"
     return fn

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 
 from meantype import (
     Interval,
+    InvariantMean,
     MeanSpec,
     MeanTypeMapping,
     agm_mapping,
@@ -18,7 +19,6 @@ from meantype import (
     diameter,
     find_n0,
     gauss_iterate,
-    invariant_mean,
     is_contractive_at,
     mean_callable,
     probe_contractivity,
@@ -72,7 +72,7 @@ def test_criterion_1_agm_against_quadrature():
 
 
 def test_criterion_2_arithmetic_harmonic_identity():
-    k = invariant_mean(arithmetic_harmonic_mapping(), tol=1e-12)
+    k = InvariantMean(arithmetic_harmonic_mapping(), tol=1e-12)
     rng = random.Random(SEED)
     worst = 0.0
     for _ in range(100):
@@ -102,7 +102,7 @@ def test_criterion_3_diameter_monotonicity():
 def test_criterion_4_uniqueness_across_readouts():
     tol = 1e-12
     shift3 = shift_average_mapping(3)
-    readout_means = {r: invariant_mean(shift3, tol=tol, readout=r)
+    readout_means = {r: InvariantMean(shift3, tol=tol, readout=r)
                      for r in ("mid", "min", "max")}
     worst = 0.0
     for r1, r2 in [("mid", "min"), ("mid", "max"), ("min", "max")]:
@@ -112,7 +112,7 @@ def test_criterion_4_uniqueness_across_readouts():
 
     ah = arithmetic_harmonic_mapping()
     closed_form = mean_callable(MeanSpec.geometric(2), ah.domain)
-    gap = uniqueness_probe(invariant_mean(ah, tol=tol), closed_form,
+    gap = uniqueness_probe(InvariantMean(ah, tol=tol), closed_form,
                            ah.domain, 2, 100, seed=SEED)
     assert gap <= 1e-10
     announce(4, f"readouts agree within 2*tol (worst {worst:.2e}); "

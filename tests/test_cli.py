@@ -11,7 +11,6 @@ import meantype.cli
 import meantype.invariant
 from meantype.cli import build_parser, main, parse_vector
 from meantype.errors import ParseError
-from meantype.invariant import gauss_iterate
 
 AGM_CFG = "p = 2\ndomain = (0, inf)\ncomponents = arithmetic, geometric\n"
 AH_BOX_CFG = "p = 2\ndomain = [0.5, 10]\ncomponents = arithmetic, harmonic\n"
@@ -470,14 +469,15 @@ class TestParserSurface:
         (["invariant", "--mapping", "{agm}", "--vector", "1,2", "--output", "csv"], 0),
     ], ids=["uniqueness", "uniqueness-csv", "residual", "invariant", "invariant-csv"])
     def test_csv_rejected_before_any_solve(self, capsys, cfg, monkeypatch, argv, solves):
-        calls = []
+        # every Gauss run goes through _solve; a max_iter=0 call tests v alone
+        calls, solve = [], meantype.invariant._solve
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return gauss_iterate(*args, **kwargs)
+        def counted(*args):
+            if args[3] > 0:
+                calls.append(args)
+            return solve(*args)
 
-        monkeypatch.setattr(meantype.cli, "gauss_iterate", counted)
-        monkeypatch.setattr(meantype.invariant, "gauss_iterate", counted)
+        monkeypatch.setattr(meantype.invariant, "_solve", counted)
         code, _, _ = run(capsys, *[a.format(**cfg) for a in argv])
         assert code == (1 if "csv" in argv else 0)
         assert len(calls) == solves

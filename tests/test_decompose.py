@@ -4,21 +4,28 @@ import math
 import pytest
 
 from meantype import (
+    DecompositionReport,
     DomainViolation,
     InvariantFunction,
+    InvariantMean,
     ParseError,
-    check_invariance,
+    agm_mapping,
+    arithmetic_harmonic_mapping,
     compose,
     constant_function,
     coordinate_function,
     diagonal_restriction,
-    invariant_mean,
+    invariance_residual,
     mean_function,
     parse_function,
     product_function,
+    projection_mapping,
+    sample_vectors,
+    shift_average_mapping,
     sum_function,
     verify_decomposition,
 )
+from meantype.invariant import DEFAULT_MAX_ITER
 
 # pi / (2 * quadrature integral), same oracle as the AGM acceptance value;
 # the compound limit of the (arithmetic, geometric) pair from (1, 9).
@@ -48,19 +55,36 @@ class TestDiagonalRestriction:
 class TestCheckInvariance:
     def test_product_invariant_under_ah(self, ah_box):
         # A * H preserves x*y exactly (algebraic identity)
-        assert check_invariance(product_function(2), ah_box, 500, seed=42) <= 1e-12
+        assert invariance_residual(product_function(2), ah_box, 500, seed=42) <= 1e-12
 
     def test_arithmetic_mean_not_agm_invariant(self, agm):
         # at (1, 9): F(M(v)) = (5+3)/2 = 4 but F(v) = 5
         f = mean_function(agm, "arithmetic")
         assert abs(f(agm.apply((1.0, 9.0))) - f((1.0, 9.0))) == pytest.approx(1.0, abs=1e-12)
-        assert check_invariance(f, agm, 200, seed=42) > 0.01
+        assert invariance_residual(f, agm, 200, seed=42) > 0.01
 
     def test_constant_residual_zero(self, agm):
-        assert check_invariance(constant_function(2.5, 2), agm, 100, seed=42) == 0.0
+        assert invariance_residual(constant_function(2.5, 2), agm, 100, seed=42) == 0.0
 
     def test_sum_not_invariant_under_ah(self, ah):
-        assert check_invariance(sum_function(2), ah, 100, seed=42) > 0.01
+        assert invariance_residual(sum_function(2), ah, 100, seed=42) > 0.01
+
+
+def _reference_report(f, mapping, sample_count, seed, max_iter):
+    """verify_decomposition written over ``InvariantMean.estimate``, one run per sample."""
+    k = InvariantMean(mapping, max_iter=max_iter)
+    phi = diagonal_restriction(f)
+    invariance, decomposition, steps, hits = [], [], [], 0
+    for v in sample_vectors(mapping.domain, mapping.p, sample_count, seed):
+        fv = f(v)
+        invariance.append(abs(f(mapping.apply(v)) - fv))
+        est = k.estimate(v)
+        decomposition.append(abs(phi(est.value) - fv))
+        steps.append(est.steps)
+        hits += est.status == "max_iter_reached"
+    return DecompositionReport(f.name, mapping, max(0.0, *invariance), max(0.0, *decomposition),
+                               sample_count, k.tol, min(steps), max(steps),
+                               math.fsum(steps) / len(steps), hits)
 
 
 class TestVerifyDecomposition:
@@ -77,7 +101,7 @@ class TestVerifyDecomposition:
         # F = K (tighter reference tolerance): phi = identity, so the
         # residual is the gap between two iteration tolerances
         tol = 1e-12
-        f = InvariantFunction("invariant-mean", 2, invariant_mean(ah, tol=1e-14))
+        f = InvariantFunction("invariant-mean", 2, InvariantMean(ah, tol=1e-14))
         report = verify_decomposition(f, ah, tol=tol, sample_count=100, seed=42)
         assert report.invariance_residual <= 2 * tol
         assert report.decomposition_residual <= 2 * tol
@@ -89,7 +113,7 @@ class TestVerifyDecomposition:
         assert report.invariance_residual >= 0.01
         assert report.decomposition_residual >= 0.1
         # direct oracle at (1, 9): F = 1, phi(K(v)) = K(v) = AGM(1, 9)
-        k = invariant_mean(agm, tol=1e-12)
+        k = InvariantMean(agm, tol=1e-12)
         phi = diagonal_restriction(coordinate_function(1, 2))
         assert abs(phi(k((1.0, 9.0))) - 1.0) == pytest.approx(AGM_1_9 - 1.0, abs=1e-10)
 
@@ -103,7 +127,7 @@ class TestVerifyDecomposition:
         # F := psi o K built from a tighter reference K; recovery residual
         # is bounded by 2 * tol * Lip(psi)
         tol = 1e-12
-        reference = InvariantFunction("K", 2, invariant_mean(ah, tol=1e-14))
+        reference = InvariantFunction("K", 2, InvariantMean(ah, tol=1e-14))
         f = compose(unary_name, unary, reference)
         report = verify_decomposition(f, ah, tol=tol, sample_count=100, seed=42)
         assert report.decomposition_residual <= 2 * tol * lip
@@ -113,6 +137,18 @@ class TestVerifyDecomposition:
                                       sample_count=20, seed=42, max_iter=30)
         assert report.max_iter_hits > 0
         assert not report.k_converged
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 4, 5, DEFAULT_MAX_ITER])
+    @pytest.mark.parametrize("mapping", [
+        agm_mapping(), arithmetic_harmonic_mapping(), shift_average_mapping(3),
+        projection_mapping(2),
+    ], ids=lambda m: m.name)
+    def test_matches_the_estimate_path(self, mapping, max_iter):
+        f = product_function(mapping.p)
+        got = verify_decomposition(f, mapping, sample_count=30, seed=7, max_iter=max_iter)
+        want = _reference_report(f, mapping, 30, 7, max_iter)
+        assert [repr(getattr(got, name)) for name in DecompositionReport._fields] == \
+            [repr(getattr(want, name)) for name in DecompositionReport._fields]
 
     def test_steps_stats(self, ah):
         report = verify_decomposition(product_function(2), ah, sample_count=50, seed=42)

@@ -20,7 +20,7 @@ from meantype import (
     parse_mean,
     sample_vectors,
 )
-from meantype.means import REALS, check_vector
+from meantype.means import REALS, admissible, check_vector
 
 POSITIVE = Interval(0.0, math.inf)
 UNIT = Interval(0.0, 1.0, lower_closed=True, upper_closed=True)
@@ -217,6 +217,34 @@ def check_cases(draw):
     return v, tuple(make(p) for make in makers), domain
 
 
+_MAX = 1.7976931348623157e308
+_ENDS = (-math.inf, -_MAX, -2.0, -5e-324, -0.0, 0.0, 5e-324, 1.5, _MAX, math.inf)
+
+
+def _interval_shapes():
+    """Every interval on two of ``_ENDS``, each finite end open or closed."""
+    for i, lower in enumerate(_ENDS):
+        for upper in _ENDS[i + 1:]:
+            if not lower < upper:  # -0.0 and 0.0
+                continue
+            for lower_closed in (False, True) if math.isfinite(lower) else (False,):
+                for upper_closed in (False, True) if math.isfinite(upper) else (False,):
+                    yield Interval(lower, upper, lower_closed, upper_closed)
+
+
+@pytest.mark.parametrize("positive", [False, True])
+def test_admissible_bounds_are_membership(positive):
+    # a <= x <= b is the whole validity rule of check_vector's fast path and orbit
+    for domain in _interval_shapes():
+        a, b = admissible(domain, positive)
+        ends = [x for e in (domain.lower, domain.upper) if math.isfinite(e)
+                for x in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))]
+        for x in (0.0, -0.0, 5e-324, -5e-324, _MAX, -_MAX, math.inf, -math.inf, math.nan,
+                  *ends):
+            assert (a <= x <= b) == (domain.contains(x) and (not positive or x > 0)), \
+                (domain, positive, x)
+
+
 _A2, _G2 = MeanSpec.arithmetic(2), MeanSpec.geometric(2)
 _A3, _G3 = MeanSpec.arithmetic(3), MeanSpec.geometric(3)
 
@@ -239,7 +267,8 @@ class TestCheckVector:
     def test_matches_per_coordinate_scan(self, case):
         v, specs, domain = case
         positive = next((i for i, spec in enumerate(specs) if spec.requires_positive), None)
-        assert (_check_outcome(check_vector, v, specs, domain, positive)
+        bounds = admissible(domain, positive is not None)
+        assert (_check_outcome(check_vector, v, specs, domain, positive, bounds)
                 == _check_outcome(_reference_check, v, specs, domain))
 
 
