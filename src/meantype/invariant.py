@@ -13,10 +13,12 @@ mappings that never mix coordinates (pure projections) simply report
 ``max_iter_reached``.  No rate is assumed; the step count is reported as
 observed.
 
-Every run is one ``_solve`` over ``MeanTypeMapping.orbit``; the stop rule
-is written there only.  :func:`gauss_iterate` wraps a run in an
-:class:`InvariantEstimate`; the sampling probes call ``_solve`` per sample
-with parameters read once per probe, and build no result object.
+Every run is one ``_solve``: the plain loop ``mapping._gauss_run``, which
+the n0 search runs too, and the only place the stop rule is written.  It
+makes no generator and checks each iterate in one expression.
+:func:`gauss_iterate` wraps a run in an :class:`InvariantEstimate`; the
+sampling probes call ``_solve`` per sample with parameters read once per
+probe, and build no result object.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from collections.abc import Callable, Sequence
 from ._record import FrozenRecord, set_field
 from .errors import InvalidMapping, MeanTypeError
 from .mapping import IterationTrace, MeanTypeMapping, TraceStep, _annotate, sample_vectors
+from .mapping import _gauss_run as _solve  # every Gauss run; the tests count solves here
 from .mapping import diameter  # noqa: F401 -- bench/spans.py patches it here
 from .means import Interval, Vector, midpoint
 
@@ -56,24 +59,6 @@ def _check_iteration(tol: float, max_iter: int, readout: str) -> None:
 def _read(current: Vector, d: float, readout: str) -> float:
     """``readout`` of an iterate of diameter ``d``; a constant one reads its coordinate."""
     return current[0] if d == 0.0 else _READERS[readout](current)
-
-
-def _solve(mapping: MeanTypeMapping, v: Sequence[float], tol: float, max_iter: int,
-           relative: bool, keep: list | None = None) -> tuple[int, Vector, float, bool]:
-    """``(n, M^n(v), its diameter, done)`` at the end of the Gauss run from ``v``.
-
-    The stop rule, written only here: the run is ``done`` at the first
-    iterate that is constant or whose diameter is below ``tol`` (times
-    |midpoint| when ``relative``); otherwise it ends at ``n == max_iter``,
-    so ``max_iter=0`` tests ``v`` alone.  ``keep``, if given, receives a
-    :class:`TraceStep` per iterate.  No parameter is checked.
-    """
-    for n, current, d in mapping.orbit(v):
-        if keep is not None:
-            keep.append(TraceStep(n, current, d))
-        done = d == 0.0 or d < (tol * abs(midpoint(current)) if relative else tol)
-        if done or n == max_iter:
-            return n, current, d, done
 
 
 class InvariantEstimate(FrozenRecord):
@@ -125,9 +110,9 @@ def gauss_iterate(
     _check_iteration(tol, max_iter, readout)
     steps = [] if keep_trace else None
     n, current, d, done = _solve(mapping, v, tol, max_iter, relative, steps)
+    trace = IterationTrace(mapping, [TraceStep(*s) for s in steps]) if keep_trace else None
     return InvariantEstimate(_read(current, d, readout), n, d,
-                             CONVERGED if done else MAX_ITER_REACHED,
-                             IterationTrace(mapping, steps) if keep_trace else None, current)
+                             CONVERGED if done else MAX_ITER_REACHED, trace, current)
 
 
 class InvariantMean:

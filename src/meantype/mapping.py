@@ -42,6 +42,8 @@ from .means import (
     admissible,
     check_vector,
     eval_mean,  # noqa: F401 -- bench/spans.py patches it here
+    float_vector,
+    midpoint,
     parse_interval,
     parse_mean,
     sample_vectors,
@@ -55,15 +57,19 @@ DEFAULT_CAP = 1000
 
 
 def diameter(v: Sequence[float]) -> float:
-    """max(v) - min(v); zero exactly when the vector is constant."""
+    """max(v) - min(v) as a float; zero exactly when the vector is constant."""
     if len(v) == 0:
         raise EmptyVector("diameter of an empty vector is undefined")
-    s, lo, hi = sum(v), min(v), max(v)
+    try:
+        s, lo, hi = sum(v), min(v), max(v)
+        d = float(hi) - float(lo)
+    except OverflowError:  # an int beyond the float range, or ints summing past it
+        return diameter(float_vector(v))
     if not (s == s and -math.inf < lo and hi < math.inf):  # a NaN sum means a NaN coordinate
         for i, x in enumerate(v):
             if not math.isfinite(x):
                 raise NonFiniteInput(f"coordinate {i + 1} is {x!r}")
-    return hi - lo
+    return d
 
 
 class MeanTypeMapping(FrozenRecord):
@@ -122,7 +128,9 @@ class MeanTypeMapping(FrozenRecord):
         Each iterate is computed only when the caller asks for the next
         one, so stopping early costs no extra application.  Plain tuples,
         not :class:`TraceStep`, keep the per-step cost low for callers
-        that keep no trace.
+        that keep no trace.  :meth:`iterate` walks it; the Gauss solves
+        and the n0 search run :func:`_gauss_run` instead, which stops on
+        its own rule and makes no generator.
 
         An iterate is checked once, in the same pass that measures its
         diameter: one ``sum``, ``min`` and ``max`` give the diameter and
@@ -141,15 +149,12 @@ class MeanTypeMapping(FrozenRecord):
             else:
                 d, valid = diameter(v), False
             yield n, v, d
-            try:
-                if not valid:
-                    v = self.apply(v)
-                elif d == 0.0:  # constant: a fixed point of every mean
-                    v = (v[0],) * p
-                else:
-                    v = step(v)
-            except MeanTypeError as exc:
-                raise _annotate(exc, f"step {n + 1}") from exc
+            if not valid:
+                v = _apply_at(self, v, n + 1)
+            elif d == 0.0:  # constant: a fixed point of every mean
+                v = (v[0],) * p
+            else:
+                v = step(v)
 
     def iterate(self, v: Sequence[float], n: int) -> IterationTrace:
         """Trace of v, M(v), ..., M^n(v) with per-step diameters."""
@@ -207,6 +212,70 @@ def _annotate(exc: MeanTypeError, context: str) -> MeanTypeError:
     new = type(exc)(f"{context}: {exc}")
     new.__dict__.update(exc.__dict__)
     return new
+
+
+def _apply_at(mapping: MeanTypeMapping, v: Vector, n: int) -> Vector:
+    """``mapping.apply(v)`` as step ``n`` of a run: an error gets ``step n: `` prepended."""
+    try:
+        return mapping.apply(v)
+    except MeanTypeError as exc:
+        raise _annotate(exc, f"step {n}") from exc
+
+
+def _gauss_run(mapping: MeanTypeMapping, v: Sequence[float], tol: float | None, limit: int,
+               relative: bool, keep: list | None = None) -> tuple[int, Vector, float, bool]:
+    """``(n, M^n(v), its diameter, done)`` at the end of the run from ``v``.
+
+    The one iteration loop with a stop rule: every Gauss solve
+    (``invariant._solve``) and the n0 search run it.  The run is ``done``
+    at the first iterate that is constant or whose diameter is below
+    ``tol`` (times |midpoint| when ``relative``), or ends undone at
+    ``n == limit``; ``limit=0`` tests ``v`` alone.  ``tol=None`` stands for
+    the diameter of ``v``.  ``keep``, if given, receives an ``(n, M^n(v),
+    diameter)`` tuple per iterate.  No parameter is checked.
+
+    ``v`` is converted once.  Each iterate is checked and measured in one
+    expression (for p = 2, ``a <= x <= b and a <= y <= b`` with
+    ``abs(x - y)``, which NaN fails and which equals ``max - min`` to the
+    bit; for p >= 3, the ``len``/``sum``/``min``/``max`` pass of
+    :meth:`MeanTypeMapping.orbit`), and a valid one maps through the bound
+    step.  Any other goes through :func:`diameter` and
+    :meth:`MeanTypeMapping.apply`, which name the error, with the step
+    prepended; an invalid start raises what step 1 raises even where it
+    meets the stop rule.
+    """
+    p, step, (a, b) = mapping.p, mapping._step, mapping._bounds
+    try:
+        v = tuple(map(float, v))
+    except OverflowError:
+        v = float_vector(v)  # raises, naming the coordinate
+    pair = p == len(v) == 2
+    # tol=None: step 0 stops nothing but a constant start, and sets the bound to its diameter
+    bound, stop_at = (0.0, 0) if tol is None else (tol, limit)
+    n = 0
+    while True:
+        if pair:
+            x, y = v
+            valid = a <= x <= b and a <= y <= b
+            d = abs(x - y)
+        else:
+            valid = (len(v) == p and (s := sum(v)) == s
+                     and a <= (lo := min(v)) and (hi := max(v)) <= b)
+            d = hi - lo if valid else None
+        if not valid:
+            d = diameter(v)
+            if n == 0:
+                _apply_at(mapping, v, 1)
+        if keep is not None:
+            keep.append((n, v, d))
+        if d == 0.0 or d < (bound * abs(midpoint(v)) if relative else bound):
+            return n, v, d, True
+        if n == stop_at:
+            if tol is not None or n == limit:
+                return n, v, d, False
+            bound, stop_at = d, limit
+        n += 1
+        v = step(v) if valid else _apply_at(mapping, v, n)
 
 
 class TraceStep(FrozenRecord):
@@ -366,21 +435,21 @@ def _check_cap(cap: int) -> None:
 
 
 def _search_n0(mapping: MeanTypeMapping, v: Sequence[float], cap: int) -> tuple[int, Vector]:
-    """``(n0(v), M^n0(v))``, or ``(0, v)`` for a constant ``v``."""
-    orbit = mapping.orbit(v)
-    steps = [next(orbit)]  # plain (n, v, d) tuples: TraceSteps only for the error
-    _, start, d0 = steps[0]
-    if d0 == 0.0:
-        return 0, start
+    """``(n0(v), M^n0(v))``, or ``(0, v)`` for a constant ``v``.
+
+    One run of :func:`_gauss_run` below the start diameter, with ``cap``
+    as its limit.  The start is checked first; a constant one returns
+    before ``cap`` is checked, and with ``cap < 1`` any other ends the run
+    at step 0.
+    """
+    steps = []  # plain (n, v, d) tuples: TraceSteps only for the error
+    n, image, d, found = _gauss_run(mapping, v, None, max(cap, 0), False, steps)
+    if found:
+        return n, image
     _check_cap(cap)
-    for step in islice(orbit, cap):
-        n, current, dn = step
-        if dn < d0:
-            return n, current
-        steps.append(step)
     raise NotFoundWithinCap(
         f"no diameter decrease within {cap} iterations "
-        f"(start diameter {d0!r}, final {dn!r})",
+        f"(start diameter {steps[0][2]!r}, final {d!r})",
         trace=IterationTrace(mapping, [TraceStep(*s) for s in steps]),
         cap=cap,
     )

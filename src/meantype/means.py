@@ -457,6 +457,20 @@ def admissible(domain: Interval, positive: bool) -> tuple[float, float]:
     return (max(a, 5e-324) if positive else a), b
 
 
+def float_vector(v: Sequence[float]) -> Vector:
+    """``v`` as a float tuple.  A coordinate that ``float`` overflows on (an
+    int beyond the float range) raises :class:`NonFiniteInput` naming it."""
+    try:
+        return tuple(map(float, v))
+    except OverflowError:
+        for i, x in enumerate(v):
+            try:
+                float(x)
+            except OverflowError:
+                raise NonFiniteInput(f"coordinate {i + 1} is beyond the float range") from None
+        raise
+
+
 def check_vector(v: Sequence[float], specs: Sequence[MeanSpec], domain: Interval,
                  positive: int | None, bounds: tuple[float, float]) -> Vector:
     """``v`` as a float tuple, checked once as an input of every mean in ``specs``.
@@ -464,9 +478,10 @@ def check_vector(v: Sequence[float], specs: Sequence[MeanSpec], domain: Interval
     The means share one arity.  ``positive`` is the 0-based position in
     ``specs`` of the first mean that requires strictly positive
     coordinates, or None, and ``bounds`` is ``admissible(domain, positive
-    is not None)``.  The checks run in this order: the arity, then
-    finiteness and membership of ``domain`` coordinate by coordinate, then
-    strict positivity for ``specs[positive]``.  The first failure raises
+    is not None)``.  The checks run in this order: conversion to float
+    (:func:`float_vector`), the arity, then finiteness and membership of
+    ``domain`` coordinate by coordinate, then strict positivity for
+    ``specs[positive]``.  The first failure raises
     :class:`ArityMismatch`, :class:`NonFiniteInput` or
     :class:`DomainViolation`; its ``component`` attribute is the 1-based
     position in ``specs`` of the mean that rejects ``v``.
@@ -477,13 +492,17 @@ def check_vector(v: Sequence[float], specs: Sequence[MeanSpec], domain: Interval
     that overflows to +-inf therefore passes.  Any miss falls through to
     the coordinate-by-coordinate scan, which names the failure.
     """
-    v = tuple(map(float, v))
     spec = specs[0]
     a, b = bounds
-    if len(v) == spec.arity and (s := sum(v)) == s and a <= min(v) and max(v) <= b:
-        return v
+    try:
+        v = tuple(map(float, v))
+        if len(v) == spec.arity and (s := sum(v)) == s and a <= min(v) and max(v) <= b:
+            return v
+    except OverflowError:  # an int beyond the float range, named below
+        pass
     k = 1
     try:
+        v = float_vector(v)
         if len(v) != spec.arity:
             raise ArityMismatch(
                 f"mean {spec} has arity {spec.arity}, got vector of length {len(v)}"

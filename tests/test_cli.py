@@ -78,6 +78,15 @@ class TestExitCodes:
         code, _, err = run(capsys, "map-apply", "--mapping", cfg["agm"], "--vector", "1,2,3")
         assert code == 1
 
+    @pytest.mark.parametrize("vector", ["--vector=2,2,2", "--vector=-1,-1"])
+    @pytest.mark.parametrize("output", ["human", "json"])
+    def test_invalid_constant_start_is_one(self, capsys, cfg, vector, output):
+        # a constant start that is no input of the mapping is not its own invariant mean
+        code, out, err = run(capsys, "invariant", "--mapping", cfg["agm"], vector,
+                             "--output", output)
+        assert (code, out) == (1, "")
+        assert "step 1: component 1 (arithmetic): " in err
+
     def test_usage_error_is_one(self, capsys, cfg):
         code, _, err = run(capsys, "invariant", "--mapping", cfg["agm"])  # no --vector
         assert code == 1

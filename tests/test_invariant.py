@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from meantype import (
     DomainViolation,
@@ -11,18 +12,26 @@ from meantype import (
     InvalidMapping,
     InvariantMean,
     MeanSpec,
+    MeanTypeError,
     MeanTypeMapping,
+    TraceStep,
     agm_mapping,
     arithmetic_harmonic_mapping,
     gauss_iterate,
     invariance_residual,
     mean_callable,
+    projection_mapping,
     sample_vectors,
     shift_average_mapping,
     uniqueness_probe,
 )
 from meantype import invariant as invariant_module
-from meantype.invariant import READOUTS, _gap_at, _residual_at
+from meantype.invariant import DEFAULT_MAX_ITER, READOUTS, _gap_at, _residual_at
+from meantype.means import midpoint
+from test_mapping import (
+    INVALID_AGM_START_IDS, INVALID_AGM_STARTS, LEAVES_CLOSED, LEAVES_CLOSED_START, STEP_SHAPES,
+    _error, _start_error, orbit_cases,
+)
 
 # pi / (2 * integral_0^{pi/2} dt / sqrt(cos^2 t + 4 sin^2 t)), computed by
 # adaptive quadrature (scipy.integrate.quad, epsabs=1e-14); the acceptance
@@ -148,6 +157,65 @@ class TestGaussIterate:
             direct = gauss_iterate(agm, v, tol=tol).value
             shifted = gauss_iterate(agm, agm.apply(v), tol=tol).value
             assert abs(direct - shifted) <= 2 * tol
+
+
+# ---------------------------------------------------------------------------
+# The one Gauss run loop against the orbit walk it replaced
+# ---------------------------------------------------------------------------
+
+def _orbit_solve(mapping, v, tol, max_iter, relative, keep=None):
+    """``_solve`` as it was before the Gauss loop: a walk over ``orbit``."""
+    for n, current, d in mapping.orbit(v):
+        if keep is not None:
+            keep.append(TraceStep(n, current, d))
+        done = d == 0.0 or d < (tol * abs(midpoint(current)) if relative else tol)
+        if done or n == max_iter:
+            return n, current, d, done
+
+
+def _solve_outcome(solve, mapping, v, tol, max_iter, relative):
+    """The bits of ``(n, final, d, done)`` and of the kept steps, or the
+    class, message and ``component`` of the error."""
+    keep = []
+    try:
+        n, final, d, done = solve(mapping, v, tol, max_iter, relative, keep)
+    except MeanTypeError as exc:
+        return _error(exc)
+    steps = [(s.step, s.vector, s.diameter) if isinstance(s, TraceStep) else s for s in keep]
+    return (n, [x.hex() for x in final], d.hex(), done,
+            [(k, [x.hex() for x in u], e.hex()) for k, u, e in steps])
+
+
+class TestSolveLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(orbit_cases(), st.sampled_from([1e-300, 1e-12, 1.0, 1e300]),
+           st.one_of(st.integers(0, 12), st.just(DEFAULT_MAX_ITER)), st.booleans())
+    @example((STEP_SHAPES[2], [0.0, -0.0]), 1e-12, DEFAULT_MAX_ITER, False)  # p = 2 on the reals
+    @example((STEP_SHAPES[2], [-0.0, 0.0]), 1e-12, DEFAULT_MAX_ITER, True)
+    @example((agm_mapping(), [1.7e308, 1e308]), 1e-12, DEFAULT_MAX_ITER, False)  # the stall
+    @example((projection_mapping(2), [0, 1]), 1e-12, DEFAULT_MAX_ITER, False)
+    @example((LEAVES_CLOSED, LEAVES_CLOSED_START), 1e-12, DEFAULT_MAX_ITER, False)
+    @example((LEAVES_CLOSED, LEAVES_CLOSED_START), 1e-12, 1, False)  # returned, not raised
+    @example((agm_mapping(), [-1.0, -1.0]), 1e-12, DEFAULT_MAX_ITER, False)
+    @example((agm_mapping(), [10**400, 1]), 1e-12, 0, False)
+    def test_matches_the_orbit_walk(self, case, tol, max_iter, relative):
+        mapping, v = case
+        expected = (_start_error(mapping, v)
+                    or _solve_outcome(_orbit_solve, mapping, v, tol, max_iter, relative))
+        assert _solve_outcome(invariant_module._solve, mapping, v, tol, max_iter,
+                              relative) == expected
+
+    @pytest.mark.parametrize("v, error, message", INVALID_AGM_STARTS, ids=INVALID_AGM_START_IDS)
+    @pytest.mark.parametrize("solve", [
+        lambda m, v: gauss_iterate(m, v),
+        lambda m, v: gauss_iterate(m, v, tol=1e300, relative=True),
+        lambda m, v: InvariantMean(m)(v),
+    ], ids=["gauss_iterate", "loose-tol", "InvariantMean"])
+    def test_invalid_start_raises_even_when_it_meets_the_rule(self, agm, solve, v, error,
+                                                               message):
+        with pytest.raises(error) as info:
+            solve(agm, v)
+        assert str(info.value) == message
 
 
 class TestInvariantMean:

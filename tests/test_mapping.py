@@ -15,12 +15,14 @@ from meantype import (
     DomainViolation,
     InvalidMapping,
     Interval,
+    IterationTrace,
     MeanSpec,
     MeanTypeError,
     MeanTypeMapping,
     NonFiniteInput,
     NotFoundWithinCap,
     ParseError,
+    TraceStep,
     agm_mapping,
     diameter,
     eval_mean,
@@ -37,6 +39,9 @@ from meantype import (
     shift_average_mapping,
     star_apply,
 )
+from meantype.invariant import _solve
+from meantype.mapping import DEFAULT_CAP, _check_cap, _search_n0
+from meantype.means import float_vector
 from conftest import POSITIVE, catalog_mappings
 
 
@@ -99,6 +104,20 @@ class TestDiameter:
 
     def test_overflowing_diameter_is_inf(self):
         assert diameter((1.7e308, -1.7e308)) == math.inf
+
+    @pytest.mark.parametrize("v, name", [
+        ([10**400, 1], "coordinate 1"), ([1.0, -10**400], "coordinate 2"),
+        ([10**400, 10**400 - 5], "coordinate 1"), ([2, 10**400, math.nan], "coordinate 2"),
+    ])
+    def test_int_beyond_the_float_range_named(self, v, name):
+        with pytest.raises(NonFiniteInput, match=f"^{name} is beyond the float range$"):
+            diameter(v)
+
+    def test_ints_measure_as_floats(self):
+        assert repr(diameter([1, 2, 4])) == "3.0"
+        assert diameter([2**53 + 1, 0]) == float(2**53)
+        # each int converts, though their sum does not
+        assert diameter([10**308, 10**308, 0.5]) == 1e308 - 0.5
 
     def test_overflowing_sum_skips_the_coordinate_scan(self, monkeypatch):
         calls = []
@@ -480,6 +499,10 @@ class TestContractivity:
         with pytest.raises(ConstantVector):
             is_contractive_at(agm, (2.0, 2.0))
 
+    def test_int_beyond_the_float_range_rejected(self, agm):
+        with pytest.raises(NonFiniteInput, match="^coordinate 1 is beyond the float range$"):
+            is_contractive_at(agm, [10**400, 1])
+
     def test_probe_agm_finds_nothing(self, agm):
         verdict = probe_contractivity(agm, sample_count=10_000, seed=42)
         assert not verdict.found
@@ -609,6 +632,135 @@ class TestStarApply:
     def test_not_found_propagates(self, projections):
         with pytest.raises(NotFoundWithinCap):
             star_apply(projections, (0.0, 1.0), cap=10)
+
+
+# ---------------------------------------------------------------------------
+# The one Gauss run loop: the n0 search against the orbit walk it replaced
+# ---------------------------------------------------------------------------
+
+#: (power:-1e300, maximum) on [1.6983e308, inf): power rounds 1.5e-13 below
+#: the least coordinate, so the first iterate of LEAVES_CLOSED_START leaves
+#: the closed domain and step 2 rejects it.
+LEAVES_CLOSED = MeanTypeMapping((parse_mean("power:-1e300", 2), MeanSpec.maximum(2)),
+                                Interval(1.6983e308, math.inf, lower_closed=True),
+                                name="leaves-closed")
+LEAVES_CLOSED_START = [1.7e308, 1.6983e308]
+
+
+#: Starts the AGM pair rejects, with the error every run raises for them,
+#: though all but the fourth already meet any stop rule.
+INVALID_AGM_STARTS = [
+    ((-1.0, -1.0), DomainViolation, "step 1: component 1 (arithmetic): "
+                                    "coordinate 1 = -1.0 outside domain (0.0, inf)"),
+    ((5.0,), ArityMismatch, "step 1: component 1 (arithmetic): "
+                            "mean arithmetic has arity 2, got vector of length 1"),
+    ((2.0, 2.0, 2.0), ArityMismatch, "step 1: component 1 (arithmetic): "
+                                     "mean arithmetic has arity 2, got vector of length 3"),
+    ((-1.0, 2.0), DomainViolation, "step 1: component 1 (arithmetic): "
+                                   "coordinate 1 = -1.0 outside domain (0.0, inf)"),
+    ([10**400, 10**400], NonFiniteInput, "coordinate 1 is beyond the float range"),
+]
+INVALID_AGM_START_IDS = ["outside-domain", "short", "long", "nonconstant", "int-beyond-float"]
+
+
+def _error(exc):
+    return type(exc), str(exc), getattr(exc, "component", None)
+
+
+def _start_error(mapping, v):
+    """What the Gauss loop raises for the start ``v`` before any stop
+    decision, or None: a coordinate beyond the float range, then what
+    ``diameter`` raises, then what step 1 raises for a start that ``apply``
+    rejects.  The orbit walks it replaced let a start through unchecked
+    when it already met their stop rule, and raised a bare OverflowError."""
+    try:
+        v = float_vector(v)
+        diameter(v)
+    except MeanTypeError as exc:
+        return _error(exc)
+    try:
+        mapping.apply(v)
+    except MeanTypeError as exc:
+        return type(exc), f"step 1: {exc}", exc.component
+    return None
+
+
+def _orbit_search_n0(mapping, v, cap):
+    """``_search_n0`` as it was before the Gauss loop: a walk over ``orbit``."""
+    orbit = mapping.orbit(v)
+    steps = [next(orbit)]
+    _, start, d0 = steps[0]
+    if d0 == 0.0:
+        return 0, start
+    _check_cap(cap)
+    for step in islice(orbit, cap):
+        n, current, dn = step
+        if dn < d0:
+            return n, current
+        steps.append(step)
+    raise NotFoundWithinCap(
+        f"no diameter decrease within {cap} iterations "
+        f"(start diameter {d0!r}, final {dn!r})",
+        trace=IterationTrace(mapping, [TraceStep(*s) for s in steps]),
+        cap=cap,
+    )
+
+
+def _n0_outcome(search, mapping, v, cap):
+    """The bits of ``(n0, image)``, or the class, message and ``component``
+    of the error, with the bits of the trace of a ``NotFoundWithinCap``."""
+    try:
+        n0, image = search(mapping, v, cap)
+    except NotFoundWithinCap as exc:
+        return _error(exc) + (exc.cap, [(s.step, [x.hex() for x in s.vector], s.diameter.hex())
+                                        for s in exc.trace.steps])
+    except MeanTypeError as exc:
+        return _error(exc)
+    return n0, [x.hex() for x in image]
+
+
+class TestGaussRun:
+    @settings(max_examples=400, deadline=None)
+    @given(orbit_cases(), st.one_of(st.integers(-1, 12), st.just(DEFAULT_CAP)))
+    @example((shift_average_mapping(3), [0.0, 1.0, 0.0]), 1)  # no drop within the cap
+    @example((shift_average_mapping(3), [2.0, 2.0, 2.0]), 0)  # constant before the cap check
+    @example((agm_mapping(), [-1.0, -1.0]), 0)  # an invalid constant start
+    @example((agm_mapping(), [1.7e308, 1e308]), DEFAULT_CAP)
+    @example((projection_mapping(2), [0, 1]), DEFAULT_CAP)
+    @example((LEAVES_CLOSED, LEAVES_CLOSED_START), 1)
+    @example((LEAVES_CLOSED, LEAVES_CLOSED_START), 2)
+    def test_search_n0_matches_the_orbit_walk(self, case, cap):
+        mapping, v = case
+        expected = _start_error(mapping, v) or _n0_outcome(_orbit_search_n0, mapping, v, cap)
+        assert _n0_outcome(_search_n0, mapping, v, cap) == expected
+
+    @pytest.mark.parametrize("mapping, v", [
+        (agm_mapping(), (1.0, 2.0)), (agm_mapping(), (1.7e308, 1e308)),
+        (shift_average_mapping(3), (0.0, 1.0, 0.0)), (_mixed(5), (1.0, 2.0, 3.0, 4.0, 5.0)),
+    ], ids=["p2", "p2-overflowing-sums", "p3", "p5"])
+    def test_valid_iterates_bypass_apply_and_diameter(self, monkeypatch, mapping, v):
+        calls = []
+        monkeypatch.setattr(MeanTypeMapping, "apply", lambda m, v: calls.append(v))
+        monkeypatch.setattr(meantype.mapping, "diameter", lambda v: calls.append(v))
+        n, _, _, _ = _solve(mapping, v, 1e-12, 20, False, [])
+        assert n > 0
+        assert _search_n0(mapping, v, 20)[0] > 0
+        assert calls == []
+
+    @pytest.mark.parametrize("search", [find_n0, star_apply])
+    @pytest.mark.parametrize("v, error, message", INVALID_AGM_STARTS,
+                             ids=INVALID_AGM_START_IDS)
+    def test_invalid_start_raises(self, agm, search, v, error, message):
+        # a constant one too: the error a nonconstant start of its kind raises
+        with pytest.raises(error) as info:
+            search(agm, v)
+        assert str(info.value) == message
+
+    def test_start_checked_before_the_cap(self, agm):
+        with pytest.raises(DomainViolation, match="^step 1: "):
+            star_apply(agm, (-1.0, -1.0), cap=0)
+        with pytest.raises(InvalidMapping):  # find_n0 checks its cap first, as before
+            find_n0(agm, (-1.0, -1.0), cap=0)
 
 
 # ---------------------------------------------------------------------------

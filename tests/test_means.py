@@ -271,6 +271,15 @@ class TestCheckVector:
         assert (_check_outcome(check_vector, v, specs, domain, positive, bounds)
                 == _check_outcome(_reference_check, v, specs, domain))
 
+    @pytest.mark.parametrize("v, name", [
+        ([1, 10**400], "coordinate 2"), ([-10**400, 1.0, math.nan], "coordinate 1"),
+        ([10**400], "coordinate 1"),  # converted before the arity is checked
+    ])
+    def test_int_beyond_the_float_range_named(self, v, name):
+        with pytest.raises(NonFiniteInput, match=f"^{name} is beyond the float range$") as info:
+            check_vector(v, (_A2, _A2), REALS, None, admissible(REALS, False))
+        assert info.value.component == 1
+
 
 # ---------------------------------------------------------------------------
 # Evaluation: properties
