@@ -19,8 +19,9 @@ import math
 from collections.abc import Callable, Sequence
 
 from ._record import FrozenRecord, set_field
+from . import invariant  # K solves run invariant._solve, looked up per call
 from .errors import DomainViolation, InvalidMapping, ParseError
-from .invariant import DEFAULT_MAX_ITER, DEFAULT_TOL, _check_iteration, _read, _solve, over_samples
+from .invariant import DEFAULT_MAX_ITER, DEFAULT_TOL, _check_iteration, _read, over_samples
 from .mapping import MeanTypeMapping, sample_vectors  # noqa: F401 -- bench/spans.py patches it here
 from .means import mean_callable, parse_mean
 
@@ -215,11 +216,12 @@ def verify_decomposition(
     """
     _check_iteration(tol, max_iter, "mid")
     phi = diagonal_restriction(f)
+    solve = invariant._solve
 
     def row(v):
         fv = f(v)
         invariance = abs(f(mapping.apply(v)) - fv)
-        n, final, d, done = _solve(mapping, v, tol, max_iter, False)  # K(v), mid readout
+        n, final, d, done = solve(mapping, v, tol, max_iter, False)  # K(v), mid readout
         return invariance, abs(phi(_read(final, d, "mid")) - fv), n, done
 
     rows = over_samples(row, mapping.domain, mapping.p, sample_count, seed)

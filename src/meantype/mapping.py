@@ -12,6 +12,8 @@ module provides the iteration machinery and the probes built on it:
 * ``star_apply`` -- the derived map v -> M^{n0(v)}(v), which shrinks the
   diameter in a single (compound) step wherever n0 exists.
 
+Contractivity at v is n0(v) = 1: these three and every Gauss solve run one
+loop, ``_gauss_run``; ``MeanTypeMapping.orbit`` is plain apply-then-diameter.
 Everything is pure; probes are sequential loops, deterministic per seed.
 """
 
@@ -128,33 +130,17 @@ class MeanTypeMapping(FrozenRecord):
         Each iterate is computed only when the caller asks for the next
         one, so stopping early costs no extra application.  Plain tuples,
         not :class:`TraceStep`, keep the per-step cost low for callers
-        that keep no trace.  :meth:`iterate` walks it; the Gauss solves
-        and the n0 search run :func:`_gauss_run` instead, which stops on
-        its own rule and makes no generator.
+        that keep no trace.  :meth:`iterate` walks it; the Gauss solves,
+        the n0 search and the contractivity test run :func:`_gauss_run`
+        instead, which stops on its own rule and makes no generator.
 
-        An iterate is checked once, in the same pass that measures its
-        diameter: one ``sum``, ``min`` and ``max`` give the diameter and
-        decide whether the iterate passes :func:`check_vector` (right
-        arity, a sum that is not NaN, min and max within ``_bounds``).  One
-        that passes maps straight through the bound step, as in
-        :meth:`apply`; any other goes through :meth:`apply` and
-        :func:`diameter`, which name the error.  An application error is
-        re-raised with the failing step prepended.
+        Each step is :meth:`apply` then :func:`diameter`; an application
+        error is re-raised with the failing step prepended.
         """
-        p, step, (a, b) = self.p, self._step, self._bounds
-        v = tuple(map(float, v))
+        v = float_vector(v)
         for n in count():
-            if len(v) == p and (s := sum(v)) == s and a <= (lo := min(v)) and (hi := max(v)) <= b:
-                d, valid = hi - lo, True
-            else:
-                d, valid = diameter(v), False
-            yield n, v, d
-            if not valid:
-                v = _apply_at(self, v, n + 1)
-            elif d == 0.0:  # constant: a fixed point of every mean
-                v = (v[0],) * p
-            else:
-                v = step(v)
+            yield n, v, diameter(v)
+            v = _apply_at(self, v, n + 1)
 
     def iterate(self, v: Sequence[float], n: int) -> IterationTrace:
         """Trace of v, M(v), ..., M^n(v) with per-step diameters."""
@@ -227,28 +213,26 @@ def _gauss_run(mapping: MeanTypeMapping, v: Sequence[float], tol: float | None, 
     """``(n, M^n(v), its diameter, done)`` at the end of the run from ``v``.
 
     The one iteration loop with a stop rule: every Gauss solve
-    (``invariant._solve``) and the n0 search run it.  The run is ``done``
-    at the first iterate that is constant or whose diameter is below
-    ``tol`` (times |midpoint| when ``relative``), or ends undone at
-    ``n == limit``; ``limit=0`` tests ``v`` alone.  ``tol=None`` stands for
-    the diameter of ``v``.  ``keep``, if given, receives an ``(n, M^n(v),
-    diameter)`` tuple per iterate.  No parameter is checked.
+    (``invariant._solve``), the n0 search and the contractivity test run
+    it.  The run is ``done`` at the first iterate that is constant or whose
+    diameter is below ``tol`` (times |midpoint| when ``relative``), or ends
+    undone at ``n == limit``; ``limit=0`` tests ``v`` alone.  ``tol=None``
+    stands for the diameter of ``v``, so ``limit=1`` asks whether n0(v) = 1.
+    ``keep``, if given, receives an ``(n, M^n(v), diameter)`` tuple per
+    iterate.  No parameter is checked.
 
     ``v`` is converted once.  Each iterate is checked and measured in one
     expression (for p = 2, ``a <= x <= b and a <= y <= b`` with
     ``abs(x - y)``, which NaN fails and which equals ``max - min`` to the
     bit; for p >= 3, the ``len``/``sum``/``min``/``max`` pass of
-    :meth:`MeanTypeMapping.orbit`), and a valid one maps through the bound
-    step.  Any other goes through :func:`diameter` and
+    :func:`check_vector`), and a valid one maps through the bound step.
+    Any other goes through :func:`diameter` and
     :meth:`MeanTypeMapping.apply`, which name the error, with the step
     prepended; an invalid start raises what step 1 raises even where it
     meets the stop rule.
     """
     p, step, (a, b) = mapping.p, mapping._step, mapping._bounds
-    try:
-        v = tuple(map(float, v))
-    except OverflowError:
-        v = float_vector(v)  # raises, naming the coordinate
+    v = float_vector(v)
     pair = p == len(v) == 2
     # tol=None: step 0 stops nothing but a constant start, and sets the bound to its diameter
     bound, stop_at = (0.0, 0) if tol is None else (tol, limit)
@@ -334,12 +318,13 @@ def is_contractive_at(mapping: MeanTypeMapping, v: Sequence[float]) -> bool:
 
     Strictness is an exact floating comparison: a mapping that merely
     preserves the diameter (a permutation of coordinates, say) must not
-    pass.  Defined only for nonconstant v.
+    pass.  Defined only for nonconstant v.  The n0 search with cap 1, so an
+    invalid start raises what step 1 raises, as in :func:`find_n0`.
     """
-    d = diameter(v)
-    if d == 0.0:
+    n, _, _, done = _gauss_run(mapping, v, None, 1, False)
+    if n == 0:
         raise ConstantVector("contractivity at a constant vector is undefined")
-    return diameter(mapping.apply(v)) < d
+    return done
 
 
 class ContractivityVerdict(FrozenRecord):
@@ -386,12 +371,11 @@ def probe_contractivity(
     skipped = 0
     tested = 0
     for v in sample_vectors(mapping.domain, mapping.p, sample_count, seed):
-        d = diameter(v)
-        if d <= NEGLIGIBLE_DIAMETER:
+        if diameter(v) <= NEGLIGIBLE_DIAMETER:
             skipped += 1
             continue
         try:
-            contractive = diameter(mapping.apply(v)) < d
+            contractive = is_contractive_at(mapping, v)
         except MeanTypeError:
             skipped += 1
             continue

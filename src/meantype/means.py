@@ -173,12 +173,17 @@ def sample_vectors(
     rnd, span = random.Random(seed).random, hi - lo
     while produced < count:
         produced += 1
-        yield tuple([lo + span * rnd() for _ in range(p)])  # rng.uniform(lo, hi), written out
+        if span < math.inf:
+            yield tuple([lo + span * rnd() for _ in range(p)])  # rng.uniform(lo, hi), written out
+        else:  # hi - lo overflows, so lo < 0 < hi, and this convex combination cannot
+            yield tuple([lo * (1.0 - r) + hi * r for r in [rnd() for _ in range(p)]])
 
 
 def _stress_vectors(lo: float, hi: float, p: int) -> list[Vector]:
-    mid = 0.5 * (lo + hi)
+    mid = midpoint((lo, hi))
     wiggle = 1e-6 * (hi - lo)
+    if wiggle == math.inf:  # hi - lo overflows
+        wiggle = 1e-6 * hi - 1e-6 * lo
     near_constant = tuple(mid + (wiggle if i % 2 else 0.0) for i in range(p))
     one_outlier = tuple(hi if i == p - 1 else lo for i in range(p))
     alternating = tuple(hi if i % 2 else lo for i in range(p))

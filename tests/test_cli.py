@@ -138,6 +138,14 @@ class TestFloatEdges:
         assert doc["status"] == "max_iter_reached"
         assert 1e308 <= doc["value"] <= 1.7e308
 
+    @pytest.mark.parametrize("command", ["contractive-probe", "uniqueness"])
+    def test_samples_near_float_max(self, capsys, tmp_path, command):
+        # the stress vectors' midpoint 0.5 * (lo + hi) overflowed here
+        path = tmp_path / "edge.cfg"
+        path.write_text("p = 2\ndomain = [1e308, 1.7e308]\ncomponents = arithmetic, max\n")
+        code, out, err = run(capsys, command, "--mapping", str(path), "--samples", "20")
+        assert code == 0, err
+
     def test_unary_domain_error_is_one(self, capsys, cfg):
         code, out, err = run(capsys, "decompose", "--mapping", cfg["shift3"],
                              "--function", "sqrt@sum", "--samples", "20")
@@ -474,9 +482,11 @@ class TestParserSurface:
         (["uniqueness", "--mapping", "{agm}", "--samples", "5"], 5),
         (["uniqueness", "--mapping", "{agm}", "--samples", "5", "--output", "csv"], 0),
         (["residual", "--mapping", "{agm}", "--samples", "5"], 5),
+        (["decompose", "--mapping", "{ah}", "--samples", "5", "--function", "product"], 5),
         (["invariant", "--mapping", "{agm}", "--vector", "1,2"], 1),
         (["invariant", "--mapping", "{agm}", "--vector", "1,2", "--output", "csv"], 0),
-    ], ids=["uniqueness", "uniqueness-csv", "residual", "invariant", "invariant-csv"])
+    ], ids=["uniqueness", "uniqueness-csv", "residual", "decompose", "invariant",
+            "invariant-csv"])
     def test_csv_rejected_before_any_solve(self, capsys, cfg, monkeypatch, argv, solves):
         # every Gauss run goes through _solve; a max_iter=0 call tests v alone
         calls, solve = [], meantype.invariant._solve
