@@ -40,6 +40,7 @@ from .means import (
     MeanSpec,
     Vector,
     _LOG_KERNELS,
+    _harmonic,
     _kernel,
     admissible,
     check_vector,
@@ -161,13 +162,45 @@ class MeanTypeMapping(FrozenRecord):
         return f"({comps}) on {self.domain}"
 
 
+def _pair_arithmetic(x: float, y: float) -> float:
+    s = x + y  # fsum of two floats is their rounded sum; on overflow it sums the halves
+    return s / 2 if -math.inf < s < math.inf else x / 2 + y / 2
+
+
+def _pair_geometric(x: float, y: float) -> float:
+    return math.exp((math.log(x) + math.log(y)) / 2)
+
+
+def _pair_harmonic(x: float, y: float) -> float:
+    h = 2 / (1 / x + 1 / y)
+    return _harmonic(None, (x, y)) if h == 0.0 or h == math.inf else h  # rescued there
+
+
+#: Canonical form -> f(x, y): the closed form of a p = 2 kernel, with the
+#: same bits.  A p = 2 median is the midpoint, which is the arithmetic mean.
+_PAIRS = {"arithmetic": _pair_arithmetic, "quasi:identity": _pair_arithmetic,
+          "median": _pair_arithmetic, "geometric": _pair_geometric,
+          "quasi:log": _pair_geometric, "harmonic": _pair_harmonic, "min": min, "max": max}
+
+
 def _bind_step(specs: Sequence[MeanSpec]) -> Callable[[Vector], Vector]:
     """``v -> (M_1(v), ..., M_p(v))`` for a checked, nonconstant ``v``; p >= 2.
 
-    With two or more log-space means, log(x) is taken once per coordinate
-    and passed to every kernel (the same float operations, so the same
-    bits).  One item getter gathers projections and kernel results in order.
+    A p = 2 mapping whose components all have a closed form in ``_PAIRS``
+    (arithmetic, geometric, harmonic, median, min, max, quasi:identity,
+    quasi:log) steps as ``(f0(x, y), f1(x, y))``, with the bits of the
+    general kernels.  Otherwise, with two or more log-space means, log(x)
+    is taken once per coordinate and passed to every kernel (the same
+    float operations, so the same bits), and one item getter gathers
+    projections and kernel results in order.
     """
+    if len(specs) == 2 and all(pair := [_PAIRS.get(spec.canonical()) for spec in specs]):
+        f0, f1 = pair
+
+        def step(v: Vector) -> Vector:
+            x, y = v
+            return f0(x, y), f1(x, y)
+        return step
     ks, gather, logged = [], [], 0
     for spec in specs:  # gather M_i(v) from v + kernels(v)
         if spec.kind == "projection":

@@ -96,11 +96,12 @@ class Interval(FrozenRecord):
         """
         lo = -extent if math.isinf(self.lower) else self.lower
         hi = extent if math.isinf(self.upper) else self.upper
-        if hi <= lo:  # finite endpoint beyond the cut
+        if hi <= lo:  # finite endpoint e beyond the cut: 2 * extent wide, |e| if e absorbs that
+            top = math.nextafter(math.inf, 0.0)
             if math.isinf(self.upper):
-                hi = lo + 2.0 * extent
+                hi = lo + 2.0 * extent if lo + 2.0 * extent > lo else min(2.0 * lo, top)
             else:
-                lo = hi - 2.0 * extent
+                lo = hi - 2.0 * extent if hi - 2.0 * extent < hi else max(2.0 * hi, -top)
         span = hi - lo
         inset = 1e-4 * span
         if not self.lower_closed or math.isinf(self.lower):

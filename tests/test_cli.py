@@ -146,6 +146,16 @@ class TestFloatEdges:
         code, out, err = run(capsys, command, "--mapping", str(path), "--samples", "20")
         assert code == 0, err
 
+    def test_probe_tests_samples_beyond_the_cut(self, capsys, tmp_path):
+        # 1.6983e308 + 200 rounds back to 1.6983e308: the sampling box was one point
+        path = tmp_path / "edge.cfg"
+        path.write_text("p = 2\ndomain = [1.6983e308, inf)\ncomponents = arithmetic, max\n")
+        code, out, err = run(capsys, "contractive-probe", "--mapping", str(path),
+                             "--samples", "20", "--output", "json")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["samples_tested"] > 0 and doc["skipped"] == 0
+
     def test_unary_domain_error_is_one(self, capsys, cfg):
         code, out, err = run(capsys, "decompose", "--mapping", cfg["shift3"],
                              "--function", "sqrt@sum", "--samples", "20")

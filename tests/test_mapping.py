@@ -4,7 +4,7 @@ import pickle
 from itertools import count, islice
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import meantype.mapping
 import meantype.means
@@ -40,8 +40,8 @@ from meantype import (
     star_apply,
 )
 from meantype.invariant import _solve
-from meantype.mapping import DEFAULT_CAP, _check_cap, _search_n0
-from meantype.means import float_vector
+from meantype.mapping import _PAIRS, DEFAULT_CAP, _bind_step, _check_cap, _search_n0
+from meantype.means import _kernel, float_vector
 from conftest import POSITIVE, catalog_mappings
 
 
@@ -169,6 +169,16 @@ STEP_SHAPES = [
     _parsed(("quasi:log", "median", "quasi:power:0.5")),
     _parsed(("power:1e308", "weighted:0.2,0.3,0.5", "geometric")),
     _parsed(("geometric", "projection:1", "power:0.5")),
+    # p = 2 pair steps: sums that overflow to +-inf, a reciprocal that
+    # overflows, h == inf near float max, a signed zero; and a pair with a
+    # kind that has no closed form, which keeps the general step
+    _parsed(("arithmetic", "geometric")),
+    _parsed(("median", "min"), Interval()),
+    _parsed(("arithmetic", "harmonic")),
+    _parsed(("quasi:identity", "harmonic")),
+    _parsed(("max", "quasi:log")),
+    _parsed(("min", "arithmetic"), Interval()),
+    _parsed(("arithmetic", "power:2")),
 ]
 # The catalog plus a sign-requiring mean after two that accept any sign,
 # two sign-requiring means after one that accepts any sign, and the step
@@ -178,15 +188,49 @@ APPLY_MAPPINGS = catalog_mappings() + [MeanTypeMapping(
     name="mixed-sign"), MeanTypeMapping(
     (MeanSpec.median(3), MeanSpec.harmonic(3), MeanSpec.geometric(3)), Interval(),
     name="two-signed")] + STEP_SHAPES
+FLOAT_MAX = math.nextafter(math.inf, 0.0)
+BELOW_MAX = math.nextafter(FLOAT_MAX, 0.0)
 # A valid, nonconstant vector for each step shape; 1.7e308 sends
 # power:1e308 down its overflow path.
 STEP_VECTORS = [(-1.5, 2.0, 7.0), (0.5, 3.0, 2.0), (1.0, -4.0), (1.0, 2.0, 3.0),
-                (0.25, 3.0, 1e-300), (0.5, 2.0, 8.0), (0.5, 3.0, 1.7e308), (4.0, 0.5, 9.0)]
+                (0.25, 3.0, 1e-300), (0.5, 2.0, 8.0), (0.5, 3.0, 1.7e308), (4.0, 0.5, 9.0),
+                (1.7e308, 1.6e308), (-1.7e308, -1.6e308), (5e-324, 1.0), (FLOAT_MAX, BELOW_MAX),
+                (1e-310, 5e-324), (-0.0, 5e-324), (1.0, 3.0)]
+
+
+def with_step_examples(case):
+    """``@example(*case(shape, v))`` for each step shape and its vector."""
+    def decorate(test):
+        for shape, v in zip(STEP_SHAPES, STEP_VECTORS):
+            test = example(*case(shape, v))(test)
+        return test
+    return decorate
+
+
 EDGE_COORDS = st.one_of(
     st.sampled_from((0.0, -0.0, 5e-324, -1e-310, 1.0, -2.5, 1.7e308, -1.7e308,
                      math.nan, math.inf, -math.inf)),
     st.floats(),
 )
+PAIR_COORDS = st.one_of(
+    st.sampled_from((0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.5, 1.0, 3.0, 1e308,
+                     1.6e308, 1.7e308, BELOW_MAX, FLOAT_MAX)),
+    st.floats(min_value=0.0, max_value=FLOAT_MAX),
+)
+
+
+def _count_kernel_calls(monkeypatch):
+    """Replace ``means._KERNELS`` with entries that append their key to the
+    returned list when called; mappings built afterwards bind them."""
+    calls = []
+
+    def counted(key, kernel):
+        return lambda *args: calls.append(key) or kernel(*args)
+
+    table = {key: counted(key, kernel) for key, kernel in meantype.means._KERNELS.items()}
+    monkeypatch.setattr(meantype.means, "_KERNELS", table)
+    return calls
+
 
 class TestApply:
     def test_agm_pair(self, agm):
@@ -250,6 +294,43 @@ class TestApply:
         # each kernel's own log of its average is left out
         assert sorted(x for x in logged if x in v) == list(v)
 
+    @settings(max_examples=1000, deadline=None)
+    @given(st.sampled_from(sorted(_PAIRS)), st.sampled_from(sorted(_PAIRS)),
+           PAIR_COORDS, PAIR_COORDS, st.booleans(), st.booleans())
+    @example("arithmetic", "max", 1.7e308, 1.6e308, False, False)  # x + y overflows
+    @example("median", "quasi:identity", 1.7e308, 1.6e308, True, True)  # to -inf
+    @example("min", "arithmetic", 1.7e308, 1.7e308, True, False)  # x + y == 0.0
+    @example("arithmetic", "median", 5e-324, 0.0, True, False)  # halves a subnormal
+    @example("arithmetic", "harmonic", 5e-324, 1.0, False, False)  # 1 / x overflows
+    @example("harmonic", "geometric", 1e-310, 5e-324, False, False)  # subnormals
+    @example("harmonic", "quasi:log", FLOAT_MAX, BELOW_MAX, False, False)  # h == inf
+    def test_pair_step_matches_the_kernels(self, k0, k1, x, y, negate_x, negate_y):
+        specs = [parse_mean(k0, 2), parse_mean(k1, 2)]
+        if any(spec.requires_positive for spec in specs):
+            assume(x > 0.0 and y > 0.0)
+        else:
+            x, y = (-x if negate_x else x), (-y if negate_y else y)
+        assume(x != y)  # the step runs on checked, nonconstant vectors
+        expected = tuple(_kernel(spec)(spec, (x, y)) for spec in specs)
+        assert [r.hex() for r in _bind_step(specs)((x, y))] == [r.hex() for r in expected]
+
+    @pytest.mark.parametrize("kinds", [
+        ("arithmetic", "geometric"), ("arithmetic", "harmonic"), ("median", "quasi:log"),
+        ("quasi:identity", "min"), ("max", "harmonic"),
+    ])
+    def test_pair_step_calls_no_kernel(self, monkeypatch, kinds):
+        expected = _reference_apply(_parsed(kinds), (1.3, 712.0))
+        calls = _count_kernel_calls(monkeypatch)
+        assert _parsed(kinds).apply((1.3, 712.0)) == expected
+        assert calls == []
+
+    def test_pair_with_a_general_kind_keeps_the_kernels(self, monkeypatch):
+        kinds = ("arithmetic", "power:2")
+        expected = _reference_apply(_parsed(kinds), (1.3, 712.0))
+        calls = _count_kernel_calls(monkeypatch)
+        assert _parsed(kinds).apply((1.3, 712.0)) == expected
+        assert calls == ["arithmetic", "power"]
+
     def test_reads_no_spec_flag_or_kernel_table_per_call(self, monkeypatch):
         reads = []
         requires_positive = MeanSpec.requires_positive.fget
@@ -287,14 +368,7 @@ class TestApply:
 
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from(APPLY_MAPPINGS), st.lists(EDGE_COORDS, min_size=1, max_size=4))
-    @example(STEP_SHAPES[0], STEP_VECTORS[0])
-    @example(STEP_SHAPES[1], STEP_VECTORS[1])
-    @example(STEP_SHAPES[2], STEP_VECTORS[2])
-    @example(STEP_SHAPES[3], STEP_VECTORS[3])
-    @example(STEP_SHAPES[4], STEP_VECTORS[4])
-    @example(STEP_SHAPES[5], STEP_VECTORS[5])
-    @example(STEP_SHAPES[6], STEP_VECTORS[6])
-    @example(STEP_SHAPES[7], STEP_VECTORS[7])
+    @with_step_examples(lambda shape, v: (shape, v))
     def test_matches_per_component_eval_mean(self, mapping, v):
         assert _outcome(mapping.apply, v) == _outcome(_reference_apply, mapping, v)
 
@@ -447,14 +521,7 @@ class TestOrbit:
     @example((ORBIT_MAPPINGS[-3], [0.0, 0.5, 1.0]))  # in [0, 1], not positive
     @example((agm_mapping(), [1.7e308, 1e308]))  # a stall whose sums overflow
     @example((agm_mapping(), [1.7e308, math.inf]))  # an infinite sum, not an overflow
-    @example((STEP_SHAPES[0], STEP_VECTORS[0]))
-    @example((STEP_SHAPES[1], STEP_VECTORS[1]))
-    @example((STEP_SHAPES[2], STEP_VECTORS[2]))
-    @example((STEP_SHAPES[3], STEP_VECTORS[3]))
-    @example((STEP_SHAPES[4], STEP_VECTORS[4]))
-    @example((STEP_SHAPES[5], STEP_VECTORS[5]))
-    @example((STEP_SHAPES[6], STEP_VECTORS[6]))
-    @example((STEP_SHAPES[7], STEP_VECTORS[7]))
+    @with_step_examples(lambda shape, v: ((shape, v),))
     def test_matches_apply_then_diameter(self, case):
         mapping, v = case
         assert (_orbit_outcome(mapping.orbit(v), 12)
@@ -793,6 +860,21 @@ class TestSampler:
     def test_float_edges_stay_in_domain(self, dom, p):
         vs = list(sample_vectors(dom, p, 200, seed=5))
         assert all(math.isfinite(x) and dom.contains(x) for v in vs for x in v)
+
+    @pytest.mark.parametrize("dom", [
+        Interval(1.6983e308, math.inf, lower_closed=True),
+        Interval(-math.inf, -1e308, upper_closed=True),
+    ], ids=["inf", "-inf"])
+    def test_endpoint_that_absorbs_the_cut_gets_a_wide_box(self, dom):
+        # endpoint +- 2 * extent rounds back to the endpoint
+        lo, hi = dom.sampling_box()
+        assert math.isfinite(lo) and math.isfinite(hi) and lo < hi
+        assert dom.contains(lo) and dom.contains(hi)
+
+    def test_endpoint_beyond_the_cut_keeps_its_box(self):
+        # only a box that collapsed is widened: this one is 2 * extent wide, inset
+        assert Interval(300.0, math.inf).sampling_box() == (300.0 + 0.02, 500.0 - 0.02)
+        assert Interval(-math.inf, -300.0).sampling_box() == (-500.0 + 0.02, -300.0 - 0.02)
 
 
 # ---------------------------------------------------------------------------
