@@ -37,7 +37,16 @@ class InvariantFunction(FrozenRecord):
         set_field(self, "fn", fn)
 
     def __call__(self, v: Sequence[float]) -> float:
-        return self.fn(v)
+        """``fn(v)``; an overflow or a value that is not finite raises
+        :class:`DomainViolation` naming F."""
+        try:
+            y = self.fn(v)
+            finite = math.isfinite(y)  # an int beyond the float range overflows here
+        except OverflowError as exc:
+            raise DomainViolation(f"function {self.name} overflows: {exc}") from exc
+        if not finite:
+            raise DomainViolation(f"function {self.name} is {y!r}")
+        return y
 
     def __str__(self) -> str:
         return self.name

@@ -68,20 +68,17 @@ class InvariantEstimate(FrozenRecord):
     ``final_diameter`` of every coordinate of the final iterate.  When
     ``status`` is ``converged`` the true common limit (if the mapping has
     one) differs from the midpoint readout by at most final_diameter / 2.
-    ``final`` is the final iterate itself (``M^steps(v)``), from which any
-    other readout of the same run can be taken without iterating again.
     """
 
-    __slots__ = _fields = ("value", "steps", "final_diameter", "status", "trace", "final")
+    __slots__ = _fields = ("value", "steps", "final_diameter", "status", "trace")
 
     def __init__(self, value: float, steps: int, final_diameter: float, status: str,
-                 trace: IterationTrace | None = None, final: Vector | None = None):
+                 trace: IterationTrace | None = None):
         set_field(self, "value", value)
         set_field(self, "steps", steps)
         set_field(self, "final_diameter", final_diameter)
         set_field(self, "status", status)
         set_field(self, "trace", trace)
-        set_field(self, "final", final)
 
     @property
     def converged(self) -> bool:
@@ -112,7 +109,7 @@ def gauss_iterate(
     n, current, d, done = _solve(mapping, v, tol, max_iter, relative, steps)
     trace = IterationTrace(mapping, [TraceStep(*s) for s in steps]) if keep_trace else None
     return InvariantEstimate(_read(current, d, readout), n, d,
-                             CONVERGED if done else MAX_ITER_REACHED, trace, current)
+                             CONVERGED if done else MAX_ITER_REACHED, trace)
 
 
 class InvariantMean:

@@ -397,7 +397,8 @@ def probe_contractivity(
     (near-constant, one-outlier, alternating extremes) and continues
     uniformly on a compact sub-box of the domain.  Vectors of negligible
     diameter and samples that raise evaluation errors are skipped and
-    counted.
+    counted; a probe that skips every sample has tested nothing and raises
+    :class:`MeanTypeError`.
     """
     if sample_count < 1:
         raise InvalidMapping(f"sample_count must be >= 1, got {sample_count}")
@@ -415,6 +416,10 @@ def probe_contractivity(
         tested += 1
         if not contractive:
             return ContractivityVerdict(mapping, v, tested, skipped)
+    if not tested:
+        raise MeanTypeError(
+            f"contractivity probe tested none of its {sample_count} samples on domain "
+            f"{mapping.domain}: each had diameter <= {NEGLIGIBLE_DIAMETER!r} or failed to evaluate")
     return ContractivityVerdict(mapping, None, tested, skipped)
 
 

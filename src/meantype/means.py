@@ -7,8 +7,8 @@ A mean is a function M: I^p -> I with the internality property
 which forces M(c, ..., c) = c.  This module supplies the concrete
 building blocks used everywhere else: the interval domain, a declarative
 description of a single mean (:class:`MeanSpec`), evaluation, a textual
-form for config files and the CLI, and a sampling probe that checks
-internality numerically.
+form for config files and the CLI, and the seeded sampler behind every
+probe.
 
 All evaluation is pure and stateless; everything here may be called
 concurrently without synchronization.
@@ -20,7 +20,7 @@ import math
 import random
 from collections.abc import Callable, Iterator, Sequence
 
-from ._record import FrozenRecord, Record, set_field
+from ._record import FrozenRecord, set_field
 from .errors import (
     ArityMismatch,
     DomainViolation,
@@ -35,16 +35,14 @@ Vector = tuple[float, ...]
 #: ``[log(x) for x in v]``, shared by the log-space kernels of one step.
 Logs = list[float] | None
 
-#: Absolute tolerance used when asserting internality numerically.  Exact
-#: internality can fail by an ulp under floating-point rounding; anything
-#: beyond this slack counts as a genuine violation.
-INTERNALITY_TOL = 1e-12
-
 #: Exponents closer to zero than this evaluate through the geometric-mean
 #: formula (the analytic limit of the power mean), avoiding cancellation.
 POWER_ZERO_CUTOFF = 1e-8
 
 _WEIGHT_SUM_TOL = 1e-12
+
+#: Where :meth:`Interval.sampling_box` cuts an infinite endpoint.
+SAMPLING_EXTENT = 100.0
 
 
 # ---------------------------------------------------------------------------
@@ -87,21 +85,21 @@ class Interval(FrozenRecord):
             return False
         return True
 
-    def sampling_box(self, extent: float = 100.0) -> tuple[float, float]:
+    def sampling_box(self) -> tuple[float, float]:
         """A compact [a, b] strictly inside the interval, for random probes.
 
-        Infinite endpoints are cut at ``extent``; open finite endpoints are
-        inset by a small fraction of the resulting span so that sampled
-        points genuinely belong to the interval.
+        Infinite endpoints are cut at ``SAMPLING_EXTENT``; open finite
+        endpoints are inset by a small fraction of the resulting span so
+        that sampled points genuinely belong to the interval.
         """
-        lo = -extent if math.isinf(self.lower) else self.lower
-        hi = extent if math.isinf(self.upper) else self.upper
-        if hi <= lo:  # finite endpoint e beyond the cut: 2 * extent wide, |e| if e absorbs that
-            top = math.nextafter(math.inf, 0.0)
+        lo = -SAMPLING_EXTENT if math.isinf(self.lower) else self.lower
+        hi = SAMPLING_EXTENT if math.isinf(self.upper) else self.upper
+        if hi <= lo:  # finite endpoint e beyond the cut: ``width`` wide, |e| if e absorbs that
+            top, width = math.nextafter(math.inf, 0.0), 2.0 * SAMPLING_EXTENT
             if math.isinf(self.upper):
-                hi = lo + 2.0 * extent if lo + 2.0 * extent > lo else min(2.0 * lo, top)
+                hi = lo + width if lo + width > lo else min(2.0 * lo, top)
             else:
-                lo = hi - 2.0 * extent if hi - 2.0 * extent < hi else max(2.0 * hi, -top)
+                lo = hi - width if hi - width < hi else max(2.0 * hi, -top)
         span = hi - lo
         inset = 1e-4 * span
         if not self.lower_closed or math.isinf(self.lower):
@@ -148,32 +146,26 @@ REALS = Interval()
 POSITIVE_REALS = Interval(0.0, math.inf)
 
 
-def sample_vectors(
-    domain: Interval,
-    p: int,
-    count: int,
-    seed: int = 42,
-    stress: bool = True,
-) -> Iterator[Vector]:
+def sample_vectors(domain: Interval, p: int, count: int, seed: int = 42) -> Iterator[Vector]:
     """Yield ``count`` vectors in domain^p: stress vectors, then uniform.
 
     The three stress vectors are deterministic functions of the domain
     (contractivity failures tend to live at structured vectors):
     near-constant, one-outlier, and alternating extremes.  The remainder
     is coordinate-wise uniform on the domain's sampling box, deterministic
-    for a fixed seed.
+    for a fixed seed.  A domain whose sampling box is one point (it holds
+    a single float, say) has no nonconstant vector to give: the first
+    draw raises :class:`DomainViolation`.
     """
     lo, hi = domain.sampling_box()
-    produced = 0
-    if stress:
-        for v in _stress_vectors(lo, hi, p):
-            if produced >= count:
-                return
-            produced += 1
-            yield v
+    if not lo < hi:
+        raise DomainViolation(
+            f"cannot draw {count} nonconstant samples from domain {domain}: "
+            f"its sampling box is the single point {lo!r}")
+    lead = _stress_vectors(lo, hi, p)[:max(count, 0)]
+    yield from lead
     rnd, span = random.Random(seed).random, hi - lo
-    while produced < count:
-        produced += 1
+    for _ in range(count - len(lead)):
         if span < math.inf:
             yield tuple([lo + span * rnd() for _ in range(p)])  # rng.uniform(lo, hi), written out
         else:  # hi - lo overflows, so lo < 0 < hi, and this convex combination cannot
@@ -657,68 +649,3 @@ def mean_callable(spec: MeanSpec, domain: Interval = REALS) -> Callable[[Sequenc
 
     fn.__name__ = f"mean_{spec.canonical()}"
     return fn
-
-
-# ---------------------------------------------------------------------------
-# Internality probe
-# ---------------------------------------------------------------------------
-
-class InternalityViolation(FrozenRecord):
-    __slots__ = _fields = ("vector", "value", "excess")
-
-    def __init__(self, vector: Vector, value: float, excess: float):
-        set_field(self, "vector", vector)
-        set_field(self, "value", value)
-        # how far outside [min(v), max(v)] the value fell
-        set_field(self, "excess", excess)
-
-
-class InternalityReport(Record):
-    """Outcome of sampling a mean for internality violations."""
-
-    __slots__ = _fields = ("spec", "domain", "sample_count", "violations", "error_count")
-
-    def __init__(self, spec: MeanSpec, domain: Interval, sample_count: int,
-                 violations: list[InternalityViolation] | None = None, error_count: int = 0):
-        self.spec = spec
-        self.domain = domain
-        self.sample_count = sample_count
-        self.violations = [] if violations is None else violations
-        self.error_count = error_count
-
-    @property
-    def violation_count(self) -> int:
-        return len(self.violations)
-
-    @property
-    def worst(self) -> InternalityViolation | None:
-        if not self.violations:
-            return None
-        return max(self.violations, key=lambda viol: viol.excess)
-
-
-def internality_probe(
-    spec: MeanSpec,
-    domain: Interval,
-    sample_count: int = 1000,
-    seed: int = 42,
-) -> InternalityReport:
-    """Sample random vectors and record every internality violation.
-
-    Evaluation errors on individual samples (e.g. a geometric mean probed
-    on a domain containing zero) are counted, never raised: the probe
-    always completes.  Deterministic for a fixed seed.
-    """
-    if sample_count < 1:
-        raise InvalidMeanSpec(f"sample_count must be >= 1, got {sample_count}")
-    report = InternalityReport(spec, domain, sample_count)
-    for v in sample_vectors(domain, spec.arity, sample_count, seed, stress=False):
-        try:
-            value = eval_mean(spec, v, domain)
-        except (ArityMismatch, DomainViolation, NonFiniteInput):
-            report.error_count += 1
-            continue
-        excess = max(min(v) - value, value - max(v))
-        if excess > INTERNALITY_TOL:
-            report.violations.append(InternalityViolation(v, value, excess))
-    return report

@@ -156,6 +156,45 @@ class TestFloatEdges:
         doc = json.loads(out)
         assert doc["samples_tested"] > 0 and doc["skipped"] == 0
 
+    @pytest.mark.parametrize("command", ["contractive-probe", "uniqueness", "residual",
+                                         "decompose"])
+    def test_probe_on_a_single_float_domain_is_one(self, capsys, tmp_path, command):
+        # the domain holds one float: every sample would be constant, so none tests anything
+        path = tmp_path / "point.cfg"
+        path.write_text("p = 2\ndomain = [1.7976931348623157e308, inf)\n"
+                        "components = arithmetic, max\n")
+        argv = [command, "--mapping", str(path), "--samples", "20"]
+        argv += ["--function", "product"] if command == "decompose" else []
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == ("error: cannot draw 20 nonconstant samples from domain "
+                       "[1.7976931348623157e+308, inf): its sampling box is the single point "
+                       "1.7976931348623157e+308\n")
+
+    def test_contractive_probe_that_tests_nothing_is_one(self, capsys, tmp_path):
+        # every sample of this domain is within 1e-10 of constant, so every one is skipped
+        path = tmp_path / "narrow.cfg"
+        path.write_text("p = 2\ndomain = [1, 1.0000000001]\ncomponents = arithmetic, max\n")
+        code, out, err = run(capsys, "contractive-probe", "--mapping", str(path),
+                             "--samples", "20")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: contractivity probe tested none of its 20 samples ")
+
+    @pytest.mark.parametrize("components,function,message", [
+        ("arithmetic, max", "sum", "function sum overflows: "),
+        ("arithmetic, geometric", "product", "function product is inf"),
+    ])
+    def test_decompose_overflow_is_one(self, capsys, tmp_path, components, function, message):
+        # F leaves the float range on the first sample
+        path = tmp_path / "edge.cfg"
+        path.write_text(f"p = 2\ndomain = [1e307, 1.7e308]\ncomponents = {components}\n")
+        code, out, err = run(capsys, "decompose", "--mapping", str(path),
+                             "--function", function, "--samples", "20")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: sample 0 [") and f"]: {message}" in err
+
     def test_unary_domain_error_is_one(self, capsys, cfg):
         code, out, err = run(capsys, "decompose", "--mapping", cfg["shift3"],
                              "--function", "sqrt@sum", "--samples", "20")

@@ -8,6 +8,9 @@ from meantype import (
     DomainViolation,
     InvariantFunction,
     InvariantMean,
+    Interval,
+    MeanSpec,
+    MeanTypeMapping,
     ParseError,
     agm_mapping,
     arithmetic_harmonic_mapping,
@@ -198,6 +201,28 @@ class TestParseFunction:
     def test_unary_outside_domain_is_domain_violation(self, shift3, text, v):
         with pytest.raises(DomainViolation):
             parse_function(text, shift3)(v)
+
+    @pytest.mark.parametrize("text,v,message", [
+        ("sum", (1e308, 1.7e308, 1e308), "function sum overflows: "),
+        ("product", (1e200, 1e200, 1.0), "function product is inf"),
+        ("square@coord:1", (1e200, 0.0, 0.0), "function square@coord:1 is inf"),
+        ("const:nan", (1.0, 2.0, 3.0), "function const:nan is nan"),
+    ])
+    def test_overflow_or_non_finite_value_is_domain_violation(self, shift3, text, v, message):
+        with pytest.raises(DomainViolation, match=f"^{message}"):
+            parse_function(text, shift3)(v)
+
+    def test_int_beyond_the_float_range_is_domain_violation(self):
+        f = InvariantFunction("big", 2, lambda v: 10**400)
+        with pytest.raises(DomainViolation, match="^function big overflows: "):
+            f((1.0, 2.0))
+
+    def test_non_finite_value_in_probe_names_sample(self):
+        # every F value here is inf: the residuals were max(0.0, nan, ...) = 0.0
+        mapping = MeanTypeMapping((MeanSpec.arithmetic(2), MeanSpec.geometric(2)),
+                                  Interval(1e307, 1.7e308, True, True))
+        with pytest.raises(DomainViolation, match=r"^sample 0 \[.*\]: function product is inf$"):
+            verify_decomposition(product_function(2), mapping, sample_count=5)
 
     def test_unary_error_in_probe_names_sample(self, shift3):
         with pytest.raises(DomainViolation, match="sample 1 "):

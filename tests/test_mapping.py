@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import re
 from itertools import count, islice
 
 import pytest
@@ -29,7 +30,6 @@ from meantype import (
     find_n0,
     format_mapping_config,
     gauss_iterate,
-    internality_probe,
     is_contractive_at,
     parse_mapping_config,
     parse_mean,
@@ -378,11 +378,13 @@ class TestApply:
         with pytest.raises(InvalidMapping):
             MeanTypeMapping((MeanSpec.arithmetic(2),), Interval())
 
-    def test_components_pass_internality_probe(self):
+    def test_components_are_internal(self):
         for mapping in catalog_mappings():
-            for spec in mapping.components:
-                report = internality_probe(spec, mapping.domain, 200, seed=17)
-                assert report.violation_count == 0, (mapping, spec)
+            # the three stress vectors, then 200 uniform ones from seed 17
+            for v in sample_vectors(mapping.domain, mapping.p, 3 + 200, seed=17):
+                for spec in mapping.components:
+                    value = eval_mean(spec, v, mapping.domain)
+                    assert min(v) - 1e-12 <= value <= max(v) + 1e-12, (mapping, spec, v)
 
 
 class TestIterate:
@@ -593,6 +595,13 @@ class TestContractivity:
         b = probe_contractivity(shift3, 500, seed=1)
         assert a.counterexample == b.counterexample
         assert a.samples_tested == b.samples_tested
+
+    def test_probe_that_tests_nothing_raises(self):
+        # every sample of a 1e-10 wide domain has a negligible diameter
+        narrow = MeanTypeMapping((MeanSpec.arithmetic(2), MeanSpec.maximum(2)),
+                                 Interval(1.0, 1.0000000001, True, True))
+        with pytest.raises(MeanTypeError, match=r"tested none of its 20 samples on domain \[1.0, "):
+            probe_contractivity(narrow, 20)
 
 
 class TestDiameterMonotonicity:
@@ -846,10 +855,6 @@ class TestSampler:
         b = list(sample_vectors(Interval(), 2, 20, seed=4))
         assert a == b
 
-    def test_stress_can_be_disabled(self):
-        vs = list(sample_vectors(Interval(), 2, 5, seed=4, stress=False))
-        assert len(vs) == 5
-
     @pytest.mark.parametrize("dom", [
         Interval(1e308, 1.7e308, lower_closed=True, upper_closed=True),  # lo + hi overflows
         Interval(-math.inf, -1e308, upper_closed=True),
@@ -866,13 +871,25 @@ class TestSampler:
         Interval(-math.inf, -1e308, upper_closed=True),
     ], ids=["inf", "-inf"])
     def test_endpoint_that_absorbs_the_cut_gets_a_wide_box(self, dom):
-        # endpoint +- 2 * extent rounds back to the endpoint
+        # endpoint +- 2 * SAMPLING_EXTENT rounds back to the endpoint
         lo, hi = dom.sampling_box()
         assert math.isfinite(lo) and math.isfinite(hi) and lo < hi
         assert dom.contains(lo) and dom.contains(hi)
 
+    @pytest.mark.parametrize("dom", [
+        Interval(1.7976931348623157e308, math.inf, lower_closed=True),
+        Interval(-math.inf, -1.7976931348623157e308, upper_closed=True),
+    ], ids=["inf", "-inf"])
+    def test_single_float_domain_raises_before_a_sample(self, dom):
+        # the domain holds one float, so every vector drawn from it is constant
+        lo, hi = dom.sampling_box()
+        assert lo == hi
+        message = f"^cannot draw 7 nonconstant samples from domain {re.escape(str(dom))}: "
+        with pytest.raises(DomainViolation, match=message):
+            next(sample_vectors(dom, 2, 7))
+
     def test_endpoint_beyond_the_cut_keeps_its_box(self):
-        # only a box that collapsed is widened: this one is 2 * extent wide, inset
+        # only a box that collapsed is widened: this one is 2 * SAMPLING_EXTENT wide, inset
         assert Interval(300.0, math.inf).sampling_box() == (300.0 + 0.02, 500.0 - 0.02)
         assert Interval(-math.inf, -300.0).sampling_box() == (-500.0 + 0.02, -300.0 - 0.02)
 

@@ -14,11 +14,9 @@ from meantype import (
     NonFiniteInput,
     ParseError,
     eval_mean,
-    internality_probe,
     make_generator,
     parse_interval,
     parse_mean,
-    sample_vectors,
 )
 from meantype.means import REALS, admissible, check_vector
 
@@ -521,44 +519,3 @@ class TestParsing:
     def test_projection_index_checked_against_arity(self):
         with pytest.raises(ParseError):
             parse_mean("projection:5", 3)
-
-
-# ---------------------------------------------------------------------------
-# Internality probe
-# ---------------------------------------------------------------------------
-
-class TestInternalityProbe:
-    @pytest.mark.parametrize("spec", [
-        MeanSpec.arithmetic(3),
-        MeanSpec.median(3),
-        MeanSpec.weighted_arithmetic((1.0, 0.0)),
-    ])
-    def test_no_violations_on_unit_interval(self, spec):
-        report = internality_probe(spec, UNIT, sample_count=1000, seed=42)
-        assert report.violation_count == 0
-        assert report.worst is None
-        assert report.error_count == 0
-
-    def test_full_catalog_clean_on_positive_domain(self):
-        for spec in all_specs(3):
-            report = internality_probe(spec, POSITIVE, sample_count=300, seed=11)
-            assert report.violation_count == 0, spec
-
-    def test_errors_follow_the_shared_sample_stream(self):
-        dom = Interval(-5.0, 3.0)
-        report = internality_probe(MeanSpec.geometric(2), dom, 200, seed=1)
-        stream = sample_vectors(dom, 2, 200, seed=1, stress=False)
-        assert report.error_count == sum(min(v) <= 0.0 for v in stream) > 0
-
-    def test_deterministic_for_fixed_seed(self):
-        a = internality_probe(MeanSpec.arithmetic(2), UNIT, 100, seed=5)
-        b = internality_probe(MeanSpec.arithmetic(2), UNIT, 100, seed=5)
-        assert a.violations == b.violations
-        assert a.error_count == b.error_count
-
-    def test_errors_recorded_not_raised(self):
-        # geometric sampled on a domain straddling zero: most samples error
-        report = internality_probe(MeanSpec.geometric(2), Interval(-1.0, 1.0),
-                                   sample_count=200, seed=3)
-        assert report.error_count > 0
-        assert report.violation_count == 0

@@ -15,8 +15,7 @@ import pytest
 from meantype.decompose import DecompositionReport, InvariantFunction
 from meantype.invariant import InvariantEstimate
 from meantype.mapping import ContractivityVerdict, IterationTrace, MeanTypeMapping, TraceStep
-from meantype.means import (Generator, InternalityReport, InternalityViolation, Interval,
-                            MeanSpec)
+from meantype.means import Generator, Interval, MeanSpec
 
 POS = Interval(0.0, math.inf)
 POS_REPR = "Interval(lower=0.0, upper=inf, lower_closed=False, upper_closed=False)"
@@ -50,19 +49,6 @@ CASES = {
         GEOM,
         ARITH_REPR,
     ),
-    "InternalityViolation": (
-        InternalityViolation((1.0, 2.0), 3.0, 1.0),
-        InternalityViolation(vector=(1.0, 2.0), value=3.0, excess=1.0),
-        InternalityViolation((1.0, 2.0), 3.0, 2.0),
-        "InternalityViolation(vector=(1.0, 2.0), value=3.0, excess=1.0)",
-    ),
-    "InternalityReport": (
-        InternalityReport(ARITH, POS, 10),
-        InternalityReport(spec=ARITH, domain=POS, sample_count=10, violations=[], error_count=0),
-        InternalityReport(ARITH, POS, 10, error_count=1),
-        f"InternalityReport(spec={ARITH_REPR}, domain={POS_REPR}, sample_count=10, "
-        f"violations=[], error_count=0)",
-    ),
     "MeanTypeMapping": (
         AGM,
         MeanTypeMapping(components=(ARITH, GEOM), domain=POS, name="agm"),
@@ -91,10 +77,10 @@ CASES = {
     "InvariantEstimate": (
         InvariantEstimate(1.5, 4, 0.0, "converged"),
         InvariantEstimate(value=1.5, steps=4, final_diameter=0.0, status="converged",
-                          trace=None, final=None),
-        InvariantEstimate(1.5, 4, 0.0, "converged", final=(1.5, 1.5)),
+                          trace=None),
+        InvariantEstimate(1.5, 5, 0.0, "converged"),
         "InvariantEstimate(value=1.5, steps=4, final_diameter=0.0, status='converged', "
-        "trace=None, final=None)",
+        "trace=None)",
     ),
     "InvariantFunction": (
         InvariantFunction("sum", 2, math.fsum),
@@ -114,9 +100,8 @@ CASES = {
     ),
 }
 
-FROZEN = [name for name in CASES if name != "InternalityReport"]
 # IterationTrace keeps its steps in a list, so it is frozen but cannot be hashed.
-HASHABLE = [name for name in FROZEN if name != "IterationTrace"]
+HASHABLE = [name for name in CASES if name != "IterationTrace"]
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -141,13 +126,13 @@ def test_equal_frozen_values_hash_equal(name):
     assert {positional, keyword, other} == {positional, other}
 
 
-@pytest.mark.parametrize("name", ["IterationTrace", "InternalityReport"])
+@pytest.mark.parametrize("name", ["IterationTrace"])
 def test_unhashable(name):
     with pytest.raises(TypeError):
         hash(CASES[name][0])
 
 
-@pytest.mark.parametrize("name", FROZEN)
+@pytest.mark.parametrize("name", CASES)
 def test_frozen_rejects_assignment_and_deletion(name):
     value, _, other, text = CASES[name]
     field = text[len(name) + 1:].split("=", 1)[0]
@@ -158,16 +143,6 @@ def test_frozen_rejects_assignment_and_deletion(name):
         delattr(value, field)
     assert getattr(value, field) is before
     assert repr(value) == text
-
-
-def test_internality_report_is_mutable_with_its_own_list():
-    a, b = InternalityReport(ARITH, POS, 10), InternalityReport(ARITH, POS, 10)
-    assert a.violations is not b.violations
-    a.violations.append(InternalityViolation((1.0, 2.0), 3.0, 1.0))
-    a.error_count += 2
-    assert (a.violation_count, a.error_count) == (1, 2)
-    assert (b.violations, b.error_count) == ([], 0)
-    assert a != b
 
 
 def test_generator_equality_ignores_domain():
@@ -189,7 +164,7 @@ def test_mapping_equality_ignores_bound_kernels():
     MeanSpec.quasi_arithmetic("power", 3, parameter=0.5),
     MeanSpec.weighted_arithmetic([0.25, 0.75]),
     AGM,
-    InvariantEstimate(1.5, 4, 0.0, "converged", IterationTrace(AGM, [STEP]), (1.5, 1.5)),
+    InvariantEstimate(1.5, 4, 0.0, "converged", IterationTrace(AGM, [STEP])),
 ], ids=lambda value: type(value).__name__)
 def test_pickle_round_trip(value):
     copy = pickle.loads(pickle.dumps(value))
