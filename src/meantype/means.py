@@ -8,7 +8,9 @@ which forces M(c, ..., c) = c.  This module supplies the concrete
 building blocks used everywhere else: the interval domain, a declarative
 description of a single mean (:class:`MeanSpec`), evaluation, a textual
 form for config files and the CLI, and the seeded sampler behind every
-probe.
+probe.  What the package knows of each kind of mean is one row of
+``_CATALOG``: its kernel, its closed form at p = 2 (which a p = 2
+mapping steps through), and whether it requires positive coordinates.
 
 All evaluation is pure and stateless; everything here may be called
 concurrently without synchronization.
@@ -90,7 +92,10 @@ class Interval(FrozenRecord):
 
         Infinite endpoints are cut at ``SAMPLING_EXTENT``; open finite
         endpoints are inset by a small fraction of the resulting span so
-        that sampled points genuinely belong to the interval.
+        that sampled points genuinely belong to the interval.  The box is
+        then clamped to the interval's floats (:func:`admissible`), for an
+        inset lost to rounding: an interval holding one float gives a point,
+        one holding none a box with ``a > b``.
         """
         lo = -SAMPLING_EXTENT if math.isinf(self.lower) else self.lower
         hi = SAMPLING_EXTENT if math.isinf(self.upper) else self.upper
@@ -106,7 +111,8 @@ class Interval(FrozenRecord):
             lo += inset
         if not self.upper_closed or math.isinf(self.upper):
             hi -= inset
-        return lo, hi
+        a, b = admissible(self, False)
+        return max(lo, a), min(hi, b)
 
     def __str__(self) -> str:
         left = "[" if self.lower_closed else "("
@@ -153,15 +159,16 @@ def sample_vectors(domain: Interval, p: int, count: int, seed: int = 42) -> Iter
     (contractivity failures tend to live at structured vectors):
     near-constant, one-outlier, and alternating extremes.  The remainder
     is coordinate-wise uniform on the domain's sampling box, deterministic
-    for a fixed seed.  A domain whose sampling box is one point (it holds
-    a single float, say) has no nonconstant vector to give: the first
-    draw raises :class:`DomainViolation`.
+    for a fixed seed.  A domain whose sampling box is one point or empty
+    (it holds one float or none, say) has no nonconstant vector to give:
+    the first draw raises :class:`DomainViolation`.
     """
     lo, hi = domain.sampling_box()
     if not lo < hi:
+        box = f"the single point {lo!r}" if lo == hi else "empty"
         raise DomainViolation(
             f"cannot draw {count} nonconstant samples from domain {domain}: "
-            f"its sampling box is the single point {lo!r}")
+            f"its sampling box is {box}")
     lead = _stress_vectors(lo, hi, p)[:max(count, 0)]
     yield from lead
     rnd, span = random.Random(seed).random, hi - lo
@@ -184,62 +191,6 @@ def _stress_vectors(lo: float, hi: float, p: int) -> list[Vector]:
 
 
 # ---------------------------------------------------------------------------
-# Generators for quasi-arithmetic means
-# ---------------------------------------------------------------------------
-
-class Generator(FrozenRecord):
-    """A generator g of a quasi-arithmetic mean g^{-1}(average of g(x_i)).
-
-    The catalog is fixed, so the name (and the exponent of ``power``)
-    determines g; the mean is evaluated by the catalog kernel it equals.
-    ``domain`` is the natural domain of g's argument.  Two generators are
-    equal when name and parameter agree.
-    """
-
-    __slots__ = _fields = ("name", "domain", "parameter")
-
-    def __init__(self, name: str, domain: Interval, parameter: float | None = None):
-        set_field(self, "name", name)
-        set_field(self, "domain", domain)
-        set_field(self, "parameter", parameter)
-
-    def _key(self) -> tuple:
-        return self.name, self.parameter
-
-    def canonical(self) -> str:
-        if self.parameter is None:
-            return self.name
-        return f"{self.name}:{self.parameter!r}"
-
-
-#: Generator name -> natural domain of its argument.
-GENERATORS: dict[str, Interval] = {
-    "identity": REALS,
-    "log": POSITIVE_REALS,
-    "exp": REALS,
-    "power": POSITIVE_REALS,
-}
-
-
-def make_generator(name: str, parameter: float | None = None) -> Generator:
-    """Look up a generator from the fixed catalog by name."""
-    key = name.strip().lower()
-    if key not in GENERATORS:
-        raise InvalidMeanSpec(
-            f"unknown generator {name!r}; available: {sorted(GENERATORS)}"
-        )
-    if key == "power":
-        if parameter is None:
-            raise InvalidMeanSpec("power generator requires an exponent, e.g. power:2")
-        if parameter == 0 or not math.isfinite(parameter):
-            raise InvalidMeanSpec(
-                f"power generator exponent must be finite and nonzero, got {parameter}")
-    elif parameter is not None:
-        raise InvalidMeanSpec(f"generator {name!r} takes no parameter")
-    return Generator(key, GENERATORS[key], parameter)
-
-
-# ---------------------------------------------------------------------------
 # MeanSpec
 # ---------------------------------------------------------------------------
 
@@ -256,43 +207,74 @@ KINDS = (
     "weighted_arithmetic",
 )
 
-#: Kinds whose natural domain is the strictly positive reals.
-_POSITIVE_ONLY = {"geometric", "harmonic", "power"}
+#: Generators g of the quasi-arithmetic means g^{-1}(average of g(x_i)).  The
+#: ``power`` generator x^q takes its exponent q in :attr:`MeanSpec.exponent`.
+GENERATORS = ("identity", "log", "exp", "power")
 
 
 class MeanSpec(FrozenRecord):
     """Declarative description of a single mean of arity ``arity``.
 
-    Use the classmethod constructors (``MeanSpec.arithmetic(3)``,
-    ``MeanSpec.power(0.5, 2)``, ...) or :func:`parse_mean` rather than
-    filling fields by hand.
+    ``exponent`` belongs to ``power`` and to the ``power`` generator,
+    ``generator`` (one of :data:`GENERATORS`) to ``quasi_arithmetic``,
+    ``index`` to ``projection`` and ``weights`` to ``weighted_arithmetic``;
+    a field the kind does not take is rejected.  ``__init__`` is the one
+    place a spec is checked: the classmethod constructors
+    (``MeanSpec.arithmetic(3)``, ``MeanSpec.power(0.5, 2)``, ...) and
+    :func:`parse_mean` forward to it.
     """
 
     __slots__ = _fields = ("kind", "arity", "exponent", "generator", "index", "weights")
 
     def __init__(self, kind: str, arity: int, exponent: float | None = None,
-                 generator: Generator | None = None, index: int | None = None,
-                 weights: tuple[float, ...] | None = None):
+                 generator: str | None = None, index: int | None = None,
+                 weights: Sequence[float] | None = None):
         if kind not in KINDS:
             raise InvalidMeanSpec(f"unknown mean kind {kind!r}; available: {KINDS}")
         if not isinstance(arity, int) or arity < 1:
             raise InvalidMeanSpec(f"arity must be a positive integer, got {arity!r}")
+        takes = ()  # the fields beyond kind and arity that the kind takes
         if kind == "power":
-            if exponent is None or not math.isfinite(exponent):
+            takes, exponent = ("exponent",), _finite(exponent)
+            if exponent is None:
                 raise InvalidMeanSpec("power mean requires a finite exponent")
-        if kind == "quasi_arithmetic" and generator is None:
-            raise InvalidMeanSpec("quasi-arithmetic mean requires a generator")
-        if kind == "projection":
-            if index is None or not 1 <= index <= arity:
+        elif kind == "quasi_arithmetic":
+            takes = ("exponent", "generator")
+            if generator is None:
+                raise InvalidMeanSpec("quasi-arithmetic mean requires a generator")
+            if generator not in GENERATORS:
+                raise InvalidMeanSpec(
+                    f"unknown generator {generator!r}; available: {sorted(GENERATORS)}")
+            if generator == "power":
+                if exponent is None:
+                    raise InvalidMeanSpec("power generator requires an exponent, e.g. power:2")
+                if not (q := _finite(exponent)):  # None or zero
+                    raise InvalidMeanSpec(
+                        f"power generator exponent must be finite and nonzero, got {exponent}")
+                exponent = q
+            elif exponent is not None:
+                raise InvalidMeanSpec(f"generator {generator!r} takes no parameter")
+        elif kind == "projection":
+            takes = ("index",)
+            if type(index) is not int or not 1 <= index <= arity:  # a bool would print True
                 raise InvalidMeanSpec(f"projection index must lie in 1..{arity}, got {index!r}")
-        if kind == "weighted_arithmetic":
-            w = weights
+        elif kind == "weighted_arithmetic":
+            takes = ("weights",)
+            try:
+                w = tuple(map(float, weights))
+            except (TypeError, ValueError, OverflowError):
+                w = None
             if w is None or len(w) != arity:
-                raise InvalidMeanSpec(f"weighted_arithmetic requires {arity} weights, got {w!r}")
+                raise InvalidMeanSpec(
+                    f"weighted_arithmetic requires {arity} weights, got {weights!r}")
             if any(wi < 0 or not math.isfinite(wi) for wi in w):
                 raise InvalidMeanSpec(f"weights must be finite and nonnegative, got {w!r}")
             if abs(math.fsum(w) - 1.0) > _WEIGHT_SUM_TOL:
                 raise InvalidMeanSpec(f"weights must sum to 1, got sum {math.fsum(w)!r}")
+            weights = w
+        for name, value in zip(self._fields[2:], (exponent, generator, index, weights)):
+            if value is not None and name not in takes:
+                raise InvalidMeanSpec(f"mean {kind!r} takes no {name}, got {value!r}")
         set_field(self, "kind", kind)
         set_field(self, "arity", arity)
         set_field(self, "exponent", exponent)
@@ -316,14 +298,12 @@ class MeanSpec(FrozenRecord):
 
     @classmethod
     def power(cls, exponent: float, arity: int) -> MeanSpec:
-        return cls("power", arity, exponent=float(exponent))
+        return cls("power", arity, exponent)
 
     @classmethod
-    def quasi_arithmetic(cls, generator: Generator | str, arity: int,
-                         parameter: float | None = None) -> MeanSpec:
-        if isinstance(generator, str):
-            generator = make_generator(generator, parameter)
-        return cls("quasi_arithmetic", arity, generator=generator)
+    def quasi_arithmetic(cls, generator: str, arity: int,
+                         exponent: float | None = None) -> MeanSpec:
+        return cls("quasi_arithmetic", arity, exponent, generator)
 
     @classmethod
     def median(cls, arity: int) -> MeanSpec:
@@ -343,26 +323,23 @@ class MeanSpec(FrozenRecord):
 
     @classmethod
     def weighted_arithmetic(cls, weights: Sequence[float], arity: int | None = None) -> MeanSpec:
-        w = tuple(float(x) for x in weights)
-        return cls("weighted_arithmetic", arity if arity is not None else len(w), weights=w)
+        return cls("weighted_arithmetic", len(weights) if arity is None else arity,
+                   weights=weights)
 
     # -- properties ---------------------------------------------------------
 
     @property
     def requires_positive(self) -> bool:
         """True when the mean's natural domain is the strictly positive reals."""
-        if self.kind in _POSITIVE_ONLY:
-            return True
-        if self.kind == "quasi_arithmetic":
-            return self.generator.domain.lower >= 0
-        return False
+        return _row(self)[2]
 
     def canonical(self) -> str:
         """Canonical textual form, parseable by :func:`parse_mean`."""
         if self.kind == "power":
             return f"power:{self.exponent!r}"
         if self.kind == "quasi_arithmetic":
-            return f"quasi:{self.generator.canonical()}"
+            q = "" if self.exponent is None else f":{self.exponent!r}"
+            return f"quasi:{self.generator}{q}"
         if self.kind == "projection":
             return f"projection:{self.index}"
         if self.kind == "weighted_arithmetic":
@@ -399,9 +376,9 @@ def parse_mean(text: str, arity: int) -> MeanSpec:
                 raise ParseError(f"bad projection index {rest!r}", token=rest) from None
             return MeanSpec.projection(index, arity)
         if head == "quasi":
-            gen_name, _, gen_param = rest.partition(":")
-            param = _parse_number(gen_param, text) if gen_param else None
-            return MeanSpec.quasi_arithmetic(gen_name, arity, parameter=param)
+            name, _, q = rest.partition(":")
+            exponent = _parse_number(q, text) if q else None
+            return MeanSpec.quasi_arithmetic(name.strip(), arity, exponent)
         if head == "weighted":
             if not rest:
                 raise ParseError(f"weighted mean needs weights: {text.strip()!r}", token=token)
@@ -421,6 +398,15 @@ def _parse_number(token: str, context: str) -> float:
         ) from None
 
 
+def _finite(x: object) -> float | None:
+    """``float(x)`` where that is finite, else None."""
+    try:
+        x = float(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return x if math.isfinite(x) else None
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
@@ -432,8 +418,8 @@ def eval_mean(spec: MeanSpec, v: Sequence[float], domain: Interval = REALS) -> f
     :class:`DomainViolation` when the vector is unusable; otherwise the
     result satisfies internality up to rounding.
     """
-    positive = spec.requires_positive
-    return _eval(spec, v, domain, _kernel(spec), positive, admissible(domain, positive))
+    kernel, _, positive = _row(spec)
+    return _eval(spec, v, domain, kernel, positive, admissible(domain, positive))
 
 
 def _eval(spec: MeanSpec, v: Sequence[float], domain: Interval, kernel: Callable[..., float],
@@ -532,8 +518,17 @@ def _arithmetic(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
         return math.fsum(x / n for x in v)
 
 
+def _pair_arithmetic(x: float, y: float) -> float:
+    s = x + y  # fsum of two floats is their rounded sum; on overflow it sums the halves
+    return s / 2 if -math.inf < s < math.inf else x / 2 + y / 2
+
+
 def _geometric(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
     return math.exp(math.fsum(map(math.log, v) if logs is None else logs) / len(v))
+
+
+def _pair_geometric(x: float, y: float) -> float:
+    return math.exp((math.log(x) + math.log(y)) / 2)
 
 
 def _harmonic(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
@@ -551,9 +546,13 @@ def _harmonic(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
     return h
 
 
+def _pair_harmonic(x: float, y: float) -> float:
+    h = 2 / (1 / x + 1 / y)
+    return _harmonic(None, (x, y)) if h == 0.0 or h == math.inf else h  # rescued there
+
+
 def _power_mean(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
-    # power:t, or quasi:power:t, which is the same mean
-    t = spec.exponent if spec.kind == "power" else spec.generator.parameter
+    t = spec.exponent  # power:t, or quasi:power:t, which is the same mean
     if abs(t) < POWER_ZERO_CUTOFF:
         return _geometric(spec, v, logs)
     logs = [*map(math.log, v)] if logs is None else logs
@@ -608,40 +607,47 @@ def _projection(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
     return v[spec.index - 1]
 
 
-#: Mean kind -> kernel(spec, v, logs).  A quasi-arithmetic mean runs the
-#: kernel it equals, found under ``quasi:<generator name>``.  A mapping's step
-#: gathers its projections itself.  Only the log-space kernels read
+#: The catalog: one row per mean kind, and per generator under
+#: ``quasi:<generator>``, where a quasi-arithmetic mean runs the kernel of the
+#: mean it equals.  A row is ``(kernel(spec, v, logs), f(x, y), positive)``:
+#: ``f`` is the kernel's closed form at p = 2, with its bits, or None (a p = 2
+#: median is the midpoint, which is the arithmetic mean), and ``positive``
+#: says whether the mean requires strictly positive coordinates.  A mapping's
+#: step gathers its projections itself.  Only the log-space kernels read
 #: ``logs``; the others take it so that a step can call all kernels alike.
 #: A mapping pickles by rebuilding through its ``__init__``, so what is
 #: bound here never needs to pickle.
-_KERNELS: dict[str, Callable[..., float]] = {
-    "arithmetic": _arithmetic,
-    "geometric": _geometric,
-    "harmonic": _harmonic,
-    "power": _power_mean,
-    "quasi:identity": _arithmetic,
-    "quasi:log": _geometric,
-    "quasi:exp": _log_mean_exp,
-    "quasi:power": _power_mean,
-    "median": _median,
-    "min": _minimum,
-    "max": _maximum,
-    "weighted_arithmetic": _weighted,
-    "projection": _projection,
+_CATALOG: dict[str, tuple] = {
+    "arithmetic": (_arithmetic, _pair_arithmetic, False),
+    "geometric": (_geometric, _pair_geometric, True),
+    "harmonic": (_harmonic, _pair_harmonic, True),
+    "power": (_power_mean, None, True),
+    "quasi:identity": (_arithmetic, _pair_arithmetic, False),
+    "quasi:log": (_geometric, _pair_geometric, True),
+    "quasi:exp": (_log_mean_exp, None, False),
+    "quasi:power": (_power_mean, None, True),
+    "median": (_median, _pair_arithmetic, False),
+    "min": (_minimum, min, False),
+    "max": (_maximum, max, False),
+    "weighted_arithmetic": (_weighted, None, False),
+    "projection": (_projection, None, False),
 }
 _LOG_KERNELS = {_geometric, _power_mean}  # the kernels that work on log(x)
 
 
+def _row(spec: MeanSpec) -> tuple:
+    """``spec``'s row of :data:`_CATALOG`; callers look it up once, up front."""
+    return _CATALOG[spec.kind if spec.generator is None else "quasi:" + spec.generator]
+
+
 def _kernel(spec: MeanSpec) -> Callable[..., float]:
-    """``kernel(spec, v, logs=None)`` for ``spec``; callers look it up once, up front."""
-    if spec.kind == "quasi_arithmetic":
-        return _KERNELS["quasi:" + spec.generator.name]
-    return _KERNELS[spec.kind]
+    """``kernel(spec, v, logs=None)`` for ``spec``."""
+    return _row(spec)[0]
 
 
 def mean_callable(spec: MeanSpec, domain: Interval = REALS) -> Callable[[Sequence[float]], float]:
     """Bind a spec and domain into a plain ``f(v) -> float``; the kernel is bound once."""
-    kernel, positive = _kernel(spec), spec.requires_positive
+    kernel, _, positive = _row(spec)
     bounds = admissible(domain, positive)
 
     def fn(v: Sequence[float]) -> float:

@@ -62,7 +62,7 @@ def catalog_mappings() -> list[MeanTypeMapping]:
             (MeanSpec.quasi_arithmetic("exp", 2), MeanSpec.quasi_arithmetic("identity", 2)),
             reals, name="quasi-exp-id"),
         MeanTypeMapping(
-            (MeanSpec.quasi_arithmetic("power", 2, parameter=2.0), MeanSpec.geometric(2)),
+            (MeanSpec.quasi_arithmetic("power", 2, exponent=2.0), MeanSpec.geometric(2)),
             POSITIVE, name="quasi-power-geom"),
         MeanTypeMapping(
             (MeanSpec.median(3), MeanSpec.arithmetic(3), MeanSpec.maximum(3)),

@@ -171,6 +171,15 @@ class TestFloatEdges:
                        "[1.7976931348623157e+308, inf): its sampling box is the single point "
                        "1.7976931348623157e+308\n")
 
+    @pytest.mark.parametrize("command", ["uniqueness", "residual"])
+    @pytest.mark.parametrize("domain", ["(1, 1.000000000001)", "(0, 1e-320)"])
+    def test_samples_of_a_narrow_open_domain_stay_inside(self, capsys, tmp_path, command, domain):
+        # the open endpoints' inset is lost to rounding: the samples held an endpoint
+        path = tmp_path / "narrow.cfg"
+        path.write_text(f"p = 2\ndomain = {domain}\ncomponents = arithmetic, max\n")
+        code, out, err = run(capsys, command, "--mapping", str(path), "--samples", "20")
+        assert (code, err) == (0, "")
+
     def test_contractive_probe_that_tests_nothing_is_one(self, capsys, tmp_path):
         # every sample of this domain is within 1e-10 of constant, so every one is skipped
         path = tmp_path / "narrow.cfg"

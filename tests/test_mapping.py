@@ -40,8 +40,8 @@ from meantype import (
     star_apply,
 )
 from meantype.invariant import _solve
-from meantype.mapping import _PAIRS, DEFAULT_CAP, _bind_step, _check_cap, _search_n0
-from meantype.means import _kernel, float_vector
+from meantype.mapping import DEFAULT_CAP, _bind_step, _check_cap, _search_n0
+from meantype.means import _CATALOG, _kernel, float_vector
 from conftest import POSITIVE, catalog_mappings
 
 
@@ -219,16 +219,20 @@ PAIR_COORDS = st.one_of(
 )
 
 
+#: The catalog keys with a p = 2 closed form, all of them parseable mean forms.
+PAIR_KINDS = sorted(key for key, (_, pair, _) in _CATALOG.items() if pair)
+
+
 def _count_kernel_calls(monkeypatch):
-    """Replace ``means._KERNELS`` with entries that append their key to the
-    returned list when called; mappings built afterwards bind them."""
+    """Replace the kernels of ``means._CATALOG`` with ones that append their
+    key to the returned list when called; mappings built afterwards bind them."""
     calls = []
 
     def counted(key, kernel):
         return lambda *args: calls.append(key) or kernel(*args)
 
-    table = {key: counted(key, kernel) for key, kernel in meantype.means._KERNELS.items()}
-    monkeypatch.setattr(meantype.means, "_KERNELS", table)
+    table = {key: (counted(key, kernel), *rest) for key, (kernel, *rest) in _CATALOG.items()}
+    monkeypatch.setattr(meantype.means, "_CATALOG", table)
     return calls
 
 
@@ -295,7 +299,7 @@ class TestApply:
         assert sorted(x for x in logged if x in v) == list(v)
 
     @settings(max_examples=1000, deadline=None)
-    @given(st.sampled_from(sorted(_PAIRS)), st.sampled_from(sorted(_PAIRS)),
+    @given(st.sampled_from(PAIR_KINDS), st.sampled_from(PAIR_KINDS),
            PAIR_COORDS, PAIR_COORDS, st.booleans(), st.booleans())
     @example("arithmetic", "max", 1.7e308, 1.6e308, False, False)  # x + y overflows
     @example("median", "quasi:identity", 1.7e308, 1.6e308, True, True)  # to -inf
@@ -342,9 +346,8 @@ class TestApply:
                 reads.append(kind)
                 return super().__getitem__(kind)
 
-        table = CountingTable(meantype.means._KERNELS)
-        monkeypatch.setattr(meantype.means, "_KERNELS", table)
-        monkeypatch.setattr(meantype.mapping, "_KERNELS", table, raising=False)
+        table = CountingTable(_CATALOG)
+        monkeypatch.setattr(meantype.means, "_CATALOG", table)
         mappings = catalog_mappings()
         mixed_sign = MeanTypeMapping(
             (MeanSpec.arithmetic(3), MeanSpec.median(3), MeanSpec.power(2.0, 3)), Interval())
@@ -887,6 +890,29 @@ class TestSampler:
         message = f"^cannot draw 7 nonconstant samples from domain {re.escape(str(dom))}: "
         with pytest.raises(DomainViolation, match=message):
             next(sample_vectors(dom, 2, 7))
+
+    @pytest.mark.parametrize("dom", [
+        Interval(1.0, 1.000000000001),  # the inset is below half an ulp of either end
+        Interval(0.0, 1e-320),  # the inset rounds to 0.0
+    ], ids=["narrow", "subnormal"])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_inset_lost_to_rounding_keeps_open_ends_out(self, dom, p):
+        lo, hi = dom.sampling_box()
+        assert lo < hi and dom.contains(lo) and dom.contains(hi)
+        vs = list(sample_vectors(dom, p, 50, seed=5))
+        assert all(dom.contains(x) for v in vs for x in v)
+
+    @pytest.mark.parametrize("upper, box", [
+        (1.0000000000000004, "the single point 1.0000000000000002"),  # one float inside
+        (1.0000000000000002, "empty"),  # no float inside
+    ], ids=["one-float", "no-float"])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_open_domain_of_fewer_than_two_floats_raises_before_a_sample(self, upper, box, p):
+        dom = Interval(1.0, upper)
+        message = (f"^cannot draw 7 nonconstant samples from domain {re.escape(str(dom))}: "
+                   f"its sampling box is {box}$")
+        with pytest.raises(DomainViolation, match=message):
+            next(sample_vectors(dom, p, 7))
 
     def test_endpoint_beyond_the_cut_keeps_its_box(self):
         # only a box that collapsed is widened: this one is 2 * SAMPLING_EXTENT wide, inset

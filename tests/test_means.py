@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,11 +15,10 @@ from meantype import (
     NonFiniteInput,
     ParseError,
     eval_mean,
-    make_generator,
     parse_interval,
     parse_mean,
 )
-from meantype.means import REALS, admissible, check_vector
+from meantype.means import GENERATORS, KINDS, REALS, admissible, check_vector
 
 POSITIVE = Interval(0.0, math.inf)
 UNIT = Interval(0.0, 1.0, lower_closed=True, upper_closed=True)
@@ -40,7 +40,7 @@ def all_specs(p: int) -> list[MeanSpec]:
         MeanSpec.quasi_arithmetic("identity", p),
         MeanSpec.quasi_arithmetic("log", p),
         MeanSpec.quasi_arithmetic("exp", p),
-        MeanSpec.quasi_arithmetic("power", p, parameter=3.0),
+        MeanSpec.quasi_arithmetic("power", p, exponent=3.0),
         MeanSpec.median(p),
         MeanSpec.minimum(p),
         MeanSpec.maximum(p),
@@ -351,7 +351,7 @@ class TestFloatEdges:
     def test_catalog_internal_or_mean_type_error(self, v):
         lo, hi = min(v), max(v)
         specs = all_specs(len(v)) + [MeanSpec.power(t, len(v)) for t in (400.0, 1e308, -1e308)]
-        specs.append(MeanSpec.quasi_arithmetic("power", len(v), parameter=1e308))
+        specs.append(MeanSpec.quasi_arithmetic("power", len(v), exponent=1e308))
         for spec in specs:
             try:
                 value = eval_mean(spec, v)
@@ -430,10 +430,9 @@ class TestGenerators:
     ])
     def test_kernel_matches_definition(self, name, param, probes):
         g, g_inv = _GENERATOR_DEFINITIONS[name]
-        gen = make_generator(name, param)
         expected = g_inv(math.fsum(g(x, param) for x in probes) / len(probes), param)
-        spec = MeanSpec.quasi_arithmetic(gen, len(probes))
-        value = eval_mean(spec, probes, gen.domain)
+        spec = MeanSpec.quasi_arithmetic(name, len(probes), param)
+        value = eval_mean(spec, probes, POSITIVE if spec.requires_positive else REALS)
         assert value == pytest.approx(expected, abs=1e-12, rel=1e-12)
 
     @pytest.mark.parametrize("name,param,positive", [
@@ -441,20 +440,20 @@ class TestGenerators:
         ("log", None, True), ("power", 3.0, True),
     ])
     def test_positivity_follows_generator_domain(self, name, param, positive):
-        spec = MeanSpec.quasi_arithmetic(name, 2, parameter=param)
+        spec = MeanSpec.quasi_arithmetic(name, 2, exponent=param)
         assert spec.requires_positive is positive
 
     def test_power_zero_rejected(self):
         with pytest.raises(InvalidMeanSpec):
-            make_generator("power", 0.0)
+            MeanSpec.quasi_arithmetic("power", 2, 0.0)
         with pytest.raises(InvalidMeanSpec):
-            make_generator("power", math.inf)
+            MeanSpec.quasi_arithmetic("power", 2, math.inf)
         with pytest.raises(InvalidMeanSpec):
-            make_generator("power")
+            MeanSpec.quasi_arithmetic("power", 2)
 
     def test_unknown_generator(self):
         with pytest.raises(InvalidMeanSpec):
-            make_generator("sinh")
+            MeanSpec.quasi_arithmetic("sinh", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +479,87 @@ class TestMeanSpecValidation:
     def test_weight_length_must_match_arity(self):
         with pytest.raises(InvalidMeanSpec):
             MeanSpec.weighted_arithmetic((0.5, 0.5), arity=3)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"generator": "sinh"}, "unknown generator 'sinh'"),
+        ({"generator": "power"}, "power generator requires an exponent"),
+        ({"generator": "power", "exponent": 0}, "must be finite and nonzero, got 0"),
+        ({"generator": "power", "exponent": math.inf}, "must be finite and nonzero, got inf"),
+        ({"generator": "power", "exponent": math.nan}, "must be finite and nonzero, got nan"),
+        ({"generator": "log", "exponent": 2.0}, "generator 'log' takes no parameter"),
+        ({"generator": "identity", "exponent": 3.0}, "generator 'identity' takes no parameter"),
+        ({"generator": "log", "index": 1}, "mean 'quasi_arithmetic' takes no index"),
+    ])
+    def test_bad_generator_rejected(self, kwargs, message):
+        with pytest.raises(InvalidMeanSpec, match=re.escape(message)):
+            MeanSpec("quasi_arithmetic", 2, **kwargs)
+
+    @pytest.mark.parametrize("kind,kwargs,field", [
+        ("arithmetic", {"exponent": 3.0}, "exponent"),
+        ("median", {"generator": "log"}, "generator"),
+        ("power", {"exponent": 2.0, "index": 1}, "index"),
+        ("projection", {"index": 1, "weights": (0.5, 0.5)}, "weights"),
+        ("weighted_arithmetic", {"weights": (0.5, 0.5), "exponent": 1.0}, "exponent"),
+    ])
+    def test_field_the_kind_does_not_take_rejected(self, kind, kwargs, field):
+        with pytest.raises(InvalidMeanSpec, match=f"^mean {kind!r} takes no {field}, got "):
+            MeanSpec(kind, 2, **kwargs)
+
+    @pytest.mark.parametrize("kind,kwargs", [
+        ("power", {"exponent": "two"}),
+        ("projection", {"index": 1.0}),
+        ("projection", {"index": True}),
+        ("weighted_arithmetic", {"weights": ("a", 1.0)}),
+        ("weighted_arithmetic", {"weights": 0.5}),
+    ])
+    def test_field_of_the_wrong_type_rejected(self, kind, kwargs):
+        with pytest.raises(InvalidMeanSpec):
+            MeanSpec(kind, 2, **kwargs)
+
+
+def _specs_three_ways(p: int) -> list[tuple[str, MeanSpec, MeanSpec, MeanSpec]]:
+    """Every kind and generator at arity ``p``, as ``(text, by the constructor,
+    by a classmethod, by the parser)``; the constructor gets ints and lists."""
+    w = [0.5] + [0.5 / (p - 1)] * (p - 1)
+    weights = "weighted:" + ",".join(map(repr, w))
+    return [
+        ("arithmetic", MeanSpec("arithmetic", p), MeanSpec.arithmetic(p)),
+        ("geometric", MeanSpec("geometric", p), MeanSpec.geometric(p)),
+        ("harmonic", MeanSpec("harmonic", p), MeanSpec.harmonic(p)),
+        ("power:2.0", MeanSpec("power", p, 2), MeanSpec.power(2, p)),
+        ("quasi:identity", MeanSpec("quasi_arithmetic", p, generator="identity"),
+         MeanSpec.quasi_arithmetic("identity", p)),
+        ("quasi:log", MeanSpec("quasi_arithmetic", p, generator="log"),
+         MeanSpec.quasi_arithmetic("log", p)),
+        ("quasi:exp", MeanSpec("quasi_arithmetic", p, generator="exp"),
+         MeanSpec.quasi_arithmetic("exp", p)),
+        ("quasi:power:-3.0", MeanSpec("quasi_arithmetic", p, -3, "power"),
+         MeanSpec.quasi_arithmetic("power", p, -3)),
+        ("median", MeanSpec("median", p), MeanSpec.median(p)),
+        ("min", MeanSpec("min", p), MeanSpec.minimum(p)),
+        ("max", MeanSpec("max", p), MeanSpec.maximum(p)),
+        (f"projection:{p}", MeanSpec("projection", p, index=p), MeanSpec.projection(p, p)),
+        (weights, MeanSpec("weighted_arithmetic", p, weights=w),
+         MeanSpec.weighted_arithmetic(w)),
+    ]
+
+
+class TestCanonicalForm:
+    def test_covers_every_kind_and_generator(self):
+        texts = [text for text, *_ in _specs_three_ways(2)]
+        kinds = {parse_mean(text, 2).kind for text in texts}
+        generators = {parse_mean(text, 2).generator for text in texts} - {None}
+        assert sorted(kinds) == sorted(KINDS) and sorted(generators) == sorted(GENERATORS)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_every_route_round_trips(self, p):
+        for text, built, classmethod_built in _specs_three_ways(p):
+            parsed = parse_mean(text, p)
+            for spec in (built, classmethod_built, parsed):
+                assert spec.canonical() == text
+                again = parse_mean(spec.canonical(), p)
+                assert again == spec and hash(again) == hash(spec), text
+                assert repr(again) == repr(spec), text
 
 
 class TestParsing:

@@ -15,7 +15,7 @@ import pytest
 from meantype.decompose import DecompositionReport, InvariantFunction
 from meantype.invariant import InvariantEstimate
 from meantype.mapping import ContractivityVerdict, IterationTrace, MeanTypeMapping, TraceStep
-from meantype.means import Generator, Interval, MeanSpec
+from meantype.means import Interval, MeanSpec
 
 POS = Interval(0.0, math.inf)
 POS_REPR = "Interval(lower=0.0, upper=inf, lower_closed=False, upper_closed=False)"
@@ -35,12 +35,6 @@ CASES = {
         Interval(lower=-math.inf, upper=math.inf, lower_closed=False, upper_closed=False),
         POS,
         "Interval(lower=-inf, upper=inf, lower_closed=False, upper_closed=False)",
-    ),
-    "Generator": (
-        Generator("log", POS),
-        Generator(name="log", domain=POS, parameter=None),
-        Generator("power", POS, 2.0),
-        f"Generator(name='log', domain={POS_REPR}, parameter=None)",
     ),
     "MeanSpec": (
         ARITH,
@@ -145,12 +139,6 @@ def test_frozen_rejects_assignment_and_deletion(name):
     assert repr(value) == text
 
 
-def test_generator_equality_ignores_domain():
-    a, b = Generator("log", POS), Generator("log", Interval())
-    assert a == b and hash(a) == hash(b)
-    assert repr(a) != repr(b)
-
-
 def test_mapping_equality_ignores_bound_kernels():
     a = MeanTypeMapping([ARITH, GEOM], POS, "agm")
     assert a.components == (ARITH, GEOM)
@@ -161,7 +149,7 @@ def test_mapping_equality_ignores_bound_kernels():
 
 @pytest.mark.parametrize("value", [
     Interval(1.0, 10.0, True, False),
-    MeanSpec.quasi_arithmetic("power", 3, parameter=0.5),
+    MeanSpec.quasi_arithmetic("power", 3, 0.5),
     MeanSpec.weighted_arithmetic([0.25, 0.75]),
     AGM,
     InvariantEstimate(1.5, 4, 0.0, "converged", IterationTrace(AGM, [STEP])),
