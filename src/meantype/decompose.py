@@ -23,7 +23,7 @@ from . import invariant  # K solves run invariant._solve, looked up per call
 from .errors import DomainViolation, InvalidMapping, ParseError
 from .invariant import DEFAULT_MAX_ITER, DEFAULT_TOL, _check_iteration, _read, over_samples
 from .mapping import MeanTypeMapping, sample_vectors  # noqa: F401 -- bench/spans.py patches it here
-from .means import mean_callable, parse_mean
+from .means import mean_callable, midpoint, parse_mean
 
 
 class InvariantFunction(FrozenRecord):
@@ -231,7 +231,7 @@ def verify_decomposition(
         fv = f(v)
         invariance = abs(f(mapping.apply(v)) - fv)
         n, final, d, done = solve(mapping, v, tol, max_iter, False)  # K(v), mid readout
-        return invariance, abs(phi(_read(final, d, "mid")) - fv), n, done
+        return invariance, abs(phi(_read(final, d, midpoint)) - fv), n, done
 
     rows = over_samples(row, mapping.domain, mapping.p, sample_count, seed)
     steps = [n for _, _, n, _ in rows]

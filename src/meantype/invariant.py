@@ -15,10 +15,12 @@ observed.
 
 Every run is one ``_solve``: the plain loop ``mapping._gauss_run``, which
 the n0 search runs too, and the only place the stop rule is written.  It
-makes no generator and checks each iterate in one expression.
-:func:`gauss_iterate` wraps a run in an :class:`InvariantEstimate`; the
-sampling probes call ``_solve`` per sample with parameters read once per
-probe, and build no result object.
+makes no generator and checks each iterate in one expression; a p = 2
+pair with closed forms (the AGM, arithmetic-harmonic) iterates there on
+two floats, with no tuple per step.  :func:`gauss_iterate` wraps a run
+in an :class:`InvariantEstimate`; the sampling probes call ``_solve`` per
+sample with parameters and readout functions resolved once per probe,
+and build no result object.
 """
 
 from __future__ import annotations
@@ -56,9 +58,10 @@ def _check_iteration(tol: float, max_iter: int, readout: str) -> None:
         raise InvalidMapping(f"unknown readout {readout!r}; available: {READOUTS}")
 
 
-def _read(current: Vector, d: float, readout: str) -> float:
-    """``readout`` of an iterate of diameter ``d``; a constant one reads its coordinate."""
-    return current[0] if d == 0.0 else _READERS[readout](current)
+def _read(current: Vector, d: float, read: Callable[[Vector], float]) -> float:
+    """``read(current)`` for an iterate of diameter ``d``, where ``read`` is a
+    value of :data:`_READERS`; a constant one reads its coordinate."""
+    return current[0] if d == 0.0 else read(current)
 
 
 class InvariantEstimate(FrozenRecord):
@@ -108,7 +111,7 @@ def gauss_iterate(
     steps = [] if keep_trace else None
     n, current, d, done = _solve(mapping, v, tol, max_iter, relative, steps)
     trace = IterationTrace(mapping, [TraceStep(*s) for s in steps]) if keep_trace else None
-    return InvariantEstimate(_read(current, d, readout), n, d,
+    return InvariantEstimate(_read(current, d, _READERS[readout]), n, d,
                              CONVERGED if done else MAX_ITER_REACHED, trace)
 
 
@@ -200,19 +203,19 @@ def _residual_at(k: MeanFn, mapping: MeanTypeMapping) -> Callable[[Vector], floa
     """
     if type(k) is not InvariantMean or k.mapping is not mapping:
         return lambda v: abs(k(mapping.apply(v)) - k(v))
-    tol, max_iter, relative, readout = k.tol, k.max_iter, k.relative, k.readout
+    tol, max_iter, relative, read = k.tol, k.max_iter, k.relative, _READERS[k.readout]
 
     def residual(v: Vector) -> float:
         n, final, d, done = _solve(mapping, mapping.apply(v), tol, max_iter, relative)
-        k_w = _read(final, d, readout)
+        k_w = _read(final, d, read)
         _, v, d, stops = _solve(mapping, v, tol, 0, relative)  # does v meet the rule?
         if stops:
-            k_v = _read(v, d, readout)
+            k_v = _read(v, d, read)
         elif done and n < max_iter:
             k_v = k_w  # the same final iterate, one step later
         else:
             _, final, d, _ = _solve(mapping, v, tol, max_iter, relative)
-            k_v = _read(final, d, readout)
+            k_v = _read(final, d, read)
         return abs(k_w - k_v)
 
     return residual
@@ -242,18 +245,19 @@ def _gap_at(k1: MeanFn, k2: MeanFn) -> Callable[[Vector], float]:
 
     Two :class:`InvariantMean` objects on one mapping object with equal
     ``tol``, ``max_iter`` and ``relative`` run the same iteration; they
-    differ at most in the readout, so one solve serves both.
+    differ at most in the readout, so one solve serves both; a constant
+    final iterate reads the same value twice, so its gap is 0.0.
     """
     if not (type(k1) is type(k2) is InvariantMean and k1.mapping is k2.mapping
             and k1.tol == k2.tol and k1.max_iter == k2.max_iter
             and k1.relative == k2.relative):
         return lambda v: abs(k1(v) - k2(v))
     mapping, tol, max_iter, relative = k1.mapping, k1.tol, k1.max_iter, k1.relative
-    r1, r2 = k1.readout, k2.readout
+    read1, read2 = _READERS[k1.readout], _READERS[k2.readout]
 
     def gap(v: Vector) -> float:
         _, final, d, _ = _solve(mapping, v, tol, max_iter, relative)
-        return abs(_read(final, d, r1) - _read(final, d, r2))
+        return 0.0 if d == 0.0 else abs(read1(final) - read2(final))
 
     return gap
 

@@ -43,8 +43,6 @@ from .means import (
     Vector,
     _LOG_KERNELS,
     _kernel,
-    _row,
-    admissible,
     check_vector,
     eval_mean,  # noqa: F401 -- bench/spans.py patches it here
     float_vector,
@@ -54,8 +52,9 @@ from .means import (
     sample_vectors,
 )
 
-#: Sampled vectors with diameter at or below this are treated as constant
-#: noise and skipped by the contractivity probe.
+#: Sampled vectors with diameter at or below this, times the width of the
+#: sampling box where that is below 1, are treated as constant noise and
+#: skipped by the contractivity probe.
 NEGLIGIBLE_DIAMETER = 1e-9
 
 DEFAULT_CAP = 1000
@@ -80,11 +79,13 @@ def diameter(v: Sequence[float]) -> float:
 class MeanTypeMapping(FrozenRecord):
     """An ordered tuple of p means of arity p over a shared interval."""
 
-    # Bound once here, so that apply reads no spec field or kernel table:
-    # _step, v -> M(v) (:func:`_bind_step`); _positive, the first component
-    # that requires positive coordinates (or None); _bounds, the least and
-    # greatest valid coordinates (:func:`admissible`).  None is compared or shown.
-    __slots__ = ("components", "domain", "name", "_step", "_positive", "_bounds")
+    # Bound once here, so that apply and the Gauss loop read no spec field or
+    # kernel table: _step, v -> M(v) (:func:`_bind_step`); _pair, the closed
+    # forms (f0, f1) of a p = 2 mapping that has them (:func:`_closed_pair`),
+    # else None; _p, the arity; _positive, the first component that requires
+    # positive coordinates (or None); _bounds, the least and greatest valid
+    # coordinates (``means.admissible``).  None is compared or shown.
+    __slots__ = ("components", "domain", "name", "_step", "_pair", "_p", "_positive", "_bounds")
     _fields = ("components", "domain", "name")
 
     def __init__(self, components: Sequence[MeanSpec], domain: Interval,
@@ -102,9 +103,11 @@ class MeanTypeMapping(FrozenRecord):
         set_field(self, "domain", domain)
         set_field(self, "name", name)
         set_field(self, "_step", _bind_step(components))
+        set_field(self, "_pair", _closed_pair(components))
+        set_field(self, "_p", p)
         positive = next((i for i, spec in enumerate(components) if spec.requires_positive), None)
         set_field(self, "_positive", positive)
-        set_field(self, "_bounds", admissible(domain, positive is not None))
+        set_field(self, "_bounds", domain._admissible[positive is not None])
 
     @property
     def p(self) -> int:
@@ -164,19 +167,26 @@ class MeanTypeMapping(FrozenRecord):
         return f"({comps}) on {self.domain}"
 
 
+def _closed_pair(specs: Sequence[MeanSpec]) -> tuple[Callable, Callable] | None:
+    """``(f0, f1)`` for a p = 2 mapping whose components both have a closed
+    form in their catalog row (``means._CATALOG``: arithmetic, geometric,
+    harmonic, median, min, max, quasi:identity, quasi:log), else None."""
+    if len(specs) == 2 and all(pair := [spec._row[1] for spec in specs]):
+        return tuple(pair)
+    return None
+
+
 def _bind_step(specs: Sequence[MeanSpec]) -> Callable[[Vector], Vector]:
     """``v -> (M_1(v), ..., M_p(v))`` for a checked, nonconstant ``v``; p >= 2.
 
-    A p = 2 mapping whose components all have a closed form in their
-    catalog row (``means._CATALOG``: arithmetic, geometric, harmonic,
-    median, min, max, quasi:identity, quasi:log) steps as
+    A p = 2 mapping with closed forms (:func:`_closed_pair`) steps as
     ``(f0(x, y), f1(x, y))``, with the bits of the general kernels.
     Otherwise, with two or more log-space means, log(x) is taken once per
     coordinate and passed to every kernel (the same float operations, so
     the same bits), and one item getter gathers projections and kernel
     results in order.
     """
-    if len(specs) == 2 and all(pair := [_row(spec)[1] for spec in specs]):
+    if pair := _closed_pair(specs):
         f0, f1 = pair
 
         def step(v: Vector) -> Vector:
@@ -238,19 +248,49 @@ def _gauss_run(mapping: MeanTypeMapping, v: Sequence[float], tol: float | None, 
     ``abs(x - y)``, which NaN fails and which equals ``max - min`` to the
     bit; for p >= 3, the ``len``/``sum``/``min``/``max`` pass of
     :func:`check_vector`), and a valid one maps through the bound step.
-    Any other goes through :func:`diameter` and
+    A p = 2 mapping with closed forms (``_pair``) runs the scalar loop: it
+    keeps ``x, y`` as two floats, steps as ``x, y = f0(x, y), f1(x, y)``
+    and builds a tuple only for ``keep`` and the result.  Every other
+    mapping runs the tuple loop through ``_step``.  In both, an invalid
+    iterate goes through :func:`diameter` and
     :meth:`MeanTypeMapping.apply`, which name the error, with the step
     prepended; an invalid start raises what step 1 raises even where it
     meets the stop rule.
     """
-    p, step, (a, b) = mapping.p, mapping._step, mapping._bounds
-    v = float_vector(v)
-    pair = p == len(v) == 2
+    p, pair, (a, b) = mapping._p, mapping._pair, mapping._bounds
+    try:
+        v = tuple(map(float, v))
+    except OverflowError:  # an int beyond the float range: named there
+        v = float_vector(v)
     # tol=None: step 0 stops nothing but a constant start, and sets the bound to its diameter
     bound, stop_at = (0.0, 0) if tol is None else (tol, limit)
     n = 0
+    if pair and len(v) == 2:
+        f0, f1 = pair
+        x, y = v
+        while True:
+            if valid := (a <= x <= b and a <= y <= b):
+                d = abs(x - y)
+            else:
+                d = diameter((x, y))
+                if n == 0:
+                    _apply_at(mapping, (x, y), 1)
+            if keep is not None:
+                keep.append((n, (x, y), d))
+            if d == 0.0 or d < (bound * abs(midpoint((x, y))) if relative else bound):
+                return n, (x, y), d, True
+            if n == stop_at:
+                if tol is not None or n == limit:
+                    return n, (x, y), d, False
+                bound, stop_at = d, limit
+            n += 1
+            if valid:
+                x, y = f0(x, y), f1(x, y)
+            else:
+                x, y = _apply_at(mapping, (x, y), n)
+    step, two = mapping._step, p == len(v) == 2
     while True:
-        if pair:
+        if two:
             x, y = v
             valid = a <= x <= b and a <= y <= b
             d = abs(x - y)
@@ -375,16 +415,19 @@ def probe_contractivity(
     The sample stream starts with deterministic stress vectors
     (near-constant, one-outlier, alternating extremes) and continues
     uniformly on a compact sub-box of the domain.  Vectors of negligible
-    diameter and samples that raise evaluation errors are skipped and
-    counted; a probe that skips every sample has tested nothing and raises
+    diameter (``NEGLIGIBLE_DIAMETER``, scaled down on a box narrower than
+    1) and samples that raise evaluation errors are skipped and counted; a
+    probe that skips every sample has tested nothing and raises
     :class:`MeanTypeError`.
     """
     if sample_count < 1:
         raise InvalidMapping(f"sample_count must be >= 1, got {sample_count}")
+    lo, hi = mapping.domain.sampling_box()
+    negligible = NEGLIGIBLE_DIAMETER * min(1.0, hi - lo)
     skipped = 0
     tested = 0
     for v in sample_vectors(mapping.domain, mapping.p, sample_count, seed):
-        if diameter(v) <= NEGLIGIBLE_DIAMETER:
+        if diameter(v) <= negligible:
             skipped += 1
             continue
         try:
@@ -398,7 +441,7 @@ def probe_contractivity(
     if not tested:
         raise MeanTypeError(
             f"contractivity probe tested none of its {sample_count} samples on domain "
-            f"{mapping.domain}: each had diameter <= {NEGLIGIBLE_DIAMETER!r} or failed to evaluate")
+            f"{mapping.domain}: each had diameter <= {negligible!r} or failed to evaluate")
     return ContractivityVerdict(mapping, None, tested, skipped)
 
 

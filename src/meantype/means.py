@@ -51,6 +51,15 @@ SAMPLING_EXTENT = 100.0
 # Interval
 # ---------------------------------------------------------------------------
 
+def admissible(domain: Interval, positive: bool) -> tuple[float, float]:
+    """``(a, b)`` with ``a <= x <= b`` exactly for the floats x in ``domain``,
+    and > 0 if ``positive``: an open end moves to its neighbouring float.
+    NaN fails both comparisons; with no such float, ``a > b``."""
+    a = domain.lower if domain.lower_closed else math.nextafter(domain.lower, math.inf)
+    b = domain.upper if domain.upper_closed else math.nextafter(domain.upper, -math.inf)
+    return (max(a, 5e-324) if positive else a), b
+
+
 class Interval(FrozenRecord):
     """A nondegenerate subinterval of the reals, endpoints possibly infinite.
 
@@ -58,7 +67,10 @@ class Interval(FrozenRecord):
     endpoints belong to the interval.  Infinite endpoints are always open.
     """
 
-    __slots__ = _fields = ("lower", "upper", "lower_closed", "upper_closed")
+    # _admissible: (admissible(self, False), admissible(self, True)), bound
+    # once, so that no evaluation runs nextafter; not compared or shown.
+    __slots__ = ("lower", "upper", "lower_closed", "upper_closed", "_admissible")
+    _fields = ("lower", "upper", "lower_closed", "upper_closed")
 
     def __init__(self, lower: float = -math.inf, upper: float = math.inf,
                  lower_closed: bool = False, upper_closed: bool = False):
@@ -76,6 +88,7 @@ class Interval(FrozenRecord):
         set_field(self, "upper", upper)
         set_field(self, "lower_closed", lower_closed)
         set_field(self, "upper_closed", upper_closed)
+        set_field(self, "_admissible", (admissible(self, False), admissible(self, True)))
 
     def contains(self, x: float) -> bool:
         """Membership test consistent with the closedness flags."""
@@ -111,7 +124,7 @@ class Interval(FrozenRecord):
             lo += inset
         if not self.upper_closed or math.isinf(self.upper):
             hi -= inset
-        a, b = admissible(self, False)
+        a, b = self._admissible[0]
         return max(lo, a), min(hi, b)
 
     def __str__(self) -> str:
@@ -172,11 +185,16 @@ def sample_vectors(domain: Interval, p: int, count: int, seed: int = 42) -> Iter
     lead = _stress_vectors(lo, hi, p)[:max(count, 0)]
     yield from lead
     rnd, span = random.Random(seed).random, hi - lo
-    for _ in range(count - len(lead)):
-        if span < math.inf:
-            yield tuple([lo + span * rnd() for _ in range(p)])  # rng.uniform(lo, hi), written out
-        else:  # hi - lo overflows, so lo < 0 < hi, and this convex combination cannot
+    rest = range(count - len(lead))
+    if span == math.inf:  # hi - lo overflows, so lo < 0 < hi, and this convex combination cannot
+        for _ in rest:
             yield tuple([lo * (1.0 - r) + hi * r for r in [rnd() for _ in range(p)]])
+    elif p == 2:  # the generic draw below, unrolled: the same draws in the same order
+        for _ in rest:
+            yield lo + span * rnd(), lo + span * rnd()
+    else:
+        for _ in rest:
+            yield tuple([lo + span * rnd() for _ in range(p)])  # rng.uniform(lo, hi), written out
 
 
 def _stress_vectors(lo: float, hi: float, p: int) -> list[Vector]:
@@ -224,7 +242,9 @@ class MeanSpec(FrozenRecord):
     :func:`parse_mean` forward to it.
     """
 
-    __slots__ = _fields = ("kind", "arity", "exponent", "generator", "index", "weights")
+    # _row: the spec's row of _CATALOG, looked up once; not compared or shown.
+    __slots__ = ("kind", "arity", "exponent", "generator", "index", "weights", "_row")
+    _fields = ("kind", "arity", "exponent", "generator", "index", "weights")
 
     def __init__(self, kind: str, arity: int, exponent: float | None = None,
                  generator: str | None = None, index: int | None = None,
@@ -281,6 +301,7 @@ class MeanSpec(FrozenRecord):
         set_field(self, "generator", generator)
         set_field(self, "index", index)
         set_field(self, "weights", weights)
+        set_field(self, "_row", _CATALOG[kind if generator is None else "quasi:" + generator])
 
     # -- constructors -------------------------------------------------------
 
@@ -331,7 +352,7 @@ class MeanSpec(FrozenRecord):
     @property
     def requires_positive(self) -> bool:
         """True when the mean's natural domain is the strictly positive reals."""
-        return _row(self)[2]
+        return self._row[2]
 
     def canonical(self) -> str:
         """Canonical textual form, parseable by :func:`parse_mean`."""
@@ -418,8 +439,8 @@ def eval_mean(spec: MeanSpec, v: Sequence[float], domain: Interval = REALS) -> f
     :class:`DomainViolation` when the vector is unusable; otherwise the
     result satisfies internality up to rounding.
     """
-    kernel, _, positive = _row(spec)
-    return _eval(spec, v, domain, kernel, positive, admissible(domain, positive))
+    kernel, _, positive = spec._row
+    return _eval(spec, v, domain, kernel, positive, domain._admissible[positive])
 
 
 def _eval(spec: MeanSpec, v: Sequence[float], domain: Interval, kernel: Callable[..., float],
@@ -430,15 +451,6 @@ def _eval(spec: MeanSpec, v: Sequence[float], domain: Interval, kernel: Callable
     if v.count(v[0]) == len(v):
         return v[0]
     return kernel(spec, v)
-
-
-def admissible(domain: Interval, positive: bool) -> tuple[float, float]:
-    """``(a, b)`` with ``a <= x <= b`` exactly for the floats x in ``domain``,
-    and > 0 if ``positive``: an open end moves to its neighbouring float.
-    NaN fails both comparisons; with no such float, ``a > b``."""
-    a = domain.lower if domain.lower_closed else math.nextafter(domain.lower, math.inf)
-    b = domain.upper if domain.upper_closed else math.nextafter(domain.upper, -math.inf)
-    return (max(a, 5e-324) if positive else a), b
 
 
 def float_vector(v: Sequence[float]) -> Vector:
@@ -612,11 +624,12 @@ def _projection(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
 #: mean it equals.  A row is ``(kernel(spec, v, logs), f(x, y), positive)``:
 #: ``f`` is the kernel's closed form at p = 2, with its bits, or None (a p = 2
 #: median is the midpoint, which is the arithmetic mean), and ``positive``
-#: says whether the mean requires strictly positive coordinates.  A mapping's
-#: step gathers its projections itself.  Only the log-space kernels read
+#: says whether the mean requires strictly positive coordinates.  A spec
+#: binds its row when built (``MeanSpec._row``).  A mapping's step gathers
+#: its projections itself.  Only the log-space kernels read
 #: ``logs``; the others take it so that a step can call all kernels alike.
-#: A mapping pickles by rebuilding through its ``__init__``, so what is
-#: bound here never needs to pickle.
+#: Specs and mappings pickle by rebuilding through their ``__init__``, so
+#: what is bound here never needs to pickle.
 _CATALOG: dict[str, tuple] = {
     "arithmetic": (_arithmetic, _pair_arithmetic, False),
     "geometric": (_geometric, _pair_geometric, True),
@@ -635,20 +648,15 @@ _CATALOG: dict[str, tuple] = {
 _LOG_KERNELS = {_geometric, _power_mean}  # the kernels that work on log(x)
 
 
-def _row(spec: MeanSpec) -> tuple:
-    """``spec``'s row of :data:`_CATALOG`; callers look it up once, up front."""
-    return _CATALOG[spec.kind if spec.generator is None else "quasi:" + spec.generator]
-
-
 def _kernel(spec: MeanSpec) -> Callable[..., float]:
     """``kernel(spec, v, logs=None)`` for ``spec``."""
-    return _row(spec)[0]
+    return spec._row[0]
 
 
 def mean_callable(spec: MeanSpec, domain: Interval = REALS) -> Callable[[Sequence[float]], float]:
     """Bind a spec and domain into a plain ``f(v) -> float``; the kernel is bound once."""
-    kernel, _, positive = _row(spec)
-    bounds = admissible(domain, positive)
+    kernel, _, positive = spec._row
+    bounds = domain._admissible[positive]
 
     def fn(v: Sequence[float]) -> float:
         return _eval(spec, v, domain, kernel, positive, bounds)

@@ -180,10 +180,21 @@ class TestFloatEdges:
         code, out, err = run(capsys, command, "--mapping", str(path), "--samples", "20")
         assert (code, err) == (0, "")
 
-    def test_contractive_probe_that_tests_nothing_is_one(self, capsys, tmp_path):
-        # every sample of this domain is within 1e-10 of constant, so every one is skipped
+    @pytest.mark.parametrize("domain", ["(1, 1.000000000001)", "[1, 1.0000000001]"])
+    def test_contractive_probe_tests_a_narrow_domain(self, capsys, tmp_path, domain):
+        # the skip threshold scales with the sampling box: about 4500 floats wide is not noise
         path = tmp_path / "narrow.cfg"
-        path.write_text("p = 2\ndomain = [1, 1.0000000001]\ncomponents = arithmetic, max\n")
+        path.write_text(f"p = 2\ndomain = {domain}\ncomponents = arithmetic, max\n")
+        code, out, err = run(capsys, "contractive-probe", "--mapping", str(path),
+                             "--samples", "20", "--output", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["verdict"] == "no_counterexample" and doc["samples_tested"] > 0
+
+    def test_contractive_probe_that_tests_nothing_is_one(self, capsys, tmp_path):
+        # every sample of the negative half-line fails the geometric mean, so every one is skipped
+        path = tmp_path / "negative.cfg"
+        path.write_text("p = 2\ndomain = (-inf, 0)\ncomponents = arithmetic, geometric\n")
         code, out, err = run(capsys, "contractive-probe", "--mapping", str(path),
                              "--samples", "20")
         assert (code, out) == (1, "")

@@ -12,9 +12,7 @@ from meantype import (
     InvalidMapping,
     InvariantMean,
     MeanSpec,
-    MeanTypeError,
     MeanTypeMapping,
-    TraceStep,
     agm_mapping,
     arithmetic_harmonic_mapping,
     gauss_iterate,
@@ -27,10 +25,9 @@ from meantype import (
 )
 from meantype import invariant as invariant_module
 from meantype.invariant import DEFAULT_MAX_ITER, READOUTS, _gap_at, _residual_at
-from meantype.means import midpoint
 from test_mapping import (
     INVALID_AGM_START_IDS, INVALID_AGM_STARTS, LEAVES_CLOSED, LEAVES_CLOSED_START, STEP_SHAPES,
-    _error, _start_error, orbit_cases,
+    _orbit_run, _run_outcome, _start_error, orbit_cases,
 )
 
 # pi / (2 * integral_0^{pi/2} dt / sqrt(cos^2 t + 4 sin^2 t)), computed by
@@ -163,29 +160,6 @@ class TestGaussIterate:
 # The one Gauss run loop against the orbit walk it replaced
 # ---------------------------------------------------------------------------
 
-def _orbit_solve(mapping, v, tol, max_iter, relative, keep=None):
-    """``_solve`` as it was before the Gauss loop: a walk over ``orbit``."""
-    for n, current, d in mapping.orbit(v):
-        if keep is not None:
-            keep.append(TraceStep(n, current, d))
-        done = d == 0.0 or d < (tol * abs(midpoint(current)) if relative else tol)
-        if done or n == max_iter:
-            return n, current, d, done
-
-
-def _solve_outcome(solve, mapping, v, tol, max_iter, relative):
-    """The bits of ``(n, final, d, done)`` and of the kept steps, or the
-    class, message and ``component`` of the error."""
-    keep = []
-    try:
-        n, final, d, done = solve(mapping, v, tol, max_iter, relative, keep)
-    except MeanTypeError as exc:
-        return _error(exc)
-    steps = [(s.step, s.vector, s.diameter) if isinstance(s, TraceStep) else s for s in keep]
-    return (n, [x.hex() for x in final], d.hex(), done,
-            [(k, [x.hex() for x in u], e.hex()) for k, u, e in steps])
-
-
 class TestSolveLoop:
     @settings(max_examples=300, deadline=None)
     @given(orbit_cases(), st.sampled_from([1e-300, 1e-12, 1.0, 1e300]),
@@ -201,9 +175,9 @@ class TestSolveLoop:
     def test_matches_the_orbit_walk(self, case, tol, max_iter, relative):
         mapping, v = case
         expected = (_start_error(mapping, v)
-                    or _solve_outcome(_orbit_solve, mapping, v, tol, max_iter, relative))
-        assert _solve_outcome(invariant_module._solve, mapping, v, tol, max_iter,
-                              relative) == expected
+                    or _run_outcome(_orbit_run, mapping, v, tol, max_iter, relative, True))
+        assert _run_outcome(invariant_module._solve, mapping, v, tol, max_iter, relative,
+                            True) == expected
 
     @pytest.mark.parametrize("v, error, message", INVALID_AGM_STARTS, ids=INVALID_AGM_START_IDS)
     @pytest.mark.parametrize("solve", [

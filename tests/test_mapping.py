@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import random
 import re
 from itertools import count, islice
 
@@ -39,9 +40,10 @@ from meantype import (
     shift_average_mapping,
     star_apply,
 )
+from meantype._record import set_field
 from meantype.invariant import _solve
 from meantype.mapping import DEFAULT_CAP, _bind_step, _check_cap, _search_n0
-from meantype.means import _CATALOG, _kernel, float_vector
+from meantype.means import _CATALOG, _kernel, float_vector, midpoint
 from conftest import POSITIVE, catalog_mappings
 
 
@@ -600,11 +602,22 @@ class TestContractivity:
         assert a.samples_tested == b.samples_tested
 
     def test_probe_that_tests_nothing_raises(self):
-        # every sample of a 1e-10 wide domain has a negligible diameter
-        narrow = MeanTypeMapping((MeanSpec.arithmetic(2), MeanSpec.maximum(2)),
-                                 Interval(1.0, 1.0000000001, True, True))
-        with pytest.raises(MeanTypeError, match=r"tested none of its 20 samples on domain \[1.0, "):
-            probe_contractivity(narrow, 20)
+        # every sample of the negative half-line fails the geometric mean
+        negative = MeanTypeMapping((MeanSpec.arithmetic(2), MeanSpec.geometric(2)),
+                                   Interval(-math.inf, 0.0))
+        with pytest.raises(MeanTypeError, match=r"tested none of its 20 samples on domain "
+                                                r"\(-inf, 0.0\): each had diameter <= 1e-09 "):
+            probe_contractivity(negative, 20)
+
+    @pytest.mark.parametrize("domain", [
+        Interval(1.0, 1.0000000001, True, True), Interval(1.0, 1.000000000001),
+        Interval(0.0, 1e-320)], ids=["1e-10", "1e-12", "subnormal"])
+    def test_probe_tests_a_narrow_domain(self, domain):
+        # the skip threshold scales with the sampling box, so its samples are not noise
+        verdict = probe_contractivity(
+            MeanTypeMapping((MeanSpec.arithmetic(2), MeanSpec.maximum(2)), domain), 20)
+        assert not verdict.found and verdict.samples_tested + verdict.skipped == 20
+        assert verdict.samples_tested >= 18  # the near-constant sample may round to constant
 
 
 class TestDiameterMonotonicity:
@@ -836,6 +849,151 @@ class TestGaussRun:
 
 
 # ---------------------------------------------------------------------------
+# The scalar loop of closed-form pairs, against the tuple loop and the orbit
+# ---------------------------------------------------------------------------
+
+def _tuple_loop_twin(mapping):
+    """``mapping`` on the tuple loop: no closed forms, and a step through the
+    general kernels, so its runs take the path of every other mapping."""
+    specs = mapping.components
+    twin = MeanTypeMapping(specs, mapping.domain, mapping.name)
+    set_field(twin, "_pair", None)
+    set_field(twin, "_step", lambda v: tuple([_kernel(spec)(spec, v) for spec in specs]))
+    return twin
+
+
+def _orbit_run(mapping, v, tol, limit, relative, keep=None):
+    """The stop rule of ``_gauss_run`` written over ``orbit`` (apply, then
+    diameter); it lets a start that meets the rule through unchecked."""
+    keep = [] if keep is None else keep
+    bound = 0.0 if tol is None else tol
+    for n, current, d in mapping.orbit(v):
+        keep.append((n, current, d))
+        if d == 0.0 or d < (bound * abs(midpoint(current)) if relative else bound):
+            return n, current, d, True
+        if n == limit:
+            return n, current, d, False
+        if tol is None and n == 0:
+            bound = d
+
+
+def _run_outcome(run, mapping, v, tol, limit, relative, keep):
+    """The bits of ``(n, final, d, done)`` and of the kept steps, or the
+    class, message and ``component`` of what the run raised."""
+    steps = []
+    try:
+        n, final, d, done = run(mapping, v, tol, limit, relative, steps if keep else None)
+    except MeanTypeError as exc:
+        return _error(exc)
+    kept = [(k, [x.hex() for x in u], e.hex()) for k, u, e in steps] if keep else None
+    return n, [x.hex() for x in final], d.hex(), done, kept
+
+
+def _api_outcome(call, mapping, v):
+    """The repr of ``call(mapping, v)``, or what it raised, with any trace."""
+    try:
+        return repr(call(mapping, v))
+    except MeanTypeError as exc:
+        return _error(exc) + (repr(getattr(exc, "trace", None)),)
+
+
+#: (arithmetic, geometric) on [BELOW_MAX, inf): the geometric mean of the
+#: start rounds 4.2e294 below it, so the first iterate leaves the domain and
+#: step 2 rejects it.
+LEAVES_PAIR = MeanTypeMapping((MeanSpec.arithmetic(2), MeanSpec.geometric(2)),
+                              Interval(BELOW_MAX, math.inf, lower_closed=True), name="leaves-pair")
+LEAVES_PAIR_START = (FLOAT_MAX, BELOW_MAX)
+LEAVES_PAIR_ERROR = (DomainViolation, "step 2: component 1 (arithmetic): coordinate 2 = "
+                     "1.7976931348622732e+308 outside domain [1.7976931348623155e+308, inf)", 1)
+PAIR_DOMAINS = [POSITIVE, Interval(), UNIT, UNIT_OPEN_LOW, UNIT_OPEN_HIGH, LEAVES_PAIR.domain]
+PAIR_START_COORDS = st.one_of(PAIR_COORDS, PAIR_COORDS.map(lambda x: -x), ORBIT_COORDS)
+
+
+@st.composite
+def pair_cases(draw):
+    """A closed-form pair on one of ``PAIR_DOMAINS`` and a start vector:
+    mostly a pair, sometimes constant, sometimes of another length."""
+    k0, k1 = draw(st.sampled_from(PAIR_KINDS)), draw(st.sampled_from(PAIR_KINDS))
+    mapping = MeanTypeMapping((parse_mean(k0, 2), parse_mean(k1, 2)),
+                              draw(st.sampled_from(PAIR_DOMAINS)), name=f"{k0}; {k1}")
+    size = draw(st.sampled_from((2, 2, 2, 2, 0, 1, 3)))
+    if size and draw(st.booleans()):
+        return mapping, [draw(PAIR_START_COORDS)] * size
+    return mapping, draw(st.lists(PAIR_START_COORDS, min_size=size, max_size=size))
+
+
+#: (tol, limit, relative, keep): tol=None is the n0 search and, with limit 1,
+#: the contractivity test; limit 0 tests the start alone.
+RUN_MODES = st.tuples(st.sampled_from((None, 1e-12, 1e-300, 1e-3, 0.5, 1e300)),
+                      st.one_of(st.integers(0, 12), st.just(DEFAULT_CAP)),
+                      st.booleans(), st.booleans())
+API_CALLS = {
+    "gauss": lambda m, v: gauss_iterate(m, v, max_iter=50),
+    "gauss-trace": lambda m, v: gauss_iterate(m, v, 1e-3, 50, "min", False, True),
+    "gauss-relative": lambda m, v: gauss_iterate(m, v, 1e-12, 6, "max", True, True),
+    "find_n0": lambda m, v: find_n0(m, v, cap=5),
+    "star_apply": lambda m, v: star_apply(m, v, cap=5),
+    "is_contractive_at": is_contractive_at,
+}
+
+
+class TestScalarLoop:
+    """A closed-form pair runs ``_gauss_run``'s scalar loop; its results,
+    kept steps and errors are those of the tuple loop and of the orbit."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(pair_cases(), RUN_MODES)
+    @example((agm_mapping(), [1.0, 9.0]), (1e-12, 0, False, True))  # limit 0: the start alone
+    @example((agm_mapping(), [1.0, 9.0]), (1e-12, 1, False, True))  # a max_iter stop
+    @example((agm_mapping(), [1.0, 9.0]), (None, 1, False, False))  # contractivity
+    @example((agm_mapping(), [1.0, 9.0]), (1e-12, DEFAULT_CAP, True, True))
+    @example((agm_mapping(), [1.7e308, 1e308]), (1e-12, DEFAULT_CAP, False, True))
+    @example((_parsed(("min", "max"), Interval()), [0.0, 1.0]), (None, DEFAULT_CAP, False, True))
+    @example((_parsed(("harmonic", "geometric")), [1e-310, 5e-324]), (1e-300, 12, True, True))
+    @example((agm_mapping(), [-1.0, -1.0]), (1e300, 0, False, False))  # an invalid constant start
+    @example((agm_mapping(), [10**400, 1]), (1e-12, 5, False, False))
+    @example((LEAVES_PAIR, list(LEAVES_PAIR_START)), (1e-12, 5, False, True))
+    @example((LEAVES_PAIR, list(LEAVES_PAIR_START)), (1e-12, 1, False, True))
+    @example((LEAVES_PAIR, list(LEAVES_PAIR_START)), (None, 1, False, True))
+    @example((LEAVES_PAIR, list(LEAVES_PAIR_START)), (None, DEFAULT_CAP, False, False))
+    def test_matches_the_tuple_loop_and_the_orbit(self, case, mode):
+        mapping, v = case
+        twin = _tuple_loop_twin(mapping)
+        assert mapping._pair is not None and twin._pair is None
+        scalar = _run_outcome(_solve, mapping, v, *mode)
+        assert scalar == _run_outcome(_solve, twin, v, *mode)
+        assert scalar == (_start_error(mapping, v)
+                          or _run_outcome(_orbit_run, mapping, v, *mode))
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair_cases(), st.sampled_from(sorted(API_CALLS)))
+    @example((LEAVES_PAIR, list(LEAVES_PAIR_START)), "find_n0")
+    @example((_parsed(("min", "max"), Interval()), [0.0, 1.0]), "star_apply")  # the cap
+    def test_entry_points_match_the_tuple_loop(self, case, name):
+        mapping, v = case
+        call = API_CALLS[name]
+        assert _api_outcome(call, mapping, v) == _api_outcome(call, _tuple_loop_twin(mapping), v)
+
+    @pytest.mark.parametrize("name", ["gauss", "gauss-trace", "find_n0", "star_apply"])
+    def test_iterate_that_leaves_the_domain(self, name):
+        call = API_CALLS[name]
+        with pytest.raises(DomainViolation) as scalar:
+            call(LEAVES_PAIR, LEAVES_PAIR_START)
+        with pytest.raises(DomainViolation) as general:
+            call(_tuple_loop_twin(LEAVES_PAIR), LEAVES_PAIR_START)
+        assert _error(scalar.value) == _error(general.value) == LEAVES_PAIR_ERROR
+        # diam(M(v)) > diam(v), and the contractivity test stops at M(v) unchecked
+        assert is_contractive_at(LEAVES_PAIR, LEAVES_PAIR_START) is False
+
+    def test_makes_no_step_call(self):
+        agm = agm_mapping()
+        expected = _run_outcome(_solve, agm, (1.0, 9.0), 1e-12, 100, False, True)
+        set_field(agm, "_step", None)  # calling it would raise TypeError
+        assert _run_outcome(_solve, agm, (1.0, 9.0), 1e-12, 100, False, True) == expected
+        assert _search_n0(agm, (1.0, 9.0), 5)[0] == 1
+
+
+# ---------------------------------------------------------------------------
 # Sampler
 # ---------------------------------------------------------------------------
 
@@ -913,6 +1071,21 @@ class TestSampler:
                    f"its sampling box is {box}$")
         with pytest.raises(DomainViolation, match=message):
             next(sample_vectors(dom, p, 7))
+
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    @pytest.mark.parametrize("dom", [POSITIVE, Interval(), Interval(-1.7e308, 1.7e308, True, True)],
+                             ids=["positive", "reals", "span-overflows"])
+    def test_pair_stream_is_the_generic_formula(self, dom, seed):
+        # p = 2 unrolls the generic draw; where hi - lo overflows it must not run
+        lo, hi = dom.sampling_box()
+        rnd, span = random.Random(seed).random, hi - lo
+        if span < math.inf:
+            draw = lambda: tuple([lo + span * rnd() for _ in range(2)])  # noqa: E731
+        else:
+            draw = lambda: tuple([lo * (1.0 - r) + hi * r for r in [rnd() for _ in range(2)]])  # noqa: E731
+        uniform = list(sample_vectors(dom, 2, 43, seed))[3:]
+        assert [[x.hex() for x in v] for v in uniform] == [[x.hex() for x in draw()]
+                                                           for _ in range(40)]
 
     def test_endpoint_beyond_the_cut_keeps_its_box(self):
         # only a box that collapsed is widened: this one is 2 * SAMPLING_EXTENT wide, inset

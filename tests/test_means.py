@@ -18,6 +18,7 @@ from meantype import (
     parse_interval,
     parse_mean,
 )
+import meantype.means
 from meantype.means import GENERATORS, KINDS, REALS, admissible, check_vector
 
 POSITIVE = Interval(0.0, math.inf)
@@ -241,6 +242,44 @@ def test_admissible_bounds_are_membership(positive):
                   *ends):
             assert (a <= x <= b) == (domain.contains(x) and (not positive or x > 0)), \
                 (domain, positive, x)
+
+
+#: The stock domains and the float edges of the sampler: an endpoint that
+#: absorbs the sampling cut, one float inside, none, and insets lost to rounding.
+EDGE_DOMAINS = [
+    REALS, POSITIVE, UNIT, Interval(0.0, 1.0, upper_closed=True),
+    Interval(1.6983e308, math.inf, lower_closed=True),
+    Interval(-math.inf, -1e308, upper_closed=True),
+    Interval(_MAX, math.inf, lower_closed=True), Interval(-math.inf, -_MAX, upper_closed=True),
+    Interval(1.0, 1.000000000001), Interval(0.0, 1e-320),
+    Interval(1.0, 1.0000000000000004), Interval(1.0, 1.0000000000000002),
+    Interval(1e308, 1.7e308, True, True), Interval(-1.7e308, 1.7e308, True, True),
+]
+
+
+@pytest.mark.parametrize("positive", [False, True])
+def test_interval_binds_admissible_once(positive):
+    # the bounds an Interval binds at construction are what admissible gives now
+    for domain in [*EDGE_DOMAINS, *_interval_shapes()]:
+        assert repr(domain._admissible[positive]) == repr(admissible(domain, positive)), domain
+
+
+def test_eval_mean_runs_no_nextafter_or_catalog_lookup(monkeypatch):
+    specs = all_specs(3)
+    reads = []
+    nextafter = math.nextafter
+    monkeypatch.setattr(math, "nextafter", lambda *args: reads.append(args) or nextafter(*args))
+
+    class CountingTable(dict):
+        def __getitem__(self, key):
+            reads.append(key)
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(meantype.means, "_CATALOG", CountingTable(meantype.means._CATALOG))
+    for spec in specs:
+        eval_mean(spec, (1.0, 2.0, 4.0), POSITIVE)
+        eval_mean(spec, (0.5, 0.5, 0.5), UNIT)
+    assert reads == []
 
 
 _A2, _G2 = MeanSpec.arithmetic(2), MeanSpec.geometric(2)

@@ -147,6 +147,29 @@ def test_mapping_equality_ignores_bound_kernels():
     assert repr(a) == AGM_REPR
 
 
+#: The slots a class binds in __init__ beyond its fields.
+BOUND = {
+    Interval: ("_admissible",),
+    MeanSpec: ("_row",),
+    MeanTypeMapping: ("_step", "_pair", "_p", "_positive", "_bounds"),
+}
+
+
+@pytest.mark.parametrize("cls", BOUND, ids=lambda cls: cls.__name__)
+def test_bound_slots_are_not_fields(cls):
+    assert set(cls.__slots__) - set(cls._fields) == set(BOUND[cls])
+    positional, keyword, _, text = CASES[cls.__name__]
+    for name in BOUND[cls]:
+        assert getattr(positional, name) is not None
+        assert name not in text
+    copy = pickle.loads(pickle.dumps(positional))
+    assert copy == positional and hash(copy) == hash(positional) and repr(copy) == text
+    # rebuilt through __init__, so bound again: the same row, bounds and forms
+    for name in BOUND[cls]:
+        if name != "_step":
+            assert getattr(copy, name) == getattr(positional, name)
+
+
 @pytest.mark.parametrize("value", [
     Interval(1.0, 10.0, True, False),
     MeanSpec.quasi_arithmetic("power", 3, 0.5),
