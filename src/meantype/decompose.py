@@ -21,7 +21,7 @@ from collections.abc import Callable, Sequence
 from ._record import FrozenRecord, set_field
 from . import invariant  # K solves run invariant._solve, looked up per call
 from .errors import DomainViolation, InvalidMapping, ParseError
-from .invariant import DEFAULT_MAX_ITER, DEFAULT_TOL, _check_iteration, _read, over_samples
+from .invariant import DEFAULT_MAX_ITER, DEFAULT_TOL, _check_iteration, over_samples
 from .mapping import MeanTypeMapping, sample_vectors  # noqa: F401 -- bench/spans.py patches it here
 from .means import mean_callable, midpoint, parse_mean
 
@@ -230,8 +230,8 @@ def verify_decomposition(
     def row(v):
         fv = f(v)
         invariance = abs(f(mapping.apply(v)) - fv)
-        n, final, d, done = solve(mapping, v, tol, max_iter, False)  # K(v), mid readout
-        return invariance, abs(phi(_read(final, d, midpoint)) - fv), n, done
+        n, final, _, done = solve(mapping, v, tol, max_iter, False)  # K(v), mid readout
+        return invariance, abs(phi(midpoint(final)) - fv), n, done
 
     rows = over_samples(row, mapping.domain, mapping.p, sample_count, seed)
     steps = [n for _, _, n, _ in rows]

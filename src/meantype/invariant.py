@@ -4,9 +4,12 @@ For a continuous weakly contractive mapping M the iterates M^n(v)
 converge pointwise to a constant vector (K(v), ..., K(v)), and K is the
 unique continuous mean satisfying K o M = K.  This engine computes K(v)
 by plain iteration, stopping when the diameter of the iterate falls
-below a tolerance; the limit, when it exists, is bracketed by the final
-iterate, so reading out its midpoint bounds the error by half the final
-diameter.
+below a tolerance.  The limit of the exact orbit, when it exists, is
+bracketed by each exact iterate, so the midpoint of the final one would
+be off by at most half its diameter.  But every kernel rounds, and the
+float orbit drifts off the exact one: that bound, and a value within
+[min(v), max(v)], hold only up to kernel rounding, many ulps at large
+magnitudes.
 
 Convergence is a hypothesis, not a guarantee the engine can check:
 mappings that never mix coordinates (pure projections) simply report
@@ -15,7 +18,8 @@ observed.
 
 Every run is one ``_solve``: the plain loop ``mapping._gauss_run``, which
 the n0 search runs too, and the only place the stop rule is written.  It
-makes no generator and checks each iterate in one expression; a p = 2
+makes no generator and checks each iterate in one expression, raising at
+one outside I^p, so every value is read off an iterate of I^p; a p = 2
 pair with closed forms (the AGM, arithmetic-harmonic) iterates there on
 two floats, with no tuple per step.  :func:`gauss_iterate` wraps a run
 in an :class:`InvariantEstimate`; the sampling probes call ``_solve`` per
@@ -41,7 +45,8 @@ CONVERGED = "converged"
 MAX_ITER_REACHED = "max_iter_reached"
 
 
-#: Readout name -> the value it reads off the final iterate.
+#: Readout name -> the value it reads off the final iterate.  Each reads
+#: ``v[0]``, bit for bit, off a vector whose coordinates all compare equal.
 _READERS: dict[str, Callable[[Vector], float]] = {
     "mid": midpoint, "min": min, "max": max, "first": lambda v: v[0],
 }
@@ -58,19 +63,17 @@ def _check_iteration(tol: float, max_iter: int, readout: str) -> None:
         raise InvalidMapping(f"unknown readout {readout!r}; available: {READOUTS}")
 
 
-def _read(current: Vector, d: float, read: Callable[[Vector], float]) -> float:
-    """``read(current)`` for an iterate of diameter ``d``, where ``read`` is a
-    value of :data:`_READERS`; a constant one reads its coordinate."""
-    return current[0] if d == 0.0 else read(current)
-
-
 class InvariantEstimate(FrozenRecord):
     """Outcome of one Gauss iteration run.
 
-    ``value`` lies in [min(v), max(v)] of the starting vector, and within
-    ``final_diameter`` of every coordinate of the final iterate.  When
-    ``status`` is ``converged`` the true common limit (if the mapping has
-    one) differs from the midpoint readout by at most final_diameter / 2.
+    ``value`` lies within ``final_diameter`` of every coordinate of the
+    final iterate.  Up to kernel rounding, it also lies in [min(v), max(v)]
+    of the starting vector, and when ``status`` is ``converged`` the true
+    common limit (if the mapping has one) differs from the midpoint readout
+    by at most final_diameter / 2.  Neither holds exactly, since each float
+    step rounds: the AGM pair from (1.7976931348623157e308,
+    1.7976931348623155e308) reads 1.7976931348622732e308, below min(v),
+    and some converged solves miss the limit by more than that bound.
     """
 
     __slots__ = _fields = ("value", "steps", "final_diameter", "status", "trace")
@@ -111,7 +114,7 @@ def gauss_iterate(
     steps = [] if keep_trace else None
     n, current, d, done = _solve(mapping, v, tol, max_iter, relative, steps)
     trace = IterationTrace(mapping, [TraceStep(*s) for s in steps]) if keep_trace else None
-    return InvariantEstimate(_read(current, d, _READERS[readout]), n, d,
+    return InvariantEstimate(_READERS[readout](current), n, d,
                              CONVERGED if done else MAX_ITER_REACHED, trace)
 
 
@@ -194,29 +197,21 @@ def _residual_at(k: MeanFn, mapping: MeanTypeMapping) -> Callable[[Vector], floa
     on that very mapping object) one solve usually settles both values.
     The orbit of v is v followed by the orbit of w = M(v), and the stop
     rule reads only the current iterate.  So unless v itself meets the
-    rule (then K(v) is read off v), the solve from v stops one step after
-    the solve from w, on the same final iterate, whenever the latter
-    converged before ``max_iter``: K(v) == K(w).  A run that stalls or
-    converges at exactly ``max_iter`` gets its own solve from v.  The
-    order of work (M(v), then the solve from w) is the generic one's, so
-    an error is the same error.
+    rule, the solve from v stops one step after the solve from w, on the
+    same final iterate, whenever the latter converged before ``max_iter``:
+    the residual is 0.0.  Otherwise v gets its own solve.  The order of
+    work (M(v), then the solve from w) is the generic one's, so an error
+    is the same error.
     """
     if type(k) is not InvariantMean or k.mapping is not mapping:
         return lambda v: abs(k(mapping.apply(v)) - k(v))
     tol, max_iter, relative, read = k.tol, k.max_iter, k.relative, _READERS[k.readout]
 
     def residual(v: Vector) -> float:
-        n, final, d, done = _solve(mapping, mapping.apply(v), tol, max_iter, relative)
-        k_w = _read(final, d, read)
-        _, v, d, stops = _solve(mapping, v, tol, 0, relative)  # does v meet the rule?
-        if stops:
-            k_v = _read(v, d, read)
-        elif done and n < max_iter:
-            k_v = k_w  # the same final iterate, one step later
-        else:
-            _, final, d, _ = _solve(mapping, v, tol, max_iter, relative)
-            k_v = _read(final, d, read)
-        return abs(k_w - k_v)
+        n, final, _, done = _solve(mapping, mapping.apply(v), tol, max_iter, relative)
+        if done and n < max_iter and not _solve(mapping, v, tol, 0, relative)[3]:
+            return 0.0  # the solve from v ends one step later, on the same iterate
+        return abs(read(final) - read(_solve(mapping, v, tol, max_iter, relative)[1]))
 
     return residual
 
@@ -245,8 +240,7 @@ def _gap_at(k1: MeanFn, k2: MeanFn) -> Callable[[Vector], float]:
 
     Two :class:`InvariantMean` objects on one mapping object with equal
     ``tol``, ``max_iter`` and ``relative`` run the same iteration; they
-    differ at most in the readout, so one solve serves both; a constant
-    final iterate reads the same value twice, so its gap is 0.0.
+    differ at most in the readout, so one solve serves both.
     """
     if not (type(k1) is type(k2) is InvariantMean and k1.mapping is k2.mapping
             and k1.tol == k2.tol and k1.max_iter == k2.max_iter
@@ -256,8 +250,8 @@ def _gap_at(k1: MeanFn, k2: MeanFn) -> Callable[[Vector], float]:
     read1, read2 = _READERS[k1.readout], _READERS[k2.readout]
 
     def gap(v: Vector) -> float:
-        _, final, d, _ = _solve(mapping, v, tol, max_iter, relative)
-        return 0.0 if d == 0.0 else abs(read1(final) - read2(final))
+        final = _solve(mapping, v, tol, max_iter, relative)[1]
+        return abs(read1(final) - read2(final))
 
     return gap
 

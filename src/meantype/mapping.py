@@ -141,7 +141,8 @@ class MeanTypeMapping(FrozenRecord):
         instead, which stops on its own rule and makes no generator.
 
         Each step is :meth:`apply` then :func:`diameter`; an application
-        error is re-raised with the failing step prepended.
+        error is re-raised with the failing step prepended.  An iterate is
+        yielded before the step after it checks it.
         """
         v = float_vector(v)
         for n in count():
@@ -149,10 +150,14 @@ class MeanTypeMapping(FrozenRecord):
             v = _apply_at(self, v, n + 1)
 
     def iterate(self, v: Sequence[float], n: int) -> IterationTrace:
-        """Trace of v, M(v), ..., M^n(v) with per-step diameters."""
+        """Trace of v, M(v), ..., M^n(v) with per-step diameters.  As in a
+        Gauss run, M^n(v) too is checked as :meth:`apply` checks its input:
+        one outside I^p raises what step n + 1 raises."""
         if n < 0:
             raise InvalidMapping(f"iteration count must be >= 0, got {n}")
-        return IterationTrace(self, [TraceStep(*s) for s in islice(self.orbit(v), n + 1)])
+        steps = [TraceStep(*s) for s in islice(self.orbit(v), n + 1)]
+        _apply_at(self, steps[-1].vector, n + 1)
+        return IterationTrace(self, steps)
 
     def describe(self) -> dict:
         """JSON-ready description: p, domain, component strings."""
@@ -230,6 +235,17 @@ def _apply_at(mapping: MeanTypeMapping, v: Vector, n: int) -> Vector:
         raise _annotate(exc, f"step {n}") from exc
 
 
+def _checked_diameter(mapping: MeanTypeMapping, v: Vector, n: int) -> float:
+    """What step ``n + 1`` of a run raises for iterate ``n``, ``v``, which
+    failed the run's check: the error of :func:`diameter`, else that of
+    :meth:`MeanTypeMapping.apply` with ``step n + 1: `` prepended.  One of
+    them raises wherever the check fails; the return value, ``diameter(v)``,
+    lets the loops measure an iterate in one expression."""
+    d = diameter(v)
+    _apply_at(mapping, v, n + 1)
+    return d
+
+
 def _gauss_run(mapping: MeanTypeMapping, v: Sequence[float], tol: float | None, limit: int,
                relative: bool, keep: list | None = None) -> tuple[int, Vector, float, bool]:
     """``(n, M^n(v), its diameter, done)`` at the end of the run from ``v``.
@@ -243,19 +259,19 @@ def _gauss_run(mapping: MeanTypeMapping, v: Sequence[float], tol: float | None, 
     ``keep``, if given, receives an ``(n, M^n(v), diameter)`` tuple per
     iterate.  No parameter is checked.
 
-    ``v`` is converted once.  Each iterate is checked and measured in one
-    expression (for p = 2, ``a <= x <= b and a <= y <= b`` with
-    ``abs(x - y)``, which NaN fails and which equals ``max - min`` to the
-    bit; for p >= 3, the ``len``/``sum``/``min``/``max`` pass of
-    :func:`check_vector`), and a valid one maps through the bound step.
-    A p = 2 mapping with closed forms (``_pair``) runs the scalar loop: it
-    keeps ``x, y`` as two floats, steps as ``x, y = f0(x, y), f1(x, y)``
-    and builds a tuple only for ``keep`` and the result.  Every other
-    mapping runs the tuple loop through ``_step``.  In both, an invalid
-    iterate goes through :func:`diameter` and
-    :meth:`MeanTypeMapping.apply`, which name the error, with the step
-    prepended; an invalid start raises what step 1 raises even where it
-    meets the stop rule.
+    ``v`` is converted once.  Every iterate, the start and the last
+    included, is checked once, before the stop rule reads it, in the
+    expression that measures it (for p = 2, ``a <= x <= b and a <= y <= b``
+    with ``abs(x - y)``, which NaN fails and which equals ``max - min`` to
+    the bit; for p >= 3, the ``len``/``sum``/``min``/``max`` pass of
+    :func:`check_vector`).  An iterate that fails it raises what step
+    n + 1 would raise (:func:`diameter`, then
+    :meth:`MeanTypeMapping.apply`, with ``step n + 1:`` prepended), so a
+    run returns only an iterate of I^p.  A p = 2 mapping with closed forms
+    (``_pair``) runs the scalar loop: it keeps ``x, y`` as two floats,
+    steps as ``x, y = f0(x, y), f1(x, y)`` and builds a tuple only for
+    ``keep`` and the result.  Every other mapping runs the tuple loop
+    through ``_step``.
     """
     p, pair, (a, b) = mapping._p, mapping._pair, mapping._bounds
     try:
@@ -269,12 +285,8 @@ def _gauss_run(mapping: MeanTypeMapping, v: Sequence[float], tol: float | None, 
         f0, f1 = pair
         x, y = v
         while True:
-            if valid := (a <= x <= b and a <= y <= b):
-                d = abs(x - y)
-            else:
-                d = diameter((x, y))
-                if n == 0:
-                    _apply_at(mapping, (x, y), 1)
+            d = (abs(x - y) if a <= x <= b and a <= y <= b
+                 else _checked_diameter(mapping, (x, y), n))
             if keep is not None:
                 keep.append((n, (x, y), d))
             if d == 0.0 or d < (bound * abs(midpoint((x, y))) if relative else bound):
@@ -284,24 +296,16 @@ def _gauss_run(mapping: MeanTypeMapping, v: Sequence[float], tol: float | None, 
                     return n, (x, y), d, False
                 bound, stop_at = d, limit
             n += 1
-            if valid:
-                x, y = f0(x, y), f1(x, y)
-            else:
-                x, y = _apply_at(mapping, (x, y), n)
+            x, y = f0(x, y), f1(x, y)
     step, two = mapping._step, p == len(v) == 2
     while True:
         if two:
             x, y = v
-            valid = a <= x <= b and a <= y <= b
-            d = abs(x - y)
+            d = abs(x - y) if a <= x <= b and a <= y <= b else _checked_diameter(mapping, v, n)
+        elif len(v) == p and (s := sum(v)) == s and a <= (lo := min(v)) and (hi := max(v)) <= b:
+            d = hi - lo
         else:
-            valid = (len(v) == p and (s := sum(v)) == s
-                     and a <= (lo := min(v)) and (hi := max(v)) <= b)
-            d = hi - lo if valid else None
-        if not valid:
-            d = diameter(v)
-            if n == 0:
-                _apply_at(mapping, v, 1)
+            d = _checked_diameter(mapping, v, n)
         if keep is not None:
             keep.append((n, v, d))
         if d == 0.0 or d < (bound * abs(midpoint(v)) if relative else bound):
@@ -311,7 +315,7 @@ def _gauss_run(mapping: MeanTypeMapping, v: Sequence[float], tol: float | None, 
                 return n, v, d, False
             bound, stop_at = d, limit
         n += 1
-        v = step(v) if valid else _apply_at(mapping, v, n)
+        v = step(v)
 
 
 class TraceStep(FrozenRecord):

@@ -161,9 +161,6 @@ def _parse_endpoint(token: str) -> float:
 #: The whole real line; default domain when none is given.
 REALS = Interval()
 
-#: The positive half-line, natural domain of geometric-type means.
-POSITIVE_REALS = Interval(0.0, math.inf)
-
 
 def sample_vectors(domain: Interval, p: int, count: int, seed: int = 42) -> Iterator[Vector]:
     """Yield ``count`` vectors in domain^p: stress vectors, then uniform.

@@ -360,6 +360,16 @@ class TestCommands:
         assert code == 1
         assert "quadratic" in err
 
+    @pytest.mark.parametrize("steps", ["0", "2"])
+    def test_map_iterate_invalid_start_is_one(self, capsys, cfg, steps):
+        # the last vector is checked too: its error is the one invariant gives
+        argv = ("--mapping", cfg["agm"], "--vector=-1,2")
+        code, out, err = run(capsys, "map-iterate", *argv, "--steps", steps)
+        assert (code, out) == (1, "")
+        assert err == ("error: step 1: component 1 (arithmetic): "
+                       "coordinate 1 = -1.0 outside domain (0.0, inf)\n")
+        assert run(capsys, "invariant", *argv) == (code, out, err)
+
     def test_map_iterate_human(self, capsys, cfg):
         code, out, _ = run(capsys, "map-iterate", "--mapping", cfg["shift3"],
                            "--vector", "0,1,0", "--steps", "2")

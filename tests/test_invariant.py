@@ -24,10 +24,10 @@ from meantype import (
     uniqueness_probe,
 )
 from meantype import invariant as invariant_module
-from meantype.invariant import DEFAULT_MAX_ITER, READOUTS, _gap_at, _residual_at
+from meantype.invariant import _READERS, DEFAULT_MAX_ITER, READOUTS, _gap_at, _residual_at
 from test_mapping import (
-    INVALID_AGM_START_IDS, INVALID_AGM_STARTS, LEAVES_CLOSED, LEAVES_CLOSED_START, STEP_SHAPES,
-    _orbit_run, _run_outcome, _start_error, orbit_cases,
+    FLOAT_MAX, INVALID_AGM_START_IDS, INVALID_AGM_STARTS, LEAVES_CLOSED, LEAVES_CLOSED_START,
+    STEP_SHAPES, _orbit_run, _run_outcome, orbit_cases,
 )
 
 # pi / (2 * integral_0^{pi/2} dt / sqrt(cos^2 t + 4 sin^2 t)), computed by
@@ -120,6 +120,17 @@ class TestGaussIterate:
             }[readout]
             assert est.value == expected
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                                      -2.225073858507201e-308, FLOAT_MAX, -FLOAT_MAX)),
+                     st.floats(allow_nan=False, allow_infinity=False)),
+           st.lists(st.booleans(), min_size=2, max_size=10), st.sampled_from(READOUTS))
+    def test_readout_of_a_level_vector_is_its_first_coordinate(self, x, signs, readout):
+        # p = 2..10 coordinates that all compare equal: x, or a zero of either
+        # sign; a constant final iterate needs no readout case of its own
+        v = tuple(-x if flip and x == 0.0 else x for flip in signs)
+        assert _READERS[readout](v).hex() == v[0].hex()
+
     def test_relative_stopping_rule(self):
         # domain far from zero: relative tolerance stops much earlier
         mapping = arithmetic_harmonic_mapping(Interval(1e6, 1e8))
@@ -169,15 +180,13 @@ class TestSolveLoop:
     @example((agm_mapping(), [1.7e308, 1e308]), 1e-12, DEFAULT_MAX_ITER, False)  # the stall
     @example((projection_mapping(2), [0, 1]), 1e-12, DEFAULT_MAX_ITER, False)
     @example((LEAVES_CLOSED, LEAVES_CLOSED_START), 1e-12, DEFAULT_MAX_ITER, False)
-    @example((LEAVES_CLOSED, LEAVES_CLOSED_START), 1e-12, 1, False)  # returned, not raised
+    @example((LEAVES_CLOSED, LEAVES_CLOSED_START), 1e-12, 1, False)  # the last iterate raises
     @example((agm_mapping(), [-1.0, -1.0]), 1e-12, DEFAULT_MAX_ITER, False)
     @example((agm_mapping(), [10**400, 1]), 1e-12, 0, False)
     def test_matches_the_orbit_walk(self, case, tol, max_iter, relative):
         mapping, v = case
-        expected = (_start_error(mapping, v)
-                    or _run_outcome(_orbit_run, mapping, v, tol, max_iter, relative, True))
-        assert _run_outcome(invariant_module._solve, mapping, v, tol, max_iter, relative,
-                            True) == expected
+        assert (_run_outcome(invariant_module._solve, mapping, v, tol, max_iter, relative, True)
+                == _run_outcome(_orbit_run, mapping, v, tol, max_iter, relative, True))
 
     @pytest.mark.parametrize("v, error, message", INVALID_AGM_STARTS, ids=INVALID_AGM_START_IDS)
     @pytest.mark.parametrize("solve", [

@@ -436,6 +436,26 @@ class TestIterate:
         with pytest.raises(NonFiniteInput, match="^coordinate 1 is beyond the float range$"):
             agm.iterate([10**400, 1], 2)
 
+    @pytest.mark.parametrize("steps", [0, 1, 3])
+    def test_last_iterate_checked_as_the_next_step_would(self, agm, steps):
+        with pytest.raises(DomainViolation) as info:
+            agm.iterate((-1.0, 2.0), steps)
+        assert _error(info.value) == (DomainViolation, "step 1: component 1 (arithmetic): "
+                                      "coordinate 1 = -1.0 outside domain (0.0, inf)", 1)
+
+    def test_last_iterate_that_leaves_the_domain(self):
+        assert len(LEAVES_PAIR.iterate(LEAVES_PAIR_START, 0)) == 1
+        with pytest.raises(DomainViolation) as info:
+            LEAVES_PAIR.iterate(LEAVES_PAIR_START, 1)
+        assert _error(info.value) == LEAVES_PAIR_ERROR
+
+
+def _at_step(n, exc):
+    """``exc`` with ``step n: `` prepended and its attributes kept."""
+    new = type(exc)(f"step {n}: {exc}")
+    new.__dict__.update(exc.__dict__)
+    return new
+
 
 def _reference_orbit(mapping, v):
     """``apply`` then ``diameter`` per step, errors prefixed with the step."""
@@ -445,10 +465,20 @@ def _reference_orbit(mapping, v):
         try:
             v = mapping.apply(v)
         except MeanTypeError as exc:
-            new = type(exc)(f"step {n}: {exc}")
-            new.__dict__.update(exc.__dict__)
-            raise new from exc
+            raise _at_step(n, exc) from exc
         yield n, v, diameter(v)
+
+
+def _checked_orbit(mapping, v):
+    """``orbit``, each iterate yielded once step n + 1 accepts it: the Gauss
+    loop's rule.  An iterate that ``apply`` rejects raises what that step
+    raises, the start included."""
+    for n, current, d in mapping.orbit(v):
+        try:
+            mapping.apply(current)
+        except MeanTypeError as exc:
+            raise _at_step(n + 1, exc) from exc
+        yield n, current, d
 
 
 def _orbit_outcome(orbit, steps):
@@ -752,27 +782,9 @@ def _error(exc):
     return type(exc), str(exc), getattr(exc, "component", None)
 
 
-def _start_error(mapping, v):
-    """What the Gauss loop raises for the start ``v`` before any stop
-    decision, or None: a coordinate beyond the float range, then what
-    ``diameter`` raises, then what step 1 raises for a start that ``apply``
-    rejects.  The orbit walks it replaced let a start through unchecked
-    when it already met their stop rule, and raised a bare OverflowError."""
-    try:
-        v = float_vector(v)
-        diameter(v)
-    except MeanTypeError as exc:
-        return _error(exc)
-    try:
-        mapping.apply(v)
-    except MeanTypeError as exc:
-        return type(exc), f"step 1: {exc}", exc.component
-    return None
-
-
 def _orbit_search_n0(mapping, v, cap):
-    """``_search_n0`` as it was before the Gauss loop: a walk over ``orbit``."""
-    orbit = mapping.orbit(v)
+    """``_search_n0`` as a walk over the checked orbit."""
+    orbit = _checked_orbit(mapping, v)
     steps = [next(orbit)]
     _, start, d0 = steps[0]
     if d0 == 0.0:
@@ -816,13 +828,23 @@ class TestGaussRun:
     @example((LEAVES_CLOSED, LEAVES_CLOSED_START), 2)
     def test_search_n0_matches_the_orbit_walk(self, case, cap):
         mapping, v = case
-        expected = _start_error(mapping, v) or _n0_outcome(_orbit_search_n0, mapping, v, cap)
-        assert _n0_outcome(_search_n0, mapping, v, cap) == expected
+        assert (_n0_outcome(_search_n0, mapping, v, cap)
+                == _n0_outcome(_orbit_search_n0, mapping, v, cap))
 
+    # the closed-endpoint cases put iterates on both ends of [0, 1]: the start
+    # (0, 1) or (1, 0) holds one coordinate on each, and min, max or the
+    # projection keeps one there, in the scalar loop, the tuple loop's p = 2
+    # branch and its p >= 3 check; an exclusive bound would send them to apply
     @pytest.mark.parametrize("mapping, v", [
         (agm_mapping(), (1.0, 2.0)), (agm_mapping(), (1.7e308, 1e308)),
         (shift_average_mapping(3), (0.0, 1.0, 0.0)), (_mixed(5), (1.0, 2.0, 3.0, 4.0, 5.0)),
-    ], ids=["p2", "p2-overflowing-sums", "p3", "p5"])
+        *[(_parsed(names, UNIT), v) for names in [("min", "arithmetic"), ("max", "arithmetic"),
+                                                   ("projection:1", "weighted:0.5,0.5")]
+          for v in [(0.0, 1.0), (1.0, 0.0)]],
+        (_parsed(("projection:1", "min", "arithmetic"), UNIT), (0.0, 1.0, 0.5)),
+    ], ids=["p2", "p2-overflowing-sums", "p3", "p5",
+            *[f"closed-{loop}-{v}" for loop in ["min", "max", "p2-tuple"] for v in ["01", "10"]],
+            "closed-p3"])
     def test_valid_iterates_bypass_apply_and_diameter(self, monkeypatch, mapping, v):
         calls = []
         monkeypatch.setattr(MeanTypeMapping, "apply", lambda m, v: calls.append(v))
@@ -863,11 +885,11 @@ def _tuple_loop_twin(mapping):
 
 
 def _orbit_run(mapping, v, tol, limit, relative, keep=None):
-    """The stop rule of ``_gauss_run`` written over ``orbit`` (apply, then
-    diameter); it lets a start that meets the rule through unchecked."""
+    """The stop rule of ``_gauss_run`` written over the checked orbit (apply,
+    then diameter, and each iterate checked before the rule reads it)."""
     keep = [] if keep is None else keep
     bound = 0.0 if tol is None else tol
-    for n, current, d in mapping.orbit(v):
+    for n, current, d in _checked_orbit(mapping, v):
         keep.append((n, current, d))
         if d == 0.0 or d < (bound * abs(midpoint(current)) if relative else bound):
             return n, current, d, True
@@ -934,6 +956,7 @@ API_CALLS = {
     "find_n0": lambda m, v: find_n0(m, v, cap=5),
     "star_apply": lambda m, v: star_apply(m, v, cap=5),
     "is_contractive_at": is_contractive_at,
+    "gauss-one-step": lambda m, v: gauss_iterate(m, v, max_iter=1),
 }
 
 
@@ -962,8 +985,7 @@ class TestScalarLoop:
         assert mapping._pair is not None and twin._pair is None
         scalar = _run_outcome(_solve, mapping, v, *mode)
         assert scalar == _run_outcome(_solve, twin, v, *mode)
-        assert scalar == (_start_error(mapping, v)
-                          or _run_outcome(_orbit_run, mapping, v, *mode))
+        assert scalar == _run_outcome(_orbit_run, mapping, v, *mode)
 
     @settings(max_examples=300, deadline=None)
     @given(pair_cases(), st.sampled_from(sorted(API_CALLS)))
@@ -974,7 +996,8 @@ class TestScalarLoop:
         call = API_CALLS[name]
         assert _api_outcome(call, mapping, v) == _api_outcome(call, _tuple_loop_twin(mapping), v)
 
-    @pytest.mark.parametrize("name", ["gauss", "gauss-trace", "find_n0", "star_apply"])
+    @pytest.mark.parametrize("name", ["gauss", "gauss-trace", "find_n0", "star_apply",
+                                      "is_contractive_at", "gauss-one-step"])
     def test_iterate_that_leaves_the_domain(self, name):
         call = API_CALLS[name]
         with pytest.raises(DomainViolation) as scalar:
@@ -982,8 +1005,13 @@ class TestScalarLoop:
         with pytest.raises(DomainViolation) as general:
             call(_tuple_loop_twin(LEAVES_PAIR), LEAVES_PAIR_START)
         assert _error(scalar.value) == _error(general.value) == LEAVES_PAIR_ERROR
-        # diam(M(v)) > diam(v), and the contractivity test stops at M(v) unchecked
-        assert is_contractive_at(LEAVES_PAIR, LEAVES_PAIR_START) is False
+
+    def test_probe_skips_a_start_whose_image_leaves_the_domain(self):
+        # every nonconstant sample of this two-float domain is LEAVES_PAIR_START
+        # or its swap, whose image step 2 rejects: no counterexample is built
+        # from an image outside the domain, so the probe has tested nothing
+        with pytest.raises(MeanTypeError, match="tested none of its 20 samples"):
+            probe_contractivity(LEAVES_PAIR, 20, 1)
 
     def test_makes_no_step_call(self):
         agm = agm_mapping()
