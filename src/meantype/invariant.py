@@ -19,12 +19,11 @@ observed.
 Every run is one ``_solve``: the plain loop ``mapping._gauss_run``, which
 the n0 search runs too, and the only place the stop rule is written.  It
 makes no generator and checks each iterate in one expression, raising at
-one outside I^p, so every value is read off an iterate of I^p; a p = 2
-pair with closed forms (the AGM, arithmetic-harmonic) iterates there on
-two floats, with no tuple per step.  :func:`gauss_iterate` wraps a run
-in an :class:`InvariantEstimate`; the sampling probes call ``_solve`` per
-sample with parameters and readout functions resolved once per probe,
-and build no result object.
+one outside I^p, so every value is read off an iterate of I^p; every
+p = 2 mapping iterates there on two floats, with no tuple per step.
+:func:`gauss_iterate` wraps a run in an :class:`InvariantEstimate`; the
+sampling probes call ``_solve`` per sample with parameters and readout
+functions resolved once per probe, and build no result object.
 """
 
 from __future__ import annotations
@@ -33,7 +32,8 @@ from collections.abc import Callable, Sequence
 
 from ._record import FrozenRecord, set_field
 from .errors import InvalidMapping, MeanTypeError
-from .mapping import IterationTrace, MeanTypeMapping, TraceStep, _annotate, sample_vectors
+from .mapping import (IterationTrace, MeanTypeMapping, TraceStep, _annotate, _check_count,
+                      sample_vectors)
 from .mapping import _gauss_run as _solve  # every Gauss run; the tests count solves here
 from .mapping import diameter  # noqa: F401 -- bench/spans.py patches it here
 from .means import Interval, Vector, midpoint
@@ -57,8 +57,7 @@ def _check_iteration(tol: float, max_iter: int, readout: str) -> None:
     """Reject iteration parameters no run could use; NaN ``tol`` included."""
     if not tol > 0.0:
         raise InvalidMapping(f"tol must be positive, got {tol!r}")
-    if max_iter < 1:
-        raise InvalidMapping(f"max_iter must be >= 1, got {max_iter}")
+    _check_count("max_iter", max_iter, 1)
     if readout not in READOUTS:
         raise InvalidMapping(f"unknown readout {readout!r}; available: {READOUTS}")
 
@@ -179,8 +178,7 @@ def over_samples(
     An evaluation error aborts the probe, re-raised with the offending
     sample attached and its attributes (``component``, say) kept.
     """
-    if sample_count < 1:
-        raise InvalidMapping(f"sample_count must be >= 1, got {sample_count}")
+    _check_count("sample_count", sample_count, 1)
     out = []
     for idx, v in enumerate(sample_vectors(domain, p, sample_count, seed)):
         try:

@@ -15,7 +15,7 @@ module provides the iteration machinery and the probes built on it:
 Contractivity at v is n0(v) = 1: these three and every Gauss solve run one
 loop, ``_gauss_run``; ``MeanTypeMapping.orbit`` is plain apply-then-diameter.
 A mapping binds its step once, from its components' rows of the mean
-catalog (``means._CATALOG``): kernels, or their p = 2 closed forms.
+catalog (``means._CATALOG``); at p = 2, one function of ``(x, y)`` each.
 Everything is pure; probes are sequential loops, deterministic per seed.
 """
 
@@ -49,7 +49,7 @@ from .means import (
     midpoint,
     parse_interval,
     parse_mean,
-    sample_vectors,
+    sample_vectors as _sample_vectors,
 )
 
 #: Sampled vectors with diameter at or below this, times the width of the
@@ -58,6 +58,30 @@ from .means import (
 NEGLIGIBLE_DIAMETER = 1e-9
 
 DEFAULT_CAP = 1000
+
+
+def _check_count(name: str, count: int, least: int | None = None) -> int:
+    """``count`` as an int, once it is found to be a whole number (an int,
+    or an integral float such as 1e4) and, if ``least`` is given, at least
+    ``least``; otherwise :class:`InvalidMapping` naming ``name``.  A run
+    stops on a step number equal to its limit, which 2.5 or inf never is."""
+    whole = count
+    if type(count) is not int:  # the common case skips the conversion
+        try:
+            whole = int(count)
+        except (TypeError, ValueError, OverflowError):
+            whole = None
+        if whole is None or whole != count:
+            raise InvalidMapping(f"{name} must be a whole number, got {count!r}")
+    if least is not None and count < least:
+        raise InvalidMapping(f"{name} must be >= {least}, got {count}")
+    return whole
+
+
+def sample_vectors(domain: Interval, p: int, count: int, seed: int = 42) -> Iterator[Vector]:
+    """:func:`means.sample_vectors`, with ``count`` checked first: one that
+    is not a whole number raises :class:`InvalidMapping`."""
+    return _sample_vectors(domain, p, _check_count("count", count), seed)
 
 
 def diameter(v: Sequence[float]) -> float:
@@ -80,11 +104,12 @@ class MeanTypeMapping(FrozenRecord):
     """An ordered tuple of p means of arity p over a shared interval."""
 
     # Bound once here, so that apply and the Gauss loop read no spec field or
-    # kernel table: _step, v -> M(v) (:func:`_bind_step`); _pair, the closed
-    # forms (f0, f1) of a p = 2 mapping that has them (:func:`_closed_pair`),
-    # else None; _p, the arity; _positive, the first component that requires
-    # positive coordinates (or None); _bounds, the least and greatest valid
-    # coordinates (``means.admissible``).  None is compared or shown.
+    # kernel table: _step, v -> M(v) (:func:`_bind_step`); _pair, the
+    # functions (f0, f1) with M(x, y) = (f0(x, y), f1(x, y)) of a p = 2
+    # mapping (:func:`_pair_step`), else None; _p, the arity; _positive, the
+    # first component that requires positive coordinates (or None); _bounds,
+    # the least and greatest valid coordinates (``means.admissible``).  None
+    # is compared or shown.
     __slots__ = ("components", "domain", "name", "_step", "_pair", "_p", "_positive", "_bounds")
     _fields = ("components", "domain", "name")
 
@@ -103,7 +128,7 @@ class MeanTypeMapping(FrozenRecord):
         set_field(self, "domain", domain)
         set_field(self, "name", name)
         set_field(self, "_step", _bind_step(components))
-        set_field(self, "_pair", _closed_pair(components))
+        set_field(self, "_pair", _pair_step(components))
         set_field(self, "_p", p)
         positive = next((i for i, spec in enumerate(components) if spec.requires_positive), None)
         set_field(self, "_positive", positive)
@@ -153,8 +178,7 @@ class MeanTypeMapping(FrozenRecord):
         """Trace of v, M(v), ..., M^n(v) with per-step diameters.  As in a
         Gauss run, M^n(v) too is checked as :meth:`apply` checks its input:
         one outside I^p raises what step n + 1 raises."""
-        if n < 0:
-            raise InvalidMapping(f"iteration count must be >= 0, got {n}")
+        n = _check_count("iteration count", n, 0)
         steps = [TraceStep(*s) for s in islice(self.orbit(v), n + 1)]
         _apply_at(self, steps[-1].vector, n + 1)
         return IterationTrace(self, steps)
@@ -172,26 +196,36 @@ class MeanTypeMapping(FrozenRecord):
         return f"({comps}) on {self.domain}"
 
 
-def _closed_pair(specs: Sequence[MeanSpec]) -> tuple[Callable, Callable] | None:
-    """``(f0, f1)`` for a p = 2 mapping whose components both have a closed
-    form in their catalog row (``means._CATALOG``: arithmetic, geometric,
-    harmonic, median, min, max, quasi:identity, quasi:log), else None."""
-    if len(specs) == 2 and all(pair := [spec._row[1] for spec in specs]):
-        return tuple(pair)
-    return None
+def _pair_step(specs: Sequence[MeanSpec]) -> tuple[Callable, Callable] | None:
+    """``(f0, f1)`` with M(x, y) = (f0(x, y), f1(x, y)) for a p = 2 mapping,
+    else None.  A component whose catalog row (``means._CATALOG``) has a
+    closed form uses it; ``projection:1`` and ``projection:2`` pick ``x`` and
+    ``y``; any other kind calls its kernel on ``(x, y)``.  Each gives the
+    bits of the general kernel."""
+    if len(specs) != 2:
+        return None
+    return _pair_form(specs[0]), _pair_form(specs[1])
+
+
+def _pair_form(spec: MeanSpec) -> Callable[[float, float], float]:
+    kernel, closed, _ = spec._row
+    if closed is not None:
+        return closed
+    if spec.kind == "projection":
+        return (lambda x, y: x) if spec.index == 1 else (lambda x, y: y)
+    return lambda x, y: kernel(spec, (x, y))
 
 
 def _bind_step(specs: Sequence[MeanSpec]) -> Callable[[Vector], Vector]:
     """``v -> (M_1(v), ..., M_p(v))`` for a checked, nonconstant ``v``; p >= 2.
 
-    A p = 2 mapping with closed forms (:func:`_closed_pair`) steps as
-    ``(f0(x, y), f1(x, y))``, with the bits of the general kernels.
-    Otherwise, with two or more log-space means, log(x) is taken once per
+    A p = 2 mapping steps as ``(f0(x, y), f1(x, y))`` (:func:`_pair_step`).
+    For p >= 3, with two or more log-space means, log(x) is taken once per
     coordinate and passed to every kernel (the same float operations, so
     the same bits), and one item getter gathers projections and kernel
     results in order.
     """
-    if pair := _closed_pair(specs):
+    if pair := _pair_step(specs):
         f0, f1 = pair
 
         def step(v: Vector) -> Vector:
@@ -261,17 +295,17 @@ def _gauss_run(mapping: MeanTypeMapping, v: Sequence[float], tol: float | None, 
 
     ``v`` is converted once.  Every iterate, the start and the last
     included, is checked once, before the stop rule reads it, in the
-    expression that measures it (for p = 2, ``a <= x <= b and a <= y <= b``
-    with ``abs(x - y)``, which NaN fails and which equals ``max - min`` to
-    the bit; for p >= 3, the ``len``/``sum``/``min``/``max`` pass of
-    :func:`check_vector`).  An iterate that fails it raises what step
-    n + 1 would raise (:func:`diameter`, then
+    expression that measures it.  An iterate that fails it raises what
+    step n + 1 would raise (:func:`diameter`, then
     :meth:`MeanTypeMapping.apply`, with ``step n + 1:`` prepended), so a
-    run returns only an iterate of I^p.  A p = 2 mapping with closed forms
-    (``_pair``) runs the scalar loop: it keeps ``x, y`` as two floats,
-    steps as ``x, y = f0(x, y), f1(x, y)`` and builds a tuple only for
-    ``keep`` and the result.  Every other mapping runs the tuple loop
-    through ``_step``.
+    run returns only an iterate of I^p.  The arity picks the loop.  A
+    p = 2 mapping runs the scalar loop: it keeps ``x, y`` as two floats,
+    checks them as ``a <= x <= b and a <= y <= b`` with ``abs(x - y)``
+    (which NaN fails and which equals ``max - min`` to the bit), steps as
+    ``x, y = f0(x, y), f1(x, y)`` (``_pair``) and builds a tuple only for
+    ``keep`` and the result.  A p >= 3 mapping, and a start of the wrong
+    length, runs the tuple loop through ``_step``, with the
+    ``len``/``sum``/``min``/``max`` pass of :func:`check_vector`.
     """
     p, pair, (a, b) = mapping._p, mapping._pair, mapping._bounds
     try:
@@ -297,12 +331,9 @@ def _gauss_run(mapping: MeanTypeMapping, v: Sequence[float], tol: float | None, 
                 bound, stop_at = d, limit
             n += 1
             x, y = f0(x, y), f1(x, y)
-    step, two = mapping._step, p == len(v) == 2
+    step = mapping._step
     while True:
-        if two:
-            x, y = v
-            d = abs(x - y) if a <= x <= b and a <= y <= b else _checked_diameter(mapping, v, n)
-        elif len(v) == p and (s := sum(v)) == s and a <= (lo := min(v)) and (hi := max(v)) <= b:
+        if len(v) == p and (s := sum(v)) == s and a <= (lo := min(v)) and (hi := max(v)) <= b:
             d = hi - lo
         else:
             d = _checked_diameter(mapping, v, n)
@@ -424,8 +455,7 @@ def probe_contractivity(
     probe that skips every sample has tested nothing and raises
     :class:`MeanTypeError`.
     """
-    if sample_count < 1:
-        raise InvalidMapping(f"sample_count must be >= 1, got {sample_count}")
+    _check_count("sample_count", sample_count, 1)
     lo, hi = mapping.domain.sampling_box()
     negligible = NEGLIGIBLE_DIAMETER * min(1.0, hi - lo)
     skipped = 0
@@ -459,7 +489,7 @@ def find_n0(mapping: MeanTypeMapping, v: Sequence[float], cap: int = DEFAULT_CAP
     (with the full trace attached) when no iterate within the cap drops --
     which diagnoses, but does not disprove, weak contractivity.
     """
-    _check_cap(cap)
+    _check_count("cap", cap, 1)
     n0, _ = _search_n0(mapping, v, cap)
     if n0 == 0:
         raise ConstantVector("n0 is defined only for nonconstant vectors")
@@ -473,28 +503,26 @@ def star_apply(mapping: MeanTypeMapping, v: Sequence[float], cap: int = DEFAULT_
     vectors are fixed points of every mean-type mapping and are returned
     unchanged (n0 is undefined for them).
     """
+    _check_count("cap", cap)
     _, image = _search_n0(mapping, v, cap)
     return image
-
-
-def _check_cap(cap: int) -> None:
-    if cap < 1:
-        raise InvalidMapping(f"cap must be >= 1, got {cap}")
 
 
 def _search_n0(mapping: MeanTypeMapping, v: Sequence[float], cap: int) -> tuple[int, Vector]:
     """``(n0(v), M^n0(v))``, or ``(0, v)`` for a constant ``v``.
 
-    One run of :func:`_gauss_run` below the start diameter, with ``cap``
-    as its limit.  The start is checked first; a constant one returns
-    before ``cap`` is checked, and with ``cap < 1`` any other ends the run
-    at step 0.
+    One run of :func:`_gauss_run` below the start diameter, with ``cap``, a
+    whole number, as its limit.  The start is checked first; a constant one
+    returns before ``cap`` is checked, and with ``cap < 1`` any other ends
+    the run at step 0.  The run keeps no steps: only when it ends undone
+    does a second, identical run keep them for the error's trace.
     """
-    steps = []  # plain (n, v, d) tuples: TraceSteps only for the error
-    n, image, d, found = _gauss_run(mapping, v, None, max(cap, 0), False, steps)
+    n, image, d, found = _gauss_run(mapping, v, None, max(cap, 0), False)
     if found:
         return n, image
-    _check_cap(cap)
+    _check_count("cap", cap, 1)
+    steps = []  # plain (n, v, d) tuples: TraceSteps only for the error
+    _gauss_run(mapping, v, None, cap, False, steps)
     raise NotFoundWithinCap(
         f"no diameter decrease within {cap} iterations "
         f"(start diameter {steps[0][2]!r}, final {d!r})",

@@ -17,6 +17,7 @@ from meantype import (
     DomainViolation,
     InvalidMapping,
     Interval,
+    InvariantMean,
     IterationTrace,
     MeanSpec,
     MeanTypeError,
@@ -31,18 +32,22 @@ from meantype import (
     find_n0,
     format_mapping_config,
     gauss_iterate,
+    invariance_residual,
     is_contractive_at,
     parse_mapping_config,
     parse_mean,
     probe_contractivity,
+    product_function,
     projection_mapping,
     sample_vectors,
     shift_average_mapping,
     star_apply,
+    uniqueness_probe,
+    verify_decomposition,
 )
 from meantype._record import set_field
 from meantype.invariant import _solve
-from meantype.mapping import DEFAULT_CAP, _bind_step, _check_cap, _search_n0
+from meantype.mapping import DEFAULT_CAP, _bind_step, _check_count, _search_n0
 from meantype.means import _CATALOG, _kernel, float_vector, midpoint
 from conftest import POSITIVE, catalog_mappings
 
@@ -158,10 +163,10 @@ def _parsed(names, domain=POSITIVE):
 
 
 # One mapping per shape of the bound step: projections after a kernel, so
-# that the step reorders; one projection only; projections only (the swap
-# and a 3-cycle); two or more log-space means, which share their logs,
-# among them the geometric cutoff, a negative exponent and the overflow
-# path, with and without a projection.
+# that the step reorders; one projection only; projections only (a 3-cycle,
+# and the swap, which steps as a pair); two or more log-space means, which
+# share their logs, among them the geometric cutoff, a negative exponent
+# and the overflow path, with and without a projection.
 STEP_SHAPES = [
     _parsed(("arithmetic", "projection:1", "projection:3"), Interval()),
     _parsed(("median", "projection:3", "harmonic")),
@@ -173,7 +178,7 @@ STEP_SHAPES = [
     _parsed(("geometric", "projection:1", "power:0.5")),
     # p = 2 pair steps: sums that overflow to +-inf, a reciprocal that
     # overflows, h == inf near float max, a signed zero; and a pair with a
-    # kind that has no closed form, which keeps the general step
+    # kind that has no closed form, whose pair function calls its kernel
     _parsed(("arithmetic", "geometric")),
     _parsed(("median", "min"), Interval()),
     _parsed(("arithmetic", "harmonic")),
@@ -221,8 +226,12 @@ PAIR_COORDS = st.one_of(
 )
 
 
-#: The catalog keys with a p = 2 closed form, all of them parseable mean forms.
-PAIR_KINDS = sorted(key for key, (_, pair, _) in _CATALOG.items() if pair)
+#: Every catalog kind as a p = 2 mean form: the keys with a closed form,
+#: both projections, and the kinds whose pair function calls their kernel,
+#: power at its geometric cutoff, a negative exponent and its overflow path.
+PAIR_KINDS = sorted(key for key, (_, pair, _) in _CATALOG.items() if pair) + [
+    "projection:1", "projection:2", "power:2", "power:-1.5", "power:1e-9", "power:1e308",
+    "quasi:exp", "quasi:power:0.5", "weighted:0.3,0.7"]
 
 
 def _count_kernel_calls(monkeypatch):
@@ -310,6 +319,8 @@ class TestApply:
     @example("arithmetic", "harmonic", 5e-324, 1.0, False, False)  # 1 / x overflows
     @example("harmonic", "geometric", 1e-310, 5e-324, False, False)  # subnormals
     @example("harmonic", "quasi:log", FLOAT_MAX, BELOW_MAX, False, False)  # h == inf
+    @example("projection:2", "power:1e308", 1.7e308, 1e308, False, False)  # power overflows
+    @example("quasi:exp", "weighted:0.3,0.7", 1e308, 3.0, True, False)
     def test_pair_step_matches_the_kernels(self, k0, k1, x, y, negate_x, negate_y):
         specs = [parse_mean(k0, 2), parse_mean(k1, 2)]
         if any(spec.requires_positive for spec in specs):
@@ -330,12 +341,12 @@ class TestApply:
         assert _parsed(kinds).apply((1.3, 712.0)) == expected
         assert calls == []
 
-    def test_pair_with_a_general_kind_keeps_the_kernels(self, monkeypatch):
+    def test_pair_calls_only_its_general_kinds_kernel(self, monkeypatch):
         kinds = ("arithmetic", "power:2")
         expected = _reference_apply(_parsed(kinds), (1.3, 712.0))
         calls = _count_kernel_calls(monkeypatch)
         assert _parsed(kinds).apply((1.3, 712.0)) == expected
-        assert calls == ["arithmetic", "power"]
+        assert calls == ["power"]
 
     def test_reads_no_spec_flag_or_kernel_table_per_call(self, monkeypatch):
         reads = []
@@ -789,7 +800,7 @@ def _orbit_search_n0(mapping, v, cap):
     _, start, d0 = steps[0]
     if d0 == 0.0:
         return 0, start
-    _check_cap(cap)
+    _check_count("cap", cap, 1)
     for step in islice(orbit, cap):
         n, current, dn = step
         if dn < d0:
@@ -833,8 +844,9 @@ class TestGaussRun:
 
     # the closed-endpoint cases put iterates on both ends of [0, 1]: the start
     # (0, 1) or (1, 0) holds one coordinate on each, and min, max or the
-    # projection keeps one there, in the scalar loop, the tuple loop's p = 2
-    # branch and its p >= 3 check; an exclusive bound would send them to apply
+    # projection keeps one there, in the scalar loop (with a closed form, and
+    # with a projection beside a kernel) and in the tuple loop's check; an
+    # exclusive bound would send them to apply
     @pytest.mark.parametrize("mapping, v", [
         (agm_mapping(), (1.0, 2.0)), (agm_mapping(), (1.7e308, 1e308)),
         (shift_average_mapping(3), (0.0, 1.0, 0.0)), (_mixed(5), (1.0, 2.0, 3.0, 4.0, 5.0)),
@@ -843,7 +855,7 @@ class TestGaussRun:
           for v in [(0.0, 1.0), (1.0, 0.0)]],
         (_parsed(("projection:1", "min", "arithmetic"), UNIT), (0.0, 1.0, 0.5)),
     ], ids=["p2", "p2-overflowing-sums", "p3", "p5",
-            *[f"closed-{loop}-{v}" for loop in ["min", "max", "p2-tuple"] for v in ["01", "10"]],
+            *[f"closed-{loop}-{v}" for loop in ["min", "max", "p2-kernel"] for v in ["01", "10"]],
             "closed-p3"])
     def test_valid_iterates_bypass_apply_and_diameter(self, monkeypatch, mapping, v):
         calls = []
@@ -870,13 +882,82 @@ class TestGaussRun:
             find_n0(agm, (-1.0, -1.0), cap=0)
 
 
+#: The calls that take a count, by id: the name their error gives the count,
+#: and the call.  Each converges on its input.
+SHIFT3_MAPPING, SHIFT3_START = shift_average_mapping(3), (0.0, 1.0, 0.0)
+COUNT_CALLS = {
+    "gauss_iterate": ("max_iter", lambda c: gauss_iterate(
+        SHIFT3_MAPPING, SHIFT3_START, max_iter=c)),
+    "InvariantMean": ("max_iter", lambda c: InvariantMean(agm_mapping(), max_iter=c)),
+    "verify_decomposition": ("max_iter", lambda c: verify_decomposition(
+        product_function(2), agm_mapping(), sample_count=5, max_iter=c)),
+    "find_n0": ("cap", lambda c: find_n0(SHIFT3_MAPPING, SHIFT3_START, c)),
+    "star_apply": ("cap", lambda c: star_apply(SHIFT3_MAPPING, SHIFT3_START, c)),
+    "probe_contractivity": ("sample_count", lambda c: probe_contractivity(agm_mapping(), c)),
+    "invariance_residual": ("sample_count", lambda c: invariance_residual(
+        InvariantMean(agm_mapping()), agm_mapping(), c)),
+    "uniqueness_probe": ("sample_count", lambda c: uniqueness_probe(
+        InvariantMean(agm_mapping()), InvariantMean(agm_mapping(), readout="min"),
+        Interval(0.0, math.inf), 2, c)),
+    "decompose-samples": ("sample_count", lambda c: verify_decomposition(
+        product_function(2), agm_mapping(), sample_count=c)),
+    "sample_vectors": ("count", lambda c: list(sample_vectors(Interval(), 2, c))),
+    "iterate": ("iteration count", lambda c: SHIFT3_MAPPING.iterate(SHIFT3_START, c)),
+}
+
+
+class TestWholeCounts:
+    """An iteration or sample count that is not a whole number raises
+    ``InvalidMapping`` naming it; a run could never stop on it.  Every call
+    converges, so a missing check fails the test instead of hanging it."""
+
+    @pytest.mark.parametrize("count", [2.5, 10.5, 1.5, math.inf, math.nan, "3", None],
+                             ids=repr)
+    @pytest.mark.parametrize("call", sorted(COUNT_CALLS))
+    def test_a_count_that_is_not_whole_raises(self, call, count):
+        name, run = COUNT_CALLS[call]
+        with pytest.raises(InvalidMapping) as info:
+            run(count)
+        assert str(info.value) == f"{name} must be a whole number, got {count!r}"
+
+    def test_whole_floats_count_as_ints(self):
+        shift3, v = SHIFT3_MAPPING, SHIFT3_START
+        assert gauss_iterate(shift3, v, max_iter=1e4) == gauss_iterate(shift3, v, max_iter=10000)
+        assert gauss_iterate(shift3, v, max_iter=10.0) == gauss_iterate(shift3, v, max_iter=10)
+        assert find_n0(shift3, v, cap=2.0) == find_n0(shift3, v, cap=2) == 2
+        assert star_apply(shift3, v, cap=2.0) == star_apply(shift3, v, cap=2)
+        assert shift3.iterate(v, 3.0) == shift3.iterate(v, 3)
+        assert (list(sample_vectors(Interval(), 2, 7.0, 5))
+                == list(sample_vectors(Interval(), 2, 7, 5)))
+        assert (probe_contractivity(shift3, 20.0, 5).counterexample
+                == probe_contractivity(shift3, 20, 5).counterexample)
+        with pytest.raises(NotFoundWithinCap, match="within 1.0 iterations"):
+            find_n0(shift3, v, cap=1.0)
+
+    @pytest.mark.parametrize("call, count, message", [
+        ("gauss_iterate", 0, "max_iter must be >= 1, got 0"),
+        ("find_n0", 0.0, "cap must be >= 1, got 0.0"),
+        ("star_apply", -1, "cap must be >= 1, got -1"),
+        ("probe_contractivity", 0, "sample_count must be >= 1, got 0"),
+        ("iterate", -1, "iteration count must be >= 0, got -1"),
+    ])
+    def test_a_whole_count_below_its_least_raises_as_before(self, call, count, message):
+        with pytest.raises(InvalidMapping) as info:
+            COUNT_CALLS[call][1](count)
+        assert str(info.value) == message
+
+    def test_a_constant_start_returns_before_the_cap_check(self):
+        assert star_apply(SHIFT3_MAPPING, (2.0, 2.0, 2.0), cap=-1) == (2.0, 2.0, 2.0)
+        assert list(sample_vectors(Interval(), 2, -1)) == []
+
+
 # ---------------------------------------------------------------------------
-# The scalar loop of closed-form pairs, against the tuple loop and the orbit
+# The scalar loop of p = 2 mappings, against the tuple loop and the orbit
 # ---------------------------------------------------------------------------
 
 def _tuple_loop_twin(mapping):
-    """``mapping`` on the tuple loop: no closed forms, and a step through the
-    general kernels, so its runs take the path of every other mapping."""
+    """``mapping`` on the tuple loop: no pair functions, and a step through
+    the general kernels, so its runs take the path of a p >= 3 mapping."""
     specs = mapping.components
     twin = MeanTypeMapping(specs, mapping.domain, mapping.name)
     set_field(twin, "_pair", None)
@@ -933,8 +1014,8 @@ PAIR_START_COORDS = st.one_of(PAIR_COORDS, PAIR_COORDS.map(lambda x: -x), ORBIT_
 
 @st.composite
 def pair_cases(draw):
-    """A closed-form pair on one of ``PAIR_DOMAINS`` and a start vector:
-    mostly a pair, sometimes constant, sometimes of another length."""
+    """A p = 2 mapping of two ``PAIR_KINDS`` on one of ``PAIR_DOMAINS`` and a
+    start vector: mostly a pair, sometimes constant, sometimes of another length."""
     k0, k1 = draw(st.sampled_from(PAIR_KINDS)), draw(st.sampled_from(PAIR_KINDS))
     mapping = MeanTypeMapping((parse_mean(k0, 2), parse_mean(k1, 2)),
                               draw(st.sampled_from(PAIR_DOMAINS)), name=f"{k0}; {k1}")
@@ -961,8 +1042,8 @@ API_CALLS = {
 
 
 class TestScalarLoop:
-    """A closed-form pair runs ``_gauss_run``'s scalar loop; its results,
-    kept steps and errors are those of the tuple loop and of the orbit."""
+    """A p = 2 mapping runs ``_gauss_run``'s scalar loop; its results, kept
+    steps and errors are those of the tuple loop and of the orbit."""
 
     @settings(max_examples=1000, deadline=None)
     @given(pair_cases(), RUN_MODES)
