@@ -70,9 +70,10 @@ class InvariantEstimate(FrozenRecord):
     of the starting vector, and when ``status`` is ``converged`` the true
     common limit (if the mapping has one) differs from the midpoint readout
     by at most final_diameter / 2.  Neither holds exactly, since each float
-    step rounds: the AGM pair from (1.7976931348623157e308,
-    1.7976931348623155e308) reads 1.7976931348622732e308, below min(v),
-    and some converged solves miss the limit by more than that bound.
+    step rounds: three p = 3 geometric means from (1.7976931348623155e308,
+    1.7976931348623157e308, 1.7976931348623157e308) read
+    1.7976931348622732e308, below min(v), and some converged solves miss
+    the limit by more than that bound.
     """
 
     __slots__ = _fields = ("value", "steps", "final_diameter", "status", "trace")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Callable, Iterator, Sequence
+from math import sqrt
 
 from ._record import FrozenRecord, set_field
 from .errors import (
@@ -40,6 +41,9 @@ Logs = list[float] | None
 #: Exponents closer to zero than this evaluate through the geometric-mean
 #: formula (the analytic limit of the power mean), avoiding cancellation.
 POWER_ZERO_CUTOFF = 1e-8
+#: From this |t| up, ``power:t`` sums ``x**t`` directly where that is safe
+#: (:func:`_power_mean`); closer to zero, ``acc**(1/t)`` magnifies rounding.
+_DIRECT_POWER_CUTOFF = 0.1
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -533,16 +537,19 @@ def _pair_arithmetic(x: float, y: float) -> float:
 
 
 def _geometric(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
+    if len(v) == 2:
+        return _pair_geometric(*v)
     return math.exp(math.fsum(map(math.log, v) if logs is None else logs) / len(v))
 
 
 def _pair_geometric(x: float, y: float) -> float:
-    return math.exp((math.log(x) + math.log(y)) / 2)
+    p = x * y  # rounded once where normal; sqrt(x * x) is x, so this stays in [min, max]
+    return sqrt(p) if 2.0 ** -1022 <= p < math.inf else sqrt(x) * sqrt(y)
 
 
 def _harmonic(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
     try:
-        total = math.fsum(1.0 / x for x in v)
+        total = math.fsum([1.0 / x for x in v])
     except OverflowError:  # finite reciprocals whose sum leaves the float range
         total = math.inf
     h = len(v) / total
@@ -551,7 +558,7 @@ def _harmonic(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
         # subnormal (h = inf).  Scale by min(v) or max(v) respectively, so
         # every m / x stays finite and m * (n / sum) cannot overflow.
         m = min(v) if h == 0.0 else max(v)
-        return m * (len(v) / math.fsum(m / x for x in v))
+        return m * (len(v) / math.fsum([m / x for x in v]))
     return h
 
 
@@ -564,9 +571,19 @@ def _power_mean(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
     t = spec.exponent  # power:t, or quasi:power:t, which is the same mean
     if abs(t) < POWER_ZERO_CUTOFF:
         return _geometric(spec, v, logs)
+    if abs(t) >= _DIRECT_POWER_CUTOFF:
+        try:  # no x**t, sum or root overflows, and no underflowed x**t moves acc
+            acc = math.fsum([x ** t for x in v]) / len(v)
+            if acc >= 2.0 ** -969:
+                if t == 2.0:  # sqrt(x ** 2) is x, so this stays in [min, max]
+                    return sqrt(acc)
+                r, lo, hi = acc ** (1 / t), min(v), max(v)
+                return lo if r < lo else hi if r > hi else r  # rounding may leave them
+        except OverflowError:
+            pass
     logs = [*map(math.log, v)] if logs is None else logs
-    # Work in log space so large |t| cannot overflow: the mean of x^t is
-    # exp(t*L_max) * mean(exp(t*(L_i - L_max))).
+    # Else work in log space, where large |t| cannot overflow: the mean of
+    # x^t is exp(t*L_max) * mean(exp(t*(L_i - L_max))).
     scaled = [t * l for l in logs]
     top = max(scaled)
     if math.isinf(top):
@@ -597,7 +614,7 @@ def _median(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
 def _log_mean_exp(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
     # log of the average of exp(x_i), stabilized against overflow.
     top = max(v)
-    return top + math.log(math.fsum(math.exp(x - top) for x in v) / len(v))
+    return top + math.log(math.fsum([math.exp(x - top) for x in v]) / len(v))
 
 
 def _minimum(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
@@ -609,7 +626,7 @@ def _maximum(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
 
 
 def _weighted(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
-    return math.fsum(w * x for w, x in zip(spec.weights, v))
+    return math.fsum([w * x for w, x in zip(spec.weights, v)])
 
 
 def _projection(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
@@ -642,7 +659,7 @@ _CATALOG: dict[str, tuple] = {
     "weighted_arithmetic": (_weighted, None, False),
     "projection": (_projection, None, False),
 }
-_LOG_KERNELS = {_geometric, _power_mean}  # the kernels that work on log(x)
+_LOG_KERNELS = {_geometric}  # the kernels that work on log(x); power's fallback reads it too
 
 
 def _kernel(spec: MeanSpec) -> Callable[..., float]:

@@ -9,6 +9,10 @@ behaviour leaves every case passing.
 Regenerate the corpus (only when a behaviour change is intended) with::
 
     python tests/test_golden.py
+
+which prints every case whose exit code or stdout moved: its file, its
+argv and each differing line as ``old → new``.  Unchanged cases print
+nothing.
 """
 
 from __future__ import annotations
@@ -118,16 +122,35 @@ def _load_corpus() -> list[tuple[str, dict]]:
     return out
 
 
+def _moved(old: dict | None, code: int, out: str) -> list[str]:
+    """The lines that report how ``(code, out)`` differs from the recorded case ``old``."""
+    if old is None:
+        return ["new case"]
+    lines = [] if old["exit"] == code else [f"exit {old['exit']} → {code}"]
+    was, now = old["stdout"].splitlines(), out.splitlines()
+    for i in range(max(len(was), len(now))):
+        a = was[i] if i < len(was) else "<none>"
+        b = now[i] if i < len(now) else "<none>"
+        if a != b:
+            lines.append(f"{a.strip()} → {b.strip()}")
+    return lines
+
+
 def _regenerate() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, cases in corpus_cases().items():
-        recorded = []
+        path = GOLDEN_DIR / f"{name}.json"
+        rel = path.relative_to(ROOT)
+        old = {tuple(c["argv"]): c for c in json.loads(path.read_text())} if path.exists() else {}
+        recorded, moved = [], 0
         for argv in cases:
             code, out = run_cli(argv)
             recorded.append({"argv": argv, "exit": code, "stdout": out})
-        path = GOLDEN_DIR / f"{name}.json"
+            if lines := _moved(old.get(tuple(argv)), code, out):
+                moved += 1
+                print(f"{rel}: {' '.join(argv)}", *lines, sep="\n    ")
         path.write_text(json.dumps(recorded, indent=1) + "\n")
-        print(f"wrote {path.relative_to(ROOT)} ({len(recorded)} cases)")
+        print(f"wrote {rel} ({len(recorded)} cases, {moved} moved)")
 
 
 _CORPUS = _load_corpus()

@@ -164,9 +164,10 @@ def _parsed(names, domain=POSITIVE):
 
 # One mapping per shape of the bound step: projections after a kernel, so
 # that the step reorders; one projection only; projections only (a 3-cycle,
-# and the swap, which steps as a pair); two or more log-space means, which
-# share their logs, among them the geometric cutoff, a negative exponent
-# and the overflow path, with and without a projection.
+# and the swap, which steps as a pair); power means beside a geometric one,
+# among them the geometric cutoff, a negative exponent and the overflow
+# path, with and without a projection; and two geometric means, which share
+# their logs, here with the log-space fallback of a power mean.
 STEP_SHAPES = [
     _parsed(("arithmetic", "projection:1", "projection:3"), Interval()),
     _parsed(("median", "projection:3", "harmonic")),
@@ -176,6 +177,7 @@ STEP_SHAPES = [
     _parsed(("quasi:log", "median", "quasi:power:0.5")),
     _parsed(("power:1e308", "weighted:0.2,0.3,0.5", "geometric")),
     _parsed(("geometric", "projection:1", "power:0.5")),
+    _parsed(("quasi:log", "power:1e308", "geometric")),
     # p = 2 pair steps: sums that overflow to +-inf, a reciprocal that
     # overflows, h == inf near float max, a signed zero; and a pair with a
     # kind that has no closed form, whose pair function calls its kernel
@@ -201,6 +203,7 @@ BELOW_MAX = math.nextafter(FLOAT_MAX, 0.0)
 # power:1e308 down its overflow path.
 STEP_VECTORS = [(-1.5, 2.0, 7.0), (0.5, 3.0, 2.0), (1.0, -4.0), (1.0, 2.0, 3.0),
                 (0.25, 3.0, 1e-300), (0.5, 2.0, 8.0), (0.5, 3.0, 1.7e308), (4.0, 0.5, 9.0),
+                (0.5, 1.7e308, 3.0),
                 (1.7e308, 1.6e308), (-1.7e308, -1.6e308), (5e-324, 1.0), (FLOAT_MAX, BELOW_MAX),
                 (1e-310, 5e-324), (-0.0, 5e-324), (1.0, 3.0)]
 
@@ -567,7 +570,7 @@ class TestOrbit:
               [0.0, 1.0]))
     @example((ORBIT_MAPPINGS[-4], [0.0, 0.5, 1.0]))  # p = 2: the arity, not the domain, fails
     @example((ORBIT_MAPPINGS[-3], [0.0, 0.5, 1.0]))  # in [0, 1], not positive
-    @example((agm_mapping(), [1.7e308, 1e308]))  # a stall whose sums overflow
+    @example((agm_mapping(), [1.7e308, 8e307]))  # a stall whose sums overflow
     @example((agm_mapping(), [1.7e308, math.inf]))  # an infinite sum, not an overflow
     @with_step_examples(lambda shape, v: ((shape, v),))
     def test_matches_apply_then_diameter(self, case):
@@ -585,7 +588,7 @@ class TestOrbit:
     def test_overflowing_sums_measured(self, agm):
         # every sum overflows, yet each iterate is finite and in the domain
         assert [d for _, _, d in islice(agm.orbit((1.7e308, 1e308)), 3)] == [
-            6.999999999999999e307, 4.615951895948154e306, 2.007338404467172e304]
+            6.999999999999999e307, 4.615951895947036e306, 2.0073384045609764e304]
 
 
 # ---------------------------------------------------------------------------
@@ -1000,10 +1003,11 @@ def _api_outcome(call, mapping, v):
         return _error(exc) + (repr(getattr(exc, "trace", None)),)
 
 
-#: (arithmetic, geometric) on [BELOW_MAX, inf): the geometric mean of the
-#: start rounds 4.2e294 below it, so the first iterate leaves the domain and
-#: step 2 rejects it.
-LEAVES_PAIR = MeanTypeMapping((MeanSpec.arithmetic(2), MeanSpec.geometric(2)),
+#: (arithmetic, power:-1e300) on [BELOW_MAX, inf): every x**-1e300 of the
+#: start underflows, so the power mean runs in log space, and it rounds the
+#: start 4.2e294 below BELOW_MAX; the first iterate leaves the domain and step
+#: 2 rejects it.
+LEAVES_PAIR = MeanTypeMapping((MeanSpec.arithmetic(2), MeanSpec.power(-1e300, 2)),
                               Interval(BELOW_MAX, math.inf, lower_closed=True), name="leaves-pair")
 LEAVES_PAIR_START = (FLOAT_MAX, BELOW_MAX)
 LEAVES_PAIR_ERROR = (DomainViolation, "step 2: component 1 (arithmetic): coordinate 2 = "
@@ -1051,7 +1055,7 @@ class TestScalarLoop:
     @example((agm_mapping(), [1.0, 9.0]), (1e-12, 1, False, True))  # a max_iter stop
     @example((agm_mapping(), [1.0, 9.0]), (None, 1, False, False))  # contractivity
     @example((agm_mapping(), [1.0, 9.0]), (1e-12, DEFAULT_CAP, True, True))
-    @example((agm_mapping(), [1.7e308, 1e308]), (1e-12, DEFAULT_CAP, False, True))
+    @example((agm_mapping(), [1.7e308, 8e307]), (1e-12, DEFAULT_CAP, False, True))  # a stall
     @example((_parsed(("min", "max"), Interval()), [0.0, 1.0]), (None, DEFAULT_CAP, False, True))
     @example((_parsed(("harmonic", "geometric")), [1e-310, 5e-324]), (1e-300, 12, True, True))
     @example((agm_mapping(), [-1.0, -1.0]), (1e300, 0, False, False))  # an invalid constant start
