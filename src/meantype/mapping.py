@@ -41,8 +41,6 @@ from .means import (
     Interval,
     MeanSpec,
     Vector,
-    _LOG_KERNELS,
-    _kernel,
     check_vector,
     eval_mean,  # noqa: F401 -- bench/spans.py patches it here
     float_vector,
@@ -220,10 +218,11 @@ def _bind_step(specs: Sequence[MeanSpec]) -> Callable[[Vector], Vector]:
     """``v -> (M_1(v), ..., M_p(v))`` for a checked, nonconstant ``v``; p >= 2.
 
     A p = 2 mapping steps as ``(f0(x, y), f1(x, y))`` (:func:`_pair_step`).
-    For p >= 3, with two or more log-space means, log(x) is taken once per
-    coordinate and passed to every kernel (the same float operations, so
-    the same bits), and one item getter gathers projections and kernel
-    results in order.
+    For p >= 3, each component but a projection calls its catalog kernel
+    once, as ``kernel(spec, v)``, and one item getter gathers projections
+    and kernel results in order.  Three shapes: projections only (the
+    getter alone), one kernel, and several kernels; with no projection
+    among the components, the kernel results are the image, ungathered.
     """
     if pair := _pair_step(specs):
         f0, f1 = pair
@@ -232,22 +231,17 @@ def _bind_step(specs: Sequence[MeanSpec]) -> Callable[[Vector], Vector]:
             x, y = v
             return f0(x, y), f1(x, y)
         return step
-    ks, gather, logged = [], [], 0
+    ks, gather = [], []
     for spec in specs:  # gather M_i(v) from v + kernels(v)
         if spec.kind == "projection":
             gather.append(spec.index - 1)
         else:
             gather.append(len(specs) + len(ks))
-            ks.append(functools.partial(_kernel(spec), spec))
-            logged += ks[-1].func in _LOG_KERNELS
+            ks.append(functools.partial(spec._row[0], spec))
     take = operator.itemgetter(*gather)
     if not ks:
         return take
-    if logged >= 2:
-        def kernels(v: Vector) -> Vector:
-            logs = [*map(math.log, v)]
-            return tuple([k(v, logs) for k in ks])
-    elif len(ks) == 1:
+    if len(ks) == 1:
         (k0,) = ks
         kernels = lambda v: (k0(v),)  # noqa: E731
     else:

@@ -35,8 +35,6 @@ from .errors import (
 )
 
 Vector = tuple[float, ...]
-#: ``[log(x) for x in v]``, shared by the log-space kernels of one step.
-Logs = list[float] | None
 
 #: Exponents closer to zero than this evaluate through the geometric-mean
 #: formula (the analytic limit of the power mean), avoiding cancellation.
@@ -252,7 +250,7 @@ class MeanSpec(FrozenRecord):
                  weights: Sequence[float] | None = None):
         if kind not in KINDS:
             raise InvalidMeanSpec(f"unknown mean kind {kind!r}; available: {KINDS}")
-        if not isinstance(arity, int) or arity < 1:
+        if type(arity) is not int or arity < 1:  # a bool would print True
             raise InvalidMeanSpec(f"arity must be a positive integer, got {arity!r}")
         takes = ()  # the fields beyond kind and arity that the kind takes
         if kind == "power":
@@ -441,12 +439,7 @@ def eval_mean(spec: MeanSpec, v: Sequence[float], domain: Interval = REALS) -> f
     result satisfies internality up to rounding.
     """
     kernel, _, positive = spec._row
-    return _eval(spec, v, domain, kernel, positive, domain._admissible[positive])
-
-
-def _eval(spec: MeanSpec, v: Sequence[float], domain: Interval, kernel: Callable[..., float],
-          positive: bool, bounds: tuple[float, float]) -> float:
-    v = check_vector(v, (spec,), domain, 0 if positive else None, bounds)
+    v = check_vector(v, (spec,), domain, 0 if positive else None, domain._admissible[positive])
     # Constant vectors are exact fixed points of every mean; returning the
     # coordinate directly keeps reflexivity free of rounding.
     if v.count(v[0]) == len(v):
@@ -523,7 +516,7 @@ def check_vector(v: Sequence[float], specs: Sequence[MeanSpec], domain: Interval
     return v
 
 
-def _arithmetic(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
+def _arithmetic(spec: MeanSpec, v: Vector) -> float:
     try:
         return math.fsum(v) / len(v)
     except OverflowError:  # the sum leaves the float range; the mean does not
@@ -536,10 +529,10 @@ def _pair_arithmetic(x: float, y: float) -> float:
     return s / 2 if -math.inf < s < math.inf else x / 2 + y / 2
 
 
-def _geometric(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
+def _geometric(spec: MeanSpec, v: Vector) -> float:
     if len(v) == 2:
         return _pair_geometric(*v)
-    return math.exp(math.fsum(map(math.log, v) if logs is None else logs) / len(v))
+    return math.exp(math.fsum(map(math.log, v)) / len(v))
 
 
 def _pair_geometric(x: float, y: float) -> float:
@@ -547,7 +540,7 @@ def _pair_geometric(x: float, y: float) -> float:
     return sqrt(p) if 2.0 ** -1022 <= p < math.inf else sqrt(x) * sqrt(y)
 
 
-def _harmonic(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
+def _harmonic(spec: MeanSpec, v: Vector) -> float:
     try:
         total = math.fsum([1.0 / x for x in v])
     except OverflowError:  # finite reciprocals whose sum leaves the float range
@@ -567,10 +560,10 @@ def _pair_harmonic(x: float, y: float) -> float:
     return _harmonic(None, (x, y)) if h == 0.0 or h == math.inf else h  # rescued there
 
 
-def _power_mean(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
+def _power_mean(spec: MeanSpec, v: Vector) -> float:
     t = spec.exponent  # power:t, or quasi:power:t, which is the same mean
     if abs(t) < POWER_ZERO_CUTOFF:
-        return _geometric(spec, v, logs)
+        return _geometric(spec, v)
     if abs(t) >= _DIRECT_POWER_CUTOFF:
         try:  # no x**t, sum or root overflows, and no underflowed x**t moves acc
             acc = math.fsum([x ** t for x in v]) / len(v)
@@ -581,7 +574,7 @@ def _power_mean(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
                 return lo if r < lo else hi if r > hi else r  # rounding may leave them
         except OverflowError:
             pass
-    logs = [*map(math.log, v)] if logs is None else logs
+    logs = [*map(math.log, v)]
     # Else work in log space, where large |t| cannot overflow: the mean of
     # x^t is exp(t*L_max) * mean(exp(t*(L_i - L_max))).
     scaled = [t * l for l in logs]
@@ -605,43 +598,43 @@ def midpoint(v: Vector) -> float:
     return mid
 
 
-def _median(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
+def _median(spec: MeanSpec, v: Vector) -> float:
     s = sorted(v)
     i = len(s) // 2
     return s[i] if len(s) % 2 else midpoint(s[i - 1:i + 1])
 
 
-def _log_mean_exp(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
+def _log_mean_exp(spec: MeanSpec, v: Vector) -> float:
     # log of the average of exp(x_i), stabilized against overflow.
     top = max(v)
     return top + math.log(math.fsum([math.exp(x - top) for x in v]) / len(v))
 
 
-def _minimum(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
+def _minimum(spec: MeanSpec, v: Vector) -> float:
     return min(v)
 
 
-def _maximum(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
+def _maximum(spec: MeanSpec, v: Vector) -> float:
     return max(v)
 
 
-def _weighted(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
+def _weighted(spec: MeanSpec, v: Vector) -> float:
     return math.fsum([w * x for w, x in zip(spec.weights, v)])
 
 
-def _projection(spec: MeanSpec, v: Vector, logs: Logs = None) -> float:
+def _projection(spec: MeanSpec, v: Vector) -> float:
     return v[spec.index - 1]
 
 
 #: The catalog: one row per mean kind, and per generator under
 #: ``quasi:<generator>``, where a quasi-arithmetic mean runs the kernel of the
-#: mean it equals.  A row is ``(kernel(spec, v, logs), f(x, y), positive)``:
+#: mean it equals.  A row is ``(kernel(spec, v), f(x, y), positive)``:
 #: ``f`` is the kernel's closed form at p = 2, with its bits, or None (a p = 2
 #: median is the midpoint, which is the arithmetic mean), and ``positive``
 #: says whether the mean requires strictly positive coordinates.  A spec
-#: binds its row when built (``MeanSpec._row``).  A mapping's step gathers
-#: its projections itself.  Only the log-space kernels read
-#: ``logs``; the others take it so that a step can call all kernels alike.
+#: binds its row when built (``MeanSpec._row``).  A p >= 3 mapping's step
+#: calls each component's kernel once and gathers its projections itself:
+#: projections only, one kernel, or several kernels (``mapping._bind_step``).
 #: Specs and mappings pickle by rebuilding through their ``__init__``, so
 #: what is bound here never needs to pickle.
 _CATALOG: dict[str, tuple] = {
@@ -659,21 +652,12 @@ _CATALOG: dict[str, tuple] = {
     "weighted_arithmetic": (_weighted, None, False),
     "projection": (_projection, None, False),
 }
-_LOG_KERNELS = {_geometric}  # the kernels that work on log(x); power's fallback reads it too
-
-
-def _kernel(spec: MeanSpec) -> Callable[..., float]:
-    """``kernel(spec, v, logs=None)`` for ``spec``."""
-    return spec._row[0]
 
 
 def mean_callable(spec: MeanSpec, domain: Interval = REALS) -> Callable[[Sequence[float]], float]:
-    """Bind a spec and domain into a plain ``f(v) -> float``; the kernel is bound once."""
-    kernel, _, positive = spec._row
-    bounds = domain._admissible[positive]
-
+    """Bind a spec and domain into a plain ``f(v) -> float``: :func:`eval_mean` at them."""
     def fn(v: Sequence[float]) -> float:
-        return _eval(spec, v, domain, kernel, positive, bounds)
+        return eval_mean(spec, v, domain)
 
     fn.__name__ = f"mean_{spec.canonical()}"
     return fn

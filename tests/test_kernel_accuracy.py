@@ -201,6 +201,25 @@ def test_solves_with_no_geometric_or_power_kernel_keep_their_bits(mapping, v, va
     assert (est.value.hex(), est.steps, est.final_diameter.hex()) == (value, steps, final_diameter)
 
 
+MIXED_5 = ("arithmetic", "geometric", "harmonic", "power:2", "median")
+MIXED_10 = ("arithmetic", "geometric", "harmonic", "power:0.5", "power:3", "quasi:log",
+            "quasi:exp", "quasi:power:2", "median", "weighted:" + ",".join(["0.1"] * 10))
+
+
+@pytest.mark.parametrize("names, seed, value, steps, final_diameter", [
+    (MIXED_5, 1, "0x1.fcffd8106dfd4p+1", 21, "0x1.0000000000000p-41"),
+    (MIXED_5, 2, "0x1.15e82afc70518p+5", 24, "0x1.9400000000000p-41"),
+    (MIXED_10, 1, "0x1.347490975e011p+6", 31, "0x1.4000000000000p-43"),
+    (MIXED_10, 2, "0x1.d24ac964c775cp+8", 46, "0x1.c000000000000p-42"),
+], ids=["mixed5-1", "mixed5-2", "mixed10-1", "mixed10-2"])
+def test_mixed_solves_keep_their_bits(names, seed, value, steps, final_diameter):
+    # the benchmark's mixed5 and mixed10, from log-uniform starts in 1e±3
+    p, rnd = len(names), random.Random(seed)
+    mapping = MeanTypeMapping([parse_mean(name, p) for name in names], Interval(0.0, math.inf))
+    est = gauss_iterate(mapping, tuple(10.0 ** rnd.uniform(-3, 3) for _ in range(p)))
+    assert (est.value.hex(), est.steps, est.final_diameter.hex()) == (value, steps, final_diameter)
+
+
 if __name__ == "__main__":
     n = int(sys.argv[1]) if len(sys.argv) > 1 else SAMPLES
     print(f"worst error in ulps over {n} vectors per cell")

@@ -48,7 +48,7 @@ from meantype import (
 from meantype._record import set_field
 from meantype.invariant import _solve
 from meantype.mapping import DEFAULT_CAP, _bind_step, _check_count, _search_n0
-from meantype.means import _CATALOG, _kernel, float_vector, midpoint
+from meantype.means import _CATALOG, float_vector, midpoint
 from conftest import POSITIVE, catalog_mappings
 
 
@@ -166,8 +166,8 @@ def _parsed(names, domain=POSITIVE):
 # that the step reorders; one projection only; projections only (a 3-cycle,
 # and the swap, which steps as a pair); power means beside a geometric one,
 # among them the geometric cutoff, a negative exponent and the overflow
-# path, with and without a projection; and two geometric means, which share
-# their logs, here with the log-space fallback of a power mean.
+# path, with and without a projection; and two geometric means, each its
+# own kernel call, here with the log-space fallback of a power mean.
 STEP_SHAPES = [
     _parsed(("arithmetic", "projection:1", "projection:3"), Interval()),
     _parsed(("median", "projection:3", "harmonic")),
@@ -299,18 +299,17 @@ class TestApply:
         shift_average_mapping(10).apply(tuple(float(i) for i in range(10)))
         assert calls == []
 
-    def test_takes_one_log_per_coordinate(self, monkeypatch):
-        # five log-space means share the logs of one step
-        mapping = _parsed(("arithmetic", "geometric", "harmonic", "power:0.5", "power:3",
-                           "quasi:log", "quasi:exp", "quasi:power:2", "median",
-                           "weighted:" + ",".join(["0.1"] * 10)))
+    def test_calls_each_components_kernel_once_in_order(self, monkeypatch):
+        # gauss-long's mixed10, with geometric and quasi:log: one _geometric call each
+        names = ("arithmetic", "geometric", "harmonic", "power:0.5", "power:3", "quasi:log",
+                 "quasi:exp", "quasi:power:2", "median", "weighted:" + ",".join(["0.1"] * 10))
         v = tuple(1.5 + i for i in range(10))
-        expected = _reference_apply(mapping, v)
-        logged, log = [], math.log
-        monkeypatch.setattr(math, "log", lambda x: logged.append(x) or log(x))
-        assert mapping.apply(v) == expected
-        # each kernel's own log of its average is left out
-        assert sorted(x for x in logged if x in v) == list(v)
+        expected = _reference_apply(_parsed(names), v)
+        calls = _count_kernel_calls(monkeypatch)
+        assert _parsed(names).apply(v) == expected
+        assert calls == ["arithmetic", "geometric", "harmonic", "power", "power", "quasi:log",
+                         "quasi:exp", "quasi:power", "median", "weighted_arithmetic"]
+        assert [_CATALOG[key][0].__name__ for key in calls].count("_geometric") == 2
 
     @settings(max_examples=1000, deadline=None)
     @given(st.sampled_from(PAIR_KINDS), st.sampled_from(PAIR_KINDS),
@@ -331,7 +330,7 @@ class TestApply:
         else:
             x, y = (-x if negate_x else x), (-y if negate_y else y)
         assume(x != y)  # the step runs on checked, nonconstant vectors
-        expected = tuple(_kernel(spec)(spec, (x, y)) for spec in specs)
+        expected = tuple(spec._row[0](spec, (x, y)) for spec in specs)
         assert [r.hex() for r in _bind_step(specs)((x, y))] == [r.hex() for r in expected]
 
     @pytest.mark.parametrize("kinds", [
@@ -964,7 +963,7 @@ def _tuple_loop_twin(mapping):
     specs = mapping.components
     twin = MeanTypeMapping(specs, mapping.domain, mapping.name)
     set_field(twin, "_pair", None)
-    set_field(twin, "_step", lambda v: tuple([_kernel(spec)(spec, v) for spec in specs]))
+    set_field(twin, "_step", lambda v: tuple([spec._row[0](spec, v) for spec in specs]))
     return twin
 
 

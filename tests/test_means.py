@@ -506,6 +506,11 @@ class TestMeanSpecValidation:
         with pytest.raises(InvalidMeanSpec):
             MeanSpec.projection(4, 3)
 
+    @pytest.mark.parametrize("arity", [True, False, 2.0, 0, -1, "2", None])
+    def test_arity_must_be_a_positive_int(self, arity):
+        with pytest.raises(InvalidMeanSpec, match=re.escape(f"got {arity!r}")):
+            MeanSpec("arithmetic", arity)
+
     def test_weight_sum_tolerance(self):
         MeanSpec.weighted_arithmetic((0.5, 0.5 + 1e-13))  # inside tolerance
         with pytest.raises(InvalidMeanSpec):
