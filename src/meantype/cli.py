@@ -115,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated coordinates")
         if samples:
             p.add_argument("--samples", type=int, default=1000, metavar="N")
-            p.add_argument("--seed", type=int, default=_default_seed(), metavar="S")
+            # default: $MEANTYPE_SEED, else 42, read in main once the command is known
+            p.add_argument("--seed", type=int, default=None, metavar="S")
         if iteration:
             p.add_argument("--tol", type=float, default=DEFAULT_TOL, metavar="T")
             p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, metavar="N")
@@ -264,8 +265,6 @@ def _cmd_map_apply(args) -> int:
 def _cmd_map_iterate(args) -> int:
     mapping = load_mapping(args.mapping)
     vector = parse_vector(args.vector)
-    if args.steps < 0:
-        raise _CLIError(f"--steps must be >= 0, got {args.steps}")
     trace = mapping.iterate(vector, args.steps)
     doc = {
         "command": "map-iterate",
@@ -462,6 +461,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(_attach_vectors(sys.argv[1:] if argv is None else argv))
+        if getattr(args, "seed", 0) is None:
+            args.seed = _default_seed()
         return _COMMANDS[args.command](args)
     except _HelpShown:
         return EXIT_OK

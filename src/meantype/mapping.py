@@ -77,9 +77,9 @@ def _check_count(name: str, count: int, least: int | None = None) -> int:
 
 
 def sample_vectors(domain: Interval, p: int, count: int, seed: int = 42) -> Iterator[Vector]:
-    """:func:`means.sample_vectors`, with ``count`` checked first: one that
-    is not a whole number raises :class:`InvalidMapping`."""
-    return _sample_vectors(domain, p, _check_count("count", count), seed)
+    """:func:`means.sample_vectors`, with ``p`` and ``count`` checked first:
+    a ``p`` below 1, or either not a whole number, raises :class:`InvalidMapping`."""
+    return _sample_vectors(domain, _check_count("p", p, 1), _check_count("count", count), seed)
 
 
 def diameter(v: Sequence[float]) -> float:
@@ -220,9 +220,10 @@ def _bind_step(specs: Sequence[MeanSpec]) -> Callable[[Vector], Vector]:
     A p = 2 mapping steps as ``(f0(x, y), f1(x, y))`` (:func:`_pair_step`).
     For p >= 3, each component but a projection calls its catalog kernel
     once, as ``kernel(spec, v)``, and one item getter gathers projections
-    and kernel results in order.  Three shapes: projections only (the
-    getter alone), one kernel, and several kernels; with no projection
-    among the components, the kernel results are the image, ungathered.
+    and kernel results in order from ``v + kernels(v)``.  Two shapes: one
+    kernel, and any other number of kernels, none included; with no
+    projection among the components, the kernel results are the image,
+    ungathered.
     """
     if pair := _pair_step(specs):
         f0, f1 = pair
@@ -239,8 +240,6 @@ def _bind_step(specs: Sequence[MeanSpec]) -> Callable[[Vector], Vector]:
             gather.append(len(specs) + len(ks))
             ks.append(functools.partial(spec._row[0], spec))
     take = operator.itemgetter(*gather)
-    if not ks:
-        return take
     if len(ks) == 1:
         (k0,) = ks
         kernels = lambda v: (k0(v),)  # noqa: E731
@@ -653,7 +652,7 @@ def load_mapping(path: str) -> MeanTypeMapping:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read mapping file {path!r}: {exc}", token=path) from exc
     name = os.path.splitext(os.path.basename(path))[0]
     return parse_mapping_config(text, name=name)

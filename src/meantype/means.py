@@ -67,6 +67,7 @@ class Interval(FrozenRecord):
 
     ``lower_closed`` / ``upper_closed`` control whether the finite
     endpoints belong to the interval.  Infinite endpoints are always open.
+    The endpoints are stored as floats.
     """
 
     # _admissible: (admissible(self, False), admissible(self, True)), bound
@@ -76,6 +77,7 @@ class Interval(FrozenRecord):
 
     def __init__(self, lower: float = -math.inf, upper: float = math.inf,
                  lower_closed: bool = False, upper_closed: bool = False):
+        lower, upper = _endpoint("lower", lower), _endpoint("upper", upper)
         if math.isnan(lower) or math.isnan(upper):
             raise InvalidInterval("interval endpoints must not be NaN")
         if not lower < upper:
@@ -93,14 +95,9 @@ class Interval(FrozenRecord):
         set_field(self, "_admissible", (admissible(self, False), admissible(self, True)))
 
     def contains(self, x: float) -> bool:
-        """Membership test consistent with the closedness flags."""
-        if math.isnan(x) or math.isinf(x):
-            return False
-        if x < self.lower or (x == self.lower and not self.lower_closed):
-            return False
-        if x > self.upper or (x == self.upper and not self.upper_closed):
-            return False
-        return True
+        """Membership: ``a <= x <= b`` for the bounds of :func:`admissible`."""
+        a, b = self._admissible[0]
+        return a <= x <= b
 
     def sampling_box(self) -> tuple[float, float]:
         """A compact [a, b] strictly inside the interval, for random probes.
@@ -133,6 +130,19 @@ class Interval(FrozenRecord):
         left = "[" if self.lower_closed else "("
         right = "]" if self.upper_closed else ")"
         return f"{left}{self.lower!r}, {self.upper!r}{right}"
+
+
+def _endpoint(name: str, x: object) -> float:
+    """``x`` as a float.  A bool, a string, what ``float`` cannot convert and
+    an int beyond the float range raise :class:`InvalidInterval`."""
+    try:
+        if not isinstance(x, (bool, str, bytes, bytearray)):
+            return float(x)
+    except OverflowError:  # repr of such an int may itself exceed the digit limit
+        raise InvalidInterval(f"interval {name} endpoint is beyond the float range") from None
+    except (TypeError, ValueError):
+        pass
+    raise InvalidInterval(f"interval {name} endpoint must be a real number, got {x!r}")
 
 
 def parse_interval(text: str) -> Interval:
@@ -591,11 +601,8 @@ def _power_mean(spec: MeanSpec, v: Vector) -> float:
 
 
 def midpoint(v: Vector) -> float:
-    """0.5 * (max(v) + min(v)), also where that sum overflows."""
-    mid = 0.5 * (max(v) + min(v))
-    if math.isinf(mid):  # max + min overflowed; their halves cannot
-        mid = 0.5 * max(v) + 0.5 * min(v)
-    return mid
+    """(max(v) + min(v)) / 2, also where that sum overflows."""
+    return _pair_arithmetic(max(v), min(v))
 
 
 def _median(spec: MeanSpec, v: Vector) -> float:
@@ -633,8 +640,8 @@ def _projection(spec: MeanSpec, v: Vector) -> float:
 #: median is the midpoint, which is the arithmetic mean), and ``positive``
 #: says whether the mean requires strictly positive coordinates.  A spec
 #: binds its row when built (``MeanSpec._row``).  A p >= 3 mapping's step
-#: calls each component's kernel once and gathers its projections itself:
-#: projections only, one kernel, or several kernels (``mapping._bind_step``).
+#: calls each component's kernel once and gathers its projections itself, in
+#: one of two shapes: one kernel, or any other number (``mapping._bind_step``).
 #: Specs and mappings pickle by rebuilding through their ``__init__``, so
 #: what is bound here never needs to pickle.
 _CATALOG: dict[str, tuple] = {

@@ -323,6 +323,15 @@ class TestHostileInputs:
         # 4-vector for mean-eval, which takes its arity from the vector
         assert code == (0 if (command, hostile) == ("mean-eval", "wrong-arity") else 1), err
 
+    def test_a_mapping_file_that_is_not_utf8_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"\xff")
+        code, out, err = run(capsys, "invariant", "--mapping", str(path), "--vector", "1,2")
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        assert err.startswith(f"error: cannot read mapping file {str(path)!r}: ")
+        assert len(err.splitlines()) == 1, err
+
     @pytest.mark.parametrize("command", list(_VALID_ARGV))
     def test_valid_argv_succeeds(self, capsys, cfg, command):
         # the hostile cases above differ from a run that exits 0 or 2 by one flag
@@ -486,6 +495,24 @@ class TestSeedEnvVar:
                            "--samples", "20")
         assert code == 1
         assert "MEANTYPE_SEED" in err
+
+    # The variable is read only by a command that takes --seed and is not given it.
+    def test_bad_env_value_spares_a_command_without_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("MEANTYPE_SEED", "abc")
+        code, out, err = run(capsys, "mean-eval", "--mean", "arithmetic", "--vector", "1,2")
+        assert (code, out, err) == (0, "value = 1.5\n", "")
+
+    def test_bad_env_value_spares_help(self, capsys, monkeypatch):
+        monkeypatch.setenv("MEANTYPE_SEED", "abc")
+        code, out, err = run(capsys, "--help")
+        assert code == 0 and out.startswith("usage: meantype") and err == ""
+
+    def test_bad_env_value_spares_an_explicit_seed(self, capsys, cfg, monkeypatch):
+        monkeypatch.setenv("MEANTYPE_SEED", "abc")
+        code, out, err = run(capsys, "contractive-probe", "--mapping", cfg["agm"],
+                             "--samples", "20", "--seed", "3", "--output", "json")
+        assert code == 0 and err == ""
+        assert json.loads(out)["seed"] == 3
 
 
 # Options each command offers (besides -h), with its --output and --readout

@@ -6,6 +6,7 @@ import pytest
 from meantype import (
     DecompositionReport,
     DomainViolation,
+    InvalidMapping,
     InvariantFunction,
     InvariantMean,
     Interval,
@@ -227,6 +228,15 @@ class TestParseFunction:
     def test_unary_error_in_probe_names_sample(self, shift3):
         with pytest.raises(DomainViolation, match="sample 1 "):
             verify_decomposition(parse_function("sqrt@sum", shift3), shift3, sample_count=5)
+
+    def test_coordinate_index_outside_the_arity_rejected(self):
+        with pytest.raises(InvalidMapping) as info:
+            coordinate_function(0, 2)
+        assert str(info.value) == "coordinate index must lie in 1..2, got 0"
+
+    def test_str_is_the_name(self, agm):
+        assert str(coordinate_function(2, 3)) == "coord:2"
+        assert str(parse_function("square@mean:geometric", agm)) == "square@mean:geometric"
 
     def test_names_offending_token(self, agm):
         with pytest.raises(ParseError) as exc:

@@ -164,10 +164,11 @@ def _parsed(names, domain=POSITIVE):
 
 # One mapping per shape of the bound step: projections after a kernel, so
 # that the step reorders; one projection only; projections only (a 3-cycle,
-# and the swap, which steps as a pair); power means beside a geometric one,
-# among them the geometric cutoff, a negative exponent and the overflow
-# path, with and without a projection; and two geometric means, each its
-# own kernel call, here with the log-space fallback of a power mean.
+# gathered from v + () like any other step, and the swap, which steps as a
+# pair); power means beside a geometric one, among them the geometric
+# cutoff, a negative exponent and the overflow path, with and without a
+# projection; and two geometric means, each its own kernel call, here with
+# the log-space fallback of a power mean.
 STEP_SHAPES = [
     _parsed(("arithmetic", "projection:1", "projection:3"), Interval()),
     _parsed(("median", "projection:3", "harmonic")),
@@ -389,6 +390,11 @@ class TestApply:
     @with_step_examples(lambda shape, v: (shape, v))
     def test_matches_per_component_eval_mean(self, mapping, v):
         assert _outcome(mapping.apply, v) == _outcome(_reference_apply, mapping, v)
+
+    def test_shift_average_family_needs_two_coordinates(self):
+        with pytest.raises(InvalidMapping) as info:
+            shift_average_mapping(1)
+        assert str(info.value) == "shift-average family needs p >= 2, got 1"
 
     def test_arity_enforced_at_construction(self):
         with pytest.raises(InvalidMapping):
@@ -904,6 +910,7 @@ COUNT_CALLS = {
     "decompose-samples": ("sample_count", lambda c: verify_decomposition(
         product_function(2), agm_mapping(), sample_count=c)),
     "sample_vectors": ("count", lambda c: list(sample_vectors(Interval(), 2, c))),
+    "sample_vectors-p": ("p", lambda c: list(sample_vectors(Interval(), c, 5))),
     "iterate": ("iteration count", lambda c: SHIFT3_MAPPING.iterate(SHIFT3_START, c)),
 }
 
@@ -942,6 +949,8 @@ class TestWholeCounts:
         ("star_apply", -1, "cap must be >= 1, got -1"),
         ("probe_contractivity", 0, "sample_count must be >= 1, got 0"),
         ("iterate", -1, "iteration count must be >= 0, got -1"),
+        ("sample_vectors-p", 0, "p must be >= 1, got 0"),
+        ("sample_vectors-p", -1, "p must be >= 1, got -1"),
     ])
     def test_a_whole_count_below_its_least_raises_as_before(self, call, count, message):
         with pytest.raises(InvalidMapping) as info:
@@ -1244,6 +1253,10 @@ class TestConfig:
         ("p = two\ndomain = (0, inf)\ncomponents = arithmetic, geometric", "two"),
         ("p = 2\ndomain = (0, inf)\ncomponents = arithmetic, quadratic", "quadratic"),
         ("p = 2\ndomain = (0, inf)\nshape = round\ncomponents = arithmetic, min", "shape"),
+        ("p = 2\ndomain = (0, inf)\narithmetic, geometric",
+         "^line 3: expected key = value, got 'arithmetic, geometric'$"),
+        ("p = 1\ndomain = (0, inf)\ncomponents = arithmetic",
+         "^a mean-type mapping needs p >= 2 components, got 1$"),
     ])
     def test_errors_name_problem(self, text, needle):
         with pytest.raises(ParseError, match=needle):
@@ -1256,6 +1269,15 @@ class TestConfig:
         mapping = load_mapping(str(path))
         assert mapping.name == "agm"
         assert mapping.p == 2
+
+    def test_a_file_that_is_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"\xff")
+        from meantype import load_mapping
+        with pytest.raises(ParseError) as info:
+            load_mapping(str(path))
+        assert str(info.value).startswith(f"cannot read mapping file {str(path)!r}: ")
+        assert "can't decode byte 0xff" in str(info.value)
 
 
 class TestTraceExport:

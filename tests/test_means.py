@@ -75,6 +75,34 @@ class TestInterval:
         with pytest.raises(InvalidInterval):
             Interval(0.0, math.inf, upper_closed=True)
 
+    @pytest.mark.parametrize("args,message", [
+        ((math.nan, 1.0), "interval endpoints must not be NaN"),
+        ((0.0, math.nan), "interval endpoints must not be NaN"),
+        ((-math.inf, 0.0, True), "-inf endpoint cannot be closed"),
+        ((True, 2), "interval lower endpoint must be a real number, got True"),
+        ((0, False), "interval upper endpoint must be a real number, got False"),
+        (("a", 2), "interval lower endpoint must be a real number, got 'a'"),
+        ((0, "1"), "interval upper endpoint must be a real number, got '1'"),
+        ((None, 1), "interval lower endpoint must be a real number, got None"),
+        ((0, 10**400), "interval upper endpoint is beyond the float range"),
+        ((-10**400, 0), "interval lower endpoint is beyond the float range"),
+    ], ids=["nan-lower", "nan-upper", "closed-inf", "bool-lower", "bool-upper", "str-lower",
+            "str-upper", "none", "big-upper", "big-lower"])
+    def test_invalid_endpoint_rejected(self, args, message):
+        with pytest.raises(InvalidInterval) as info:
+            Interval(*args)
+        assert str(info.value) == message
+
+    def test_endpoints_are_stored_as_floats(self):
+        iv = Interval(0, 2)
+        assert (type(iv.lower), type(iv.upper)) == (float, float)
+        assert str(iv) == "(0.0, 2.0)" and iv == Interval(0.0, 2.0)
+
+    @pytest.mark.parametrize("x", [10**400, -10**400, 2**1024],
+                             ids=["10**400", "-10**400", "2**1024"])
+    def test_an_int_beyond_the_float_range_is_outside(self, x):
+        assert not Interval().contains(x)
+
     def test_sampling_box_stays_inside(self):
         for iv in [POSITIVE, UNIT, Interval(), Interval(-5.0, 5.0),
                    Interval(1000.0, math.inf)]:
@@ -93,6 +121,17 @@ class TestInterval:
         with pytest.raises(ParseError) as exc:
             parse_interval("(zero, inf)")
         assert exc.value.token == "zero"
+
+    @pytest.mark.parametrize("text,message", [
+        ("(0, 1, 2)", "interval '(0, 1, 2)' must have two endpoints"),
+        ("[1, 0]", "interval '[1, 0]': interval endpoints must satisfy lower < upper, "
+                   "got [1.0, 0.0]"),
+        ("[-inf, 0)", "interval '[-inf, 0)': -inf endpoint cannot be closed"),
+    ])
+    def test_parse_error_messages(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_interval(text)
+        assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +550,11 @@ class TestMeanSpecValidation:
         with pytest.raises(InvalidMeanSpec, match=re.escape(f"got {arity!r}")):
             MeanSpec("arithmetic", arity)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(InvalidMeanSpec) as info:
+            MeanSpec("quadratic", 2)
+        assert str(info.value) == f"unknown mean kind 'quadratic'; available: {KINDS}"
+
     def test_weight_sum_tolerance(self):
         MeanSpec.weighted_arithmetic((0.5, 0.5 + 1e-13))  # inside tolerance
         with pytest.raises(InvalidMeanSpec):
@@ -533,6 +577,7 @@ class TestMeanSpecValidation:
         ({"generator": "log", "exponent": 2.0}, "generator 'log' takes no parameter"),
         ({"generator": "identity", "exponent": 3.0}, "generator 'identity' takes no parameter"),
         ({"generator": "log", "index": 1}, "mean 'quasi_arithmetic' takes no index"),
+        ({}, "quasi-arithmetic mean requires a generator"),
     ])
     def test_bad_generator_rejected(self, kwargs, message):
         with pytest.raises(InvalidMeanSpec, match=re.escape(message)):
@@ -635,6 +680,12 @@ class TestParsing:
             parse_mean(bad, 2)
         if token is not None:
             assert exc.value.token == token
+
+    def test_weighted_without_weights_rejected(self):
+        with pytest.raises(ParseError) as info:
+            parse_mean("weighted:", 2)
+        assert str(info.value) == "weighted mean needs weights: 'weighted:'"
+        assert info.value.token == "weighted:"
 
     def test_parameter_on_plain_mean_rejected(self):
         with pytest.raises(ParseError):
