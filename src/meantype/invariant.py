@@ -28,6 +28,7 @@ functions resolved once per probe, and build no result object.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 
 from ._record import FrozenRecord, set_field
@@ -54,9 +55,12 @@ READOUTS = tuple(_READERS)
 
 
 def _check_iteration(tol: float, max_iter: int, readout: str) -> None:
-    """Reject iteration parameters no run could use; NaN ``tol`` included."""
+    """Reject iteration parameters no run could use; NaN ``tol`` included, and an
+    infinite one, below which every start's diameter falls."""
     if not tol > 0.0:
         raise InvalidMapping(f"tol must be positive, got {tol!r}")
+    if tol == math.inf:
+        raise InvalidMapping(f"tol must be positive and finite, got {tol!r}")
     _check_count("max_iter", max_iter, 1)
     if readout not in READOUTS:
         raise InvalidMapping(f"unknown readout {readout!r}; available: {READOUTS}")

@@ -41,6 +41,7 @@ from .means import (
     Interval,
     MeanSpec,
     Vector,
+    _pair_arithmetic,
     check_vector,
     eval_mean,  # noqa: F401 -- bench/spans.py patches it here
     float_vector,
@@ -218,12 +219,14 @@ def _bind_step(specs: Sequence[MeanSpec]) -> Callable[[Vector], Vector]:
     """``v -> (M_1(v), ..., M_p(v))`` for a checked, nonconstant ``v``; p >= 2.
 
     A p = 2 mapping steps as ``(f0(x, y), f1(x, y))`` (:func:`_pair_step`).
-    For p >= 3, each component but a projection calls its catalog kernel
-    once, as ``kernel(spec, v)``, and one item getter gathers projections
-    and kernel results in order from ``v + kernels(v)``.  Two shapes: one
-    kernel, and any other number of kernels, none included; with no
-    projection among the components, the kernel results are the image,
-    ungathered.
+    For p >= 3, each distinct kernel is called once, as ``kernel(spec, v)``:
+    components with the same catalog kernel, exponent and weights share
+    the call (``geometric`` and ``quasi:log``, ``power:t`` and
+    ``quasi:power:t``, ``arithmetic`` and ``quasi:identity``).  One item
+    getter gathers projections and kernel results in order from ``v +
+    kernels(v)``.  Two shapes: one kernel, ``take(v + (k0(v),))``, and any
+    other number of kernels, none included; with no projection and no
+    shared call, the kernel results are the image, ungathered.
     """
     if pair := _pair_step(specs):
         f0, f1 = pair
@@ -232,19 +235,22 @@ def _bind_step(specs: Sequence[MeanSpec]) -> Callable[[Vector], Vector]:
             x, y = v
             return f0(x, y), f1(x, y)
         return step
-    ks, gather = [], []
+    ks, at, gather = [], {}, []
     for spec in specs:  # gather M_i(v) from v + kernels(v)
         if spec.kind == "projection":
             gather.append(spec.index - 1)
-        else:
-            gather.append(len(specs) + len(ks))
+            continue
+        # what a kernel reads of its spec; repr, since the weight -0.0 is not 0.0
+        key = spec._row[0], repr(spec.exponent), repr(spec.weights)
+        if key not in at:
+            at[key] = len(specs) + len(ks)
             ks.append(functools.partial(spec._row[0], spec))
+        gather.append(at[key])
     take = operator.itemgetter(*gather)
     if len(ks) == 1:
         (k0,) = ks
-        kernels = lambda v: (k0(v),)  # noqa: E731
-    else:
-        kernels = lambda v: tuple([k(v) for k in ks])  # noqa: E731
+        return lambda v: take(v + (k0(v),))
+    kernels = lambda v: tuple([k(v) for k in ks])  # noqa: E731
     return kernels if len(ks) == len(specs) else lambda v: take(v + kernels(v))
 
 
@@ -297,8 +303,12 @@ def _gauss_run(mapping: MeanTypeMapping, v: Sequence[float], tol: float | None, 
     (which NaN fails and which equals ``max - min`` to the bit), steps as
     ``x, y = f0(x, y), f1(x, y)`` (``_pair``) and builds a tuple only for
     ``keep`` and the result.  A p >= 3 mapping, and a start of the wrong
-    length, runs the tuple loop through ``_step``, with the
-    ``len``/``sum``/``min``/``max`` pass of :func:`check_vector`.
+    length, runs the tuple loop through ``_step``.  It checks an iterate
+    with ``len``, a ``sum`` that is not NaN and one ``sorted(v)``, whose
+    ends are the least and greatest coordinate, and measures ``d`` from
+    them.  Of equal zeros, ``sorted`` keeps the order: ``(0.0, -0.0)``
+    gives ``-0.0 - 0.0``.  ``+ 0.0`` turns that into 0.0, the bits of
+    ``max(v) - min(v)``, which returns the first of equal coordinates.
     """
     p, pair, (a, b) = mapping._p, mapping._pair, mapping._bounds
     try:
@@ -326,13 +336,13 @@ def _gauss_run(mapping: MeanTypeMapping, v: Sequence[float], tol: float | None, 
             x, y = f0(x, y), f1(x, y)
     step = mapping._step
     while True:
-        if len(v) == p and (s := sum(v)) == s and a <= (lo := min(v)) and (hi := max(v)) <= b:
-            d = hi - lo
+        if len(v) == p and (t := sum(v)) == t and a <= (s := sorted(v))[0] and s[-1] <= b:
+            d = s[-1] - s[0] + 0.0  # + 0.0: a zero reads 0.0, as max(v) - min(v) gives it
         else:
             d = _checked_diameter(mapping, v, n)
         if keep is not None:
             keep.append((n, v, d))
-        if d == 0.0 or d < (bound * abs(midpoint(v)) if relative else bound):
+        if d == 0.0 or d < (bound * abs(_pair_arithmetic(s[-1], s[0])) if relative else bound):
             return n, v, d, True
         if n == stop_at:
             if tol is not None or n == limit:

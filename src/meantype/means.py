@@ -95,9 +95,13 @@ class Interval(FrozenRecord):
         set_field(self, "_admissible", (admissible(self, False), admissible(self, True)))
 
     def contains(self, x: float) -> bool:
-        """Membership: ``a <= x <= b`` for the bounds of :func:`admissible`."""
+        """Membership: ``a <= x <= b`` for the bounds of :func:`admissible`;
+        False for what does not compare with a float."""
         a, b = self._admissible[0]
-        return a <= x <= b
+        try:
+            return a <= x <= b
+        except TypeError:
+            return False
 
     def sampling_box(self) -> tuple[float, float]:
         """A compact [a, b] strictly inside the interval, for random probes.
@@ -580,8 +584,8 @@ def _power_mean(spec: MeanSpec, v: Vector) -> float:
             if acc >= 2.0 ** -969:
                 if t == 2.0:  # sqrt(x ** 2) is x, so this stays in [min, max]
                     return sqrt(acc)
-                r, lo, hi = acc ** (1 / t), min(v), max(v)
-                return lo if r < lo else hi if r > hi else r  # rounding may leave them
+                r, s = acc ** (1 / t), sorted(v)
+                return s[0] if r < s[0] else s[-1] if r > s[-1] else r  # rounding may leave them
         except OverflowError:
             pass
     logs = [*map(math.log, v)]
@@ -608,7 +612,10 @@ def midpoint(v: Vector) -> float:
 def _median(spec: MeanSpec, v: Vector) -> float:
     s = sorted(v)
     i = len(s) // 2
-    return s[i] if len(s) % 2 else midpoint(s[i - 1:i + 1])
+    if len(s) % 2:
+        return s[i]
+    x, y = s[i - 1], s[i]
+    return x if x == y else _pair_arithmetic(x, y)  # x == y: midpoint gives x, -0.0 kept
 
 
 def _log_mean_exp(spec: MeanSpec, v: Vector) -> float:
@@ -640,8 +647,9 @@ def _projection(spec: MeanSpec, v: Vector) -> float:
 #: median is the midpoint, which is the arithmetic mean), and ``positive``
 #: says whether the mean requires strictly positive coordinates.  A spec
 #: binds its row when built (``MeanSpec._row``).  A p >= 3 mapping's step
-#: calls each component's kernel once and gathers its projections itself, in
-#: one of two shapes: one kernel, or any other number (``mapping._bind_step``).
+#: calls each distinct kernel once, shared by the rows that name it with the
+#: same exponent and weights, and gathers its projections itself, in one of
+#: two shapes: one kernel, or any other number (``mapping._bind_step``).
 #: Specs and mappings pickle by rebuilding through their ``__init__``, so
 #: what is bound here never needs to pickle.
 _CATALOG: dict[str, tuple] = {

@@ -245,13 +245,15 @@ class TestFloatEdges:
 
     @pytest.mark.parametrize("command", ["invariant", "uniqueness", "decompose", "residual"])
     def test_nan_tol_is_one(self, capsys, cfg, command):
-        argv = [command, "--mapping", cfg["agm"], "--tol", "nan"]
-        argv += ["--vector", "1,2"] if command == "invariant" else ["--samples", "5"]
-        if command == "decompose":
-            argv += ["--function", "product"]
-        code, _, err = run(capsys, *argv)
-        assert code == 1
-        assert "tol must be positive" in err
+        for tol in ("nan", "inf", "1e400"):  # an infinite tol stops any start at once
+            argv = [command, "--mapping", cfg["agm"], "--tol", tol]
+            argv += ["--vector", "1,2"] if command == "invariant" else ["--samples", "5"]
+            if command == "decompose":
+                argv += ["--function", "product"]
+            code, _, err = run(capsys, *argv)
+            assert code == 1
+            assert "tol must be positive" in err
+            assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
 class TestNegativeVector:

@@ -148,6 +148,9 @@ class TestGaussIterate:
             gauss_iterate(agm, (1.0, 2.0), readout="median")
         with pytest.raises(InvalidMapping):
             gauss_iterate(agm, (1.0, 2.0), tol=math.nan)
+        # every diameter is below inf: the start would read as converged
+        with pytest.raises(InvalidMapping, match="tol must be positive and finite, got inf"):
+            gauss_iterate(agm, (1, 2), tol=math.inf)
 
     @pytest.mark.parametrize("readout", ["mid", "min", "max", "first"])
     def test_near_overflow_matches_scaled_solve(self, agm, readout):
@@ -177,6 +180,10 @@ class TestSolveLoop:
            st.one_of(st.integers(0, 12), st.just(DEFAULT_MAX_ITER)), st.booleans())
     @example((STEP_SHAPES[2], [0.0, -0.0]), 1e-12, DEFAULT_MAX_ITER, False)  # p = 2 on the reals
     @example((STEP_SHAPES[2], [-0.0, 0.0]), 1e-12, DEFAULT_MAX_ITER, True)
+    # p >= 3 signed-zero starts: the zero diameter reads 0.0, as max(v) - min(v) gives it
+    @example((shift_average_mapping(3), [0.0, 0.0, -0.0]), 1e-12, DEFAULT_MAX_ITER, False)
+    @example((shift_average_mapping(3), [0.0, -0.0, -0.0]), 1e-12, DEFAULT_MAX_ITER, True)
+    @example((shift_average_mapping(3), [-0.0, 0.0, 0.0]), 1e-12, DEFAULT_MAX_ITER, False)
     @example((agm_mapping(), [1.7e308, 8e307]), 1e-12, DEFAULT_MAX_ITER, False)  # the stall
     @example((projection_mapping(2), [0, 1]), 1e-12, DEFAULT_MAX_ITER, False)
     @example((LEAVES_CLOSED, LEAVES_CLOSED_START), 1e-12, DEFAULT_MAX_ITER, False)
@@ -234,6 +241,7 @@ class TestInvariantMean:
 
     @pytest.mark.parametrize("kwargs", [
         {"tol": -1.0}, {"tol": math.nan}, {"max_iter": 0}, {"readout": "median"},
+        {"tol": math.inf},
     ])
     def test_invariant_mean_validates_at_construction(self, agm, kwargs):
         with pytest.raises(InvalidMapping):

@@ -64,6 +64,8 @@ class TestInterval:
         assert not half_open.contains(-0.1)
         assert not half_open.contains(math.nan)
         assert not half_open.contains(math.inf)
+        for x in ("a", None, 1j, b"1"):  # a non-number is outside, not a TypeError
+            assert not half_open.contains(x) and not Interval().contains(x)
 
     def test_degenerate_rejected(self):
         with pytest.raises(InvalidInterval):
@@ -154,6 +156,9 @@ class TestEvalExamples:
 
     def test_median_even_arity(self):
         assert eval_mean(MeanSpec.median(4), (1.0, 9.0, 3.0, 5.0)) == 4.0
+        # sorted: (-1.0, -0.0, 0.0, 1.0); the midpoint of -0.0 and 0.0 reads -0.0
+        value = eval_mean(MeanSpec.median(4), (-0.0, 0.0, 1.0, -1.0))
+        assert value == 0.0 and math.copysign(1.0, value) == -1.0
 
     def test_weighted(self):
         assert eval_mean(MeanSpec.weighted_arithmetic((0.25, 0.75)), (0.0, 8.0)) == 6.0
