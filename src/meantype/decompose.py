@@ -61,8 +61,8 @@ def sum_function(p: int) -> InvariantFunction:
 
 
 def coordinate_function(index: int, p: int) -> InvariantFunction:
-    if not 1 <= index <= p:
-        raise InvalidMapping(f"coordinate index must lie in 1..{p}, got {index}")
+    if type(index) is not int or not 1 <= index <= p:  # a bool would read coordinate 1
+        raise InvalidMapping(f"coordinate index must lie in 1..{p}, got {index!r}")
     return InvariantFunction(f"coord:{index}", p, lambda v: float(v[index - 1]))
 
 
@@ -221,9 +221,12 @@ def verify_decomposition(
     convergent K, so a nonzero count downgrades the residuals to
     diagnostics).  Large invariance residual means the hypothesis F o M = F
     itself fails, and the decomposition residual is then expected to be
-    large as well.
+    large as well.  An F whose arity is not p raises :class:`InvalidMapping`.
     """
     _check_iteration(tol, max_iter, "mid")
+    if f.arity != mapping.p:
+        raise InvalidMapping(f"function {f.name} has arity {f.arity}, "
+                             f"but the mapping has p = {mapping.p}")
     phi = diagonal_restriction(f)
     solve = invariant._solve
 

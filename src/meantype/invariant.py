@@ -33,8 +33,7 @@ from collections.abc import Callable, Sequence
 
 from ._record import FrozenRecord, set_field
 from .errors import InvalidMapping, MeanTypeError
-from .mapping import (IterationTrace, MeanTypeMapping, TraceStep, _annotate, _check_count,
-                      sample_vectors)
+from .mapping import IterationTrace, MeanTypeMapping, _annotate, _check_count, sample_vectors
 from .mapping import _gauss_run as _solve  # every Gauss run; the tests count solves here
 from .mapping import diameter  # noqa: F401 -- bench/spans.py patches it here
 from .means import Interval, Vector, midpoint
@@ -113,11 +112,12 @@ def gauss_iterate(
     step, whatever the stopping rule.  Hitting ``max_iter`` is a reported
     status, not an error: convergence holds for continuous weakly
     contractive mappings but cannot be assumed for arbitrary input.
+    ``keep_trace`` walks the run again with ``mapping.iterate``.
     """
     _check_iteration(tol, max_iter, readout)
-    steps = [] if keep_trace else None
-    n, current, d, done = _solve(mapping, v, tol, max_iter, relative, steps)
-    trace = IterationTrace(mapping, [TraceStep(*s) for s in steps]) if keep_trace else None
+    v = tuple(v)  # read once: the trace walks the start the run read
+    n, current, d, done = _solve(mapping, v, tol, max_iter, relative)
+    trace = mapping.iterate(v, n) if keep_trace else None
     return InvariantEstimate(_READERS[readout](current), n, d,
                              CONVERGED if done else MAX_ITER_REACHED, trace)
 

@@ -13,7 +13,7 @@ module provides the iteration machinery and the probes built on it:
   diameter in a single (compound) step wherever n0 exists.
 
 Contractivity at v is n0(v) = 1: these three and every Gauss solve run one
-loop, ``_gauss_run``; ``MeanTypeMapping.orbit`` is plain apply-then-diameter.
+loop, ``_gauss_run``; every trace walks ``orbit``, plain apply-then-diameter.
 A mapping binds its step once, from its components' rows of the mean
 catalog (``means._CATALOG``); at p = 2, one function of ``(x, y)`` each.
 Everything is pure; probes are sequential loops, deterministic per seed.
@@ -158,11 +158,10 @@ class MeanTypeMapping(FrozenRecord):
         """Yield ``(n, M^n(v), diameter(M^n(v)))`` for n = 0, 1, 2, ...
 
         Each iterate is computed only when the caller asks for the next
-        one, so stopping early costs no extra application.  Plain tuples,
-        not :class:`TraceStep`, keep the per-step cost low for callers
-        that keep no trace.  :meth:`iterate` walks it; the Gauss solves,
-        the n0 search and the contractivity test run :func:`_gauss_run`
-        instead, which stops on its own rule and makes no generator.
+        one, so stopping early costs no extra application.  Every trace,
+        ``keep_trace``'s and :class:`NotFoundWithinCap`'s too, is
+        :meth:`iterate`'s walk of it; the runs themselves go through
+        :func:`_gauss_run`, which makes no generator and keeps no step.
 
         Each step is :meth:`apply` then :func:`diameter`; an application
         error is re-raised with the failing step prepended.  An iterate is
@@ -280,7 +279,7 @@ def _checked_diameter(mapping: MeanTypeMapping, v: Vector, n: int) -> float:
 
 
 def _gauss_run(mapping: MeanTypeMapping, v: Sequence[float], tol: float | None, limit: int,
-               relative: bool, keep: list | None = None) -> tuple[int, Vector, float, bool]:
+               relative: bool) -> tuple[int, Vector, float, bool]:
     """``(n, M^n(v), its diameter, done)`` at the end of the run from ``v``.
 
     The one iteration loop with a stop rule: every Gauss solve
@@ -289,8 +288,8 @@ def _gauss_run(mapping: MeanTypeMapping, v: Sequence[float], tol: float | None, 
     diameter is below ``tol`` (times |midpoint| when ``relative``), or ends
     undone at ``n == limit``; ``limit=0`` tests ``v`` alone.  ``tol=None``
     stands for the diameter of ``v``, so ``limit=1`` asks whether n0(v) = 1.
-    ``keep``, if given, receives an ``(n, M^n(v), diameter)`` tuple per
-    iterate.  No parameter is checked.
+    It keeps no step: a trace is :meth:`MeanTypeMapping.iterate`'s walk,
+    which has the loop's bits.  No parameter is checked.
 
     ``v`` is converted once.  Every iterate, the start and the last
     included, is checked once, before the stop rule reads it, in the
@@ -302,13 +301,13 @@ def _gauss_run(mapping: MeanTypeMapping, v: Sequence[float], tol: float | None, 
     checks them as ``a <= x <= b and a <= y <= b`` with ``abs(x - y)``
     (which NaN fails and which equals ``max - min`` to the bit), steps as
     ``x, y = f0(x, y), f1(x, y)`` (``_pair``) and builds a tuple only for
-    ``keep`` and the result.  A p >= 3 mapping, and a start of the wrong
-    length, runs the tuple loop through ``_step``.  It checks an iterate
-    with ``len``, a ``sum`` that is not NaN and one ``sorted(v)``, whose
-    ends are the least and greatest coordinate, and measures ``d`` from
-    them.  Of equal zeros, ``sorted`` keeps the order: ``(0.0, -0.0)``
-    gives ``-0.0 - 0.0``.  ``+ 0.0`` turns that into 0.0, the bits of
-    ``max(v) - min(v)``, which returns the first of equal coordinates.
+    the result.  A p >= 3 mapping, and a start of the wrong length, runs
+    the tuple loop through ``_step``.  It checks an iterate with ``len``, a
+    ``sum`` that is not NaN and one ``sorted(v)``, whose ends are the least
+    and greatest coordinate, and measures ``d`` from them.  Of equal zeros,
+    ``sorted`` keeps the order: ``(0.0, -0.0)`` gives ``-0.0 - 0.0``.
+    ``+ 0.0`` turns that into 0.0, the bits of ``max(v) - min(v)``, which
+    returns the first of equal coordinates.
     """
     p, pair, (a, b) = mapping._p, mapping._pair, mapping._bounds
     try:
@@ -324,8 +323,6 @@ def _gauss_run(mapping: MeanTypeMapping, v: Sequence[float], tol: float | None, 
         while True:
             d = (abs(x - y) if a <= x <= b and a <= y <= b
                  else _checked_diameter(mapping, (x, y), n))
-            if keep is not None:
-                keep.append((n, (x, y), d))
             if d == 0.0 or d < (bound * abs(midpoint((x, y))) if relative else bound):
                 return n, (x, y), d, True
             if n == stop_at:
@@ -340,8 +337,6 @@ def _gauss_run(mapping: MeanTypeMapping, v: Sequence[float], tol: float | None, 
             d = s[-1] - s[0] + 0.0  # + 0.0: a zero reads 0.0, as max(v) - min(v) gives it
         else:
             d = _checked_diameter(mapping, v, n)
-        if keep is not None:
-            keep.append((n, v, d))
         if d == 0.0 or d < (bound * abs(_pair_arithmetic(s[-1], s[0])) if relative else bound):
             return n, v, d, True
         if n == stop_at:
@@ -517,19 +512,19 @@ def _search_n0(mapping: MeanTypeMapping, v: Sequence[float], cap: int) -> tuple[
     One run of :func:`_gauss_run` below the start diameter, with ``cap``, a
     whole number, as its limit.  The start is checked first; a constant one
     returns before ``cap`` is checked, and with ``cap < 1`` any other ends
-    the run at step 0.  The run keeps no steps: only when it ends undone
-    does a second, identical run keep them for the error's trace.
+    the run at step 0.  ``v`` is read once: if the run ends undone,
+    :meth:`MeanTypeMapping.iterate` walks the same start for the error.
     """
+    v = tuple(v)
     n, image, d, found = _gauss_run(mapping, v, None, max(cap, 0), False)
     if found:
         return n, image
     _check_count("cap", cap, 1)
-    steps = []  # plain (n, v, d) tuples: TraceSteps only for the error
-    _gauss_run(mapping, v, None, cap, False, steps)
+    trace = mapping.iterate(v, cap)
     raise NotFoundWithinCap(
         f"no diameter decrease within {cap} iterations "
-        f"(start diameter {steps[0][2]!r}, final {d!r})",
-        trace=IterationTrace(mapping, [TraceStep(*s) for s in steps]),
+        f"(start diameter {trace.steps[0].diameter!r}, final {d!r})",
+        trace=trace,
         cap=cap,
     )
 

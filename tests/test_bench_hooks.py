@@ -40,6 +40,6 @@ def test_tracer_patches_and_restores():
     metrics = tracer.layer_metrics()
     assert metrics["invariant.solves"] == 1
     assert metrics["invariant.steps"] == 4
-    # orbit checks, measures and maps a valid iterate itself, without apply or diameter
+    # the Gauss loop checks, measures and maps a valid iterate itself, without apply or diameter
     assert metrics["mapping.apply_calls"] == 0
     assert metrics["mapping.diameter_calls"] == 0

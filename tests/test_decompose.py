@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import meantype.invariant
 from meantype import (
     DecompositionReport,
     DomainViolation,
@@ -233,6 +234,23 @@ class TestParseFunction:
         with pytest.raises(InvalidMapping) as info:
             coordinate_function(0, 2)
         assert str(info.value) == "coordinate index must lie in 1..2, got 0"
+
+    @pytest.mark.parametrize("index", [1.5, 1.0, True, "1"], ids=repr)
+    def test_coordinate_index_that_is_not_an_int_rejected(self, index):
+        # 1.5 would pass a range check and fail on the first call; True would read coordinate 1
+        with pytest.raises(InvalidMapping) as info:
+            coordinate_function(index, 2)
+        assert str(info.value) == f"coordinate index must lie in 1..2, got {index!r}"
+
+    def test_function_of_another_arity_rejected_before_sampling(self, monkeypatch, agm):
+        # phi would read F at 3 coordinates, and each sample has 2
+        drawn = []
+        monkeypatch.setattr(meantype.invariant, "sample_vectors",
+                            lambda *args: drawn.append(args) or iter(()))
+        with pytest.raises(InvalidMapping) as info:
+            verify_decomposition(product_function(3), agm)
+        assert str(info.value) == "function product has arity 3, but the mapping has p = 2"
+        assert drawn == []
 
     def test_str_is_the_name(self, agm):
         assert str(coordinate_function(2, 3)) == "coord:2"

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from meantype import (
     InvalidMapping,
     InvariantMean,
     MeanSpec,
+    MeanTypeError,
     MeanTypeMapping,
     agm_mapping,
     arithmetic_harmonic_mapping,
@@ -192,8 +194,34 @@ class TestSolveLoop:
     @example((agm_mapping(), [10**400, 1]), 1e-12, 0, False)
     def test_matches_the_orbit_walk(self, case, tol, max_iter, relative):
         mapping, v = case
-        assert (_run_outcome(invariant_module._solve, mapping, v, tol, max_iter, relative, True)
-                == _run_outcome(_orbit_run, mapping, v, tol, max_iter, relative, True))
+        assert (_run_outcome(invariant_module._solve, mapping, v, tol, max_iter, relative)
+                == _run_outcome(_orbit_run, mapping, v, tol, max_iter, relative))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(orbit_cases(), st.sampled_from([1e-300, 1e-12, 1e-3, 0.5, 1.0]), st.integers(1, 12),
+           st.booleans(), st.sampled_from(READOUTS))
+    @example((projection_mapping(2), [0, 1]), 1e-12, 5, False, "mid")  # a max_iter stop
+    @example((agm_mapping(), [1.0, 2.0]), 1e-12, 12, False, "min")  # converges at step 4
+    @example((shift_average_mapping(3), [0.0, 1.0, 0.0]), 0.5, 12, True, "max")
+    @example((shift_average_mapping(3), [0.0, 1.0, 0.0]), 1e-12, 12, False, "first")
+    def test_trace_agrees_with_its_run(self, case, tol, max_iter, relative, readout):
+        mapping, v = case
+        try:
+            n, final, d, _ = invariant_module._solve(mapping, v, tol, max_iter, relative)
+        except MeanTypeError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                gauss_iterate(mapping, v, tol, max_iter, readout, relative, True)
+            return
+        est = gauss_iterate(mapping, v, tol, max_iter, readout, relative, True)
+        last = est.trace.last
+        assert len(est.trace) == est.steps + 1 == n + 1
+        assert [x.hex() for x in last.vector] == [x.hex() for x in final]
+        assert last.diameter.hex() == est.final_diameter.hex() == d.hex()
+        assert est.value.hex() == _READERS[readout](last.vector).hex()
+
+    def test_iterator_start_traces_as_a_tuple_start(self, agm):
+        assert (gauss_iterate(agm, iter([1.0, 2.0]), keep_trace=True)
+                == gauss_iterate(agm, (1.0, 2.0), keep_trace=True))
 
     @pytest.mark.parametrize("v, error, message", INVALID_AGM_STARTS, ids=INVALID_AGM_START_IDS)
     @pytest.mark.parametrize("solve", [

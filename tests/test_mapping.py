@@ -765,7 +765,7 @@ class TestStarApply:
         monkeypatch.setattr(meantype.mapping, "diameter",
                             lambda v: calls.append(v) or diameter(v))
         find_n0(shift3, (0.0, 1.0, 0.0))
-        assert len(calls) == 0  # orbit measures M^0, M^1, M^2 as it checks them
+        assert len(calls) == 0  # the Gauss loop measures M^0, M^1, M^2 as it checks them
         calls.clear()
         star_apply(shift3, (0.0, 1.0, 0.0))
         assert len(calls) == 0
@@ -881,7 +881,7 @@ class TestGaussRun:
         calls = []
         monkeypatch.setattr(MeanTypeMapping, "apply", lambda m, v: calls.append(v))
         monkeypatch.setattr(meantype.mapping, "diameter", lambda v: calls.append(v))
-        n, _, _, _ = _solve(mapping, v, 1e-12, 20, False, [])
+        n, _, _, _ = _solve(mapping, v, 1e-12, 20, False)
         assert n > 0
         assert _search_n0(mapping, v, 20)[0] > 0
         assert calls == []
@@ -900,6 +900,31 @@ class TestGaussRun:
             star_apply(agm, (-1.0, -1.0), cap=0)
         with pytest.raises(InvalidMapping):  # find_n0 checks its cap first, as before
             find_n0(agm, (-1.0, -1.0), cap=0)
+
+    @pytest.mark.parametrize("search", [find_n0, star_apply])
+    def test_iterator_start_gets_its_cap_hit_trace(self, projections, search):
+        # the start is read once: the run and the error's trace walk the same vector
+        with pytest.raises(NotFoundWithinCap) as info:
+            search(projections, iter([0.0, 1.0]), cap=3)
+        assert info.value.trace == projections.iterate((0.0, 1.0), 3)
+        assert len(info.value.trace) == 4
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(orbit_cases(), st.integers(1, 12), st.sampled_from([find_n0, star_apply]))
+    @example((projection_mapping(2), [0, 1]), 5, find_n0)
+    @example((shift_average_mapping(3), [0.0, 1.0, 0.0]), 1, star_apply)
+    @example((shift_average_mapping(10), [0.0] * 9 + [1.0]), 5, find_n0)
+    def test_cap_hit_trace_agrees_with_its_run(self, case, cap, search):
+        mapping, v = case
+        try:
+            search(mapping, v, cap)
+        except NotFoundWithinCap as exc:
+            trace = exc.trace
+            assert len(trace) == cap + 1
+            assert str(exc) == (f"no diameter decrease within {cap} iterations (start diameter "
+                                f"{trace.steps[0].diameter!r}, final {trace.last.diameter!r})")
+        except MeanTypeError:
+            pass
 
 
 #: The calls that take a count, by id: the name their error gives the count,
@@ -988,13 +1013,11 @@ def _tuple_loop_twin(mapping):
     return twin
 
 
-def _orbit_run(mapping, v, tol, limit, relative, keep=None):
+def _orbit_run(mapping, v, tol, limit, relative):
     """The stop rule of ``_gauss_run`` written over the checked orbit (apply,
     then diameter, and each iterate checked before the rule reads it)."""
-    keep = [] if keep is None else keep
     bound = 0.0 if tol is None else tol
     for n, current, d in _checked_orbit(mapping, v):
-        keep.append((n, current, d))
         if d == 0.0 or d < (bound * abs(midpoint(current)) if relative else bound):
             return n, current, d, True
         if n == limit:
@@ -1003,16 +1026,14 @@ def _orbit_run(mapping, v, tol, limit, relative, keep=None):
             bound = d
 
 
-def _run_outcome(run, mapping, v, tol, limit, relative, keep):
-    """The bits of ``(n, final, d, done)`` and of the kept steps, or the
-    class, message and ``component`` of what the run raised."""
-    steps = []
+def _run_outcome(run, mapping, v, tol, limit, relative):
+    """The bits of ``(n, final, d, done)``, or the class, message and
+    ``component`` of what the run raised."""
     try:
-        n, final, d, done = run(mapping, v, tol, limit, relative, steps if keep else None)
+        n, final, d, done = run(mapping, v, tol, limit, relative)
     except MeanTypeError as exc:
         return _error(exc)
-    kept = [(k, [x.hex() for x in u], e.hex()) for k, u, e in steps] if keep else None
-    return n, [x.hex() for x in final], d.hex(), done, kept
+    return n, [x.hex() for x in final], d.hex(), done
 
 
 def _api_outcome(call, mapping, v):
@@ -1049,11 +1070,11 @@ def pair_cases(draw):
     return mapping, draw(st.lists(PAIR_START_COORDS, min_size=size, max_size=size))
 
 
-#: (tol, limit, relative, keep): tol=None is the n0 search and, with limit 1,
+#: (tol, limit, relative): tol=None is the n0 search and, with limit 1,
 #: the contractivity test; limit 0 tests the start alone.
 RUN_MODES = st.tuples(st.sampled_from((None, 1e-12, 1e-300, 1e-3, 0.5, 1e300)),
                       st.one_of(st.integers(0, 12), st.just(DEFAULT_CAP)),
-                      st.booleans(), st.booleans())
+                      st.booleans())
 API_CALLS = {
     "gauss": lambda m, v: gauss_iterate(m, v, max_iter=50),
     "gauss-trace": lambda m, v: gauss_iterate(m, v, 1e-3, 50, "min", False, True),
@@ -1066,24 +1087,24 @@ API_CALLS = {
 
 
 class TestScalarLoop:
-    """A p = 2 mapping runs ``_gauss_run``'s scalar loop; its results, kept
-    steps and errors are those of the tuple loop and of the orbit."""
+    """A p = 2 mapping runs ``_gauss_run``'s scalar loop; its results and
+    errors are those of the tuple loop and of the orbit."""
 
     @settings(max_examples=1000, deadline=None)
     @given(pair_cases(), RUN_MODES)
-    @example((agm_mapping(), [1.0, 9.0]), (1e-12, 0, False, True))  # limit 0: the start alone
-    @example((agm_mapping(), [1.0, 9.0]), (1e-12, 1, False, True))  # a max_iter stop
-    @example((agm_mapping(), [1.0, 9.0]), (None, 1, False, False))  # contractivity
-    @example((agm_mapping(), [1.0, 9.0]), (1e-12, DEFAULT_CAP, True, True))
-    @example((agm_mapping(), [1.7e308, 8e307]), (1e-12, DEFAULT_CAP, False, True))  # a stall
-    @example((_parsed(("min", "max"), Interval()), [0.0, 1.0]), (None, DEFAULT_CAP, False, True))
-    @example((_parsed(("harmonic", "geometric")), [1e-310, 5e-324]), (1e-300, 12, True, True))
-    @example((agm_mapping(), [-1.0, -1.0]), (1e300, 0, False, False))  # an invalid constant start
-    @example((agm_mapping(), [10**400, 1]), (1e-12, 5, False, False))
-    @example((LEAVES_PAIR, list(LEAVES_PAIR_START)), (1e-12, 5, False, True))
-    @example((LEAVES_PAIR, list(LEAVES_PAIR_START)), (1e-12, 1, False, True))
-    @example((LEAVES_PAIR, list(LEAVES_PAIR_START)), (None, 1, False, True))
-    @example((LEAVES_PAIR, list(LEAVES_PAIR_START)), (None, DEFAULT_CAP, False, False))
+    @example((agm_mapping(), [1.0, 9.0]), (1e-12, 0, False))  # limit 0: the start alone
+    @example((agm_mapping(), [1.0, 9.0]), (1e-12, 1, False))  # a max_iter stop
+    @example((agm_mapping(), [1.0, 9.0]), (None, 1, False))  # contractivity
+    @example((agm_mapping(), [1.0, 9.0]), (1e-12, DEFAULT_CAP, True))
+    @example((agm_mapping(), [1.7e308, 8e307]), (1e-12, DEFAULT_CAP, False))  # a stall
+    @example((_parsed(("min", "max"), Interval()), [0.0, 1.0]), (None, DEFAULT_CAP, False))
+    @example((_parsed(("harmonic", "geometric")), [1e-310, 5e-324]), (1e-300, 12, True))
+    @example((agm_mapping(), [-1.0, -1.0]), (1e300, 0, False))  # an invalid constant start
+    @example((agm_mapping(), [10**400, 1]), (1e-12, 5, False))
+    @example((LEAVES_PAIR, list(LEAVES_PAIR_START)), (1e-12, 5, False))
+    @example((LEAVES_PAIR, list(LEAVES_PAIR_START)), (1e-12, 1, False))
+    @example((LEAVES_PAIR, list(LEAVES_PAIR_START)), (None, 1, False))
+    @example((LEAVES_PAIR, list(LEAVES_PAIR_START)), (None, DEFAULT_CAP, False))
     def test_matches_the_tuple_loop_and_the_orbit(self, case, mode):
         mapping, v = case
         twin = _tuple_loop_twin(mapping)
@@ -1120,9 +1141,9 @@ class TestScalarLoop:
 
     def test_makes_no_step_call(self):
         agm = agm_mapping()
-        expected = _run_outcome(_solve, agm, (1.0, 9.0), 1e-12, 100, False, True)
+        expected = _run_outcome(_solve, agm, (1.0, 9.0), 1e-12, 100, False)
         set_field(agm, "_step", None)  # calling it would raise TypeError
-        assert _run_outcome(_solve, agm, (1.0, 9.0), 1e-12, 100, False, True) == expected
+        assert _run_outcome(_solve, agm, (1.0, 9.0), 1e-12, 100, False) == expected
         assert _search_n0(agm, (1.0, 9.0), 5)[0] == 1
 
 
