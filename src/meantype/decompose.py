@@ -21,7 +21,7 @@ from collections.abc import Callable, Sequence
 from ._record import FrozenRecord, set_field
 from . import invariant  # K solves run invariant._solve, looked up per call
 from .errors import DomainViolation, InvalidMapping, ParseError
-from .invariant import DEFAULT_MAX_ITER, DEFAULT_TOL, _check_iteration, over_samples
+from .invariant import DEFAULT_MAX_ITER, DEFAULT_TOL, _check_arity, _check_iteration, over_samples
 from .mapping import MeanTypeMapping, sample_vectors  # noqa: F401 -- bench/spans.py patches it here
 from .means import mean_callable, midpoint, parse_mean
 
@@ -224,9 +224,7 @@ def verify_decomposition(
     large as well.  An F whose arity is not p raises :class:`InvalidMapping`.
     """
     _check_iteration(tol, max_iter, "mid")
-    if f.arity != mapping.p:
-        raise InvalidMapping(f"function {f.name} has arity {f.arity}, "
-                             f"but the mapping has p = {mapping.p}")
+    _check_arity(f, mapping.p)
     phi = diagonal_restriction(f)
     solve = invariant._solve
 

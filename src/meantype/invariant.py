@@ -193,6 +193,16 @@ def over_samples(
     return out
 
 
+def _check_arity(fn: object, p: int) -> None:
+    """Raise :class:`InvalidMapping` when ``fn`` has an ``arity`` (an
+    :class:`InvariantMean`, a ``decompose.InvariantFunction``) other than
+    ``p``; a plain callable is not checked.  The probes run it before any
+    sample is drawn."""
+    arity = getattr(fn, "arity", p)
+    if arity != p:
+        raise InvalidMapping(f"function {fn} has arity {arity}, but the mapping has p = {p}")
+
+
 def _residual_at(k: MeanFn, mapping: MeanTypeMapping) -> Callable[[Vector], float]:
     """The per-sample function v -> |K(M(v)) - K(v)| of :func:`invariance_residual`.
 
@@ -232,8 +242,10 @@ def invariance_residual(
     offending sample attached.  Any F: I^p -> R may stand in for K.  When
     K is ``InvariantMean(mapping, ...)`` on this very mapping object, a
     sample costs one Gauss solve, not two, wherever the solve from M(v)
-    converges before ``max_iter``; the result is the same to the bit.
+    converges before ``max_iter``; the result is the same to the bit.  A K
+    with an ``arity`` other than p raises :class:`InvalidMapping`.
     """
+    _check_arity(k, mapping.p)
     return max(0.0, *over_samples(_residual_at(k, mapping),
                                   mapping.domain, mapping.p, sample_count, seed))
 
@@ -274,6 +286,9 @@ def uniqueness_probe(
     the iteration tolerance; larger values witness that the two are
     genuinely different means.  Two :class:`InvariantMean` objects that
     differ at most in their readout cost one Gauss solve per sample, not
-    two; the result is the same to the bit.
+    two; the result is the same to the bit.  A K1 or K2 with an ``arity``
+    other than ``p`` raises :class:`InvalidMapping`.
     """
+    _check_arity(k1, p)
+    _check_arity(k2, p)
     return max(0.0, *over_samples(_gap_at(k1, k2), domain, p, sample_count, seed))

@@ -21,7 +21,6 @@ Everything is pure; probes are sequential loops, deterministic per seed.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections.abc import Callable, Iterator, Sequence
@@ -103,7 +102,7 @@ class MeanTypeMapping(FrozenRecord):
     """An ordered tuple of p means of arity p over a shared interval."""
 
     # Bound once here, so that apply and the Gauss loop read no spec field or
-    # kernel table: _step, v -> M(v) (:func:`_bind_step`); _pair, the
+    # kernel table: _step, (v, sorted(v)) -> M(v) (:func:`_bind_step`); _pair, the
     # functions (f0, f1) with M(x, y) = (f0(x, y), f1(x, y)) of a p = 2
     # mapping (:func:`_pair_step`), else None; _p, the arity; _positive, the
     # first component that requires positive coordinates (or None); _bounds,
@@ -140,19 +139,20 @@ class MeanTypeMapping(FrozenRecord):
     def apply(self, v: Sequence[float]) -> Vector:
         """One application: (M_1(v), ..., M_p(v)).
 
-        ``v`` is checked once for all components (:func:`check_vector`);
-        an error is re-raised with the index of the component that rejects
-        ``v`` prepended.  A constant vector is a fixed point of every mean;
-        any other runs the step bound at construction.
+        ``v`` is checked once for all components (:func:`check_vector`),
+        which sorts it; an error is re-raised with the index of the
+        component that rejects ``v`` prepended.  A constant vector is a
+        fixed point of every mean; any other runs the step bound at
+        construction on ``v`` and that sorted list.
         """
         try:
-            v = check_vector(v, self.components, self.domain, self._positive, self._bounds)
+            v, s = check_vector(v, self.components, self.domain, self._positive, self._bounds)
         except MeanTypeError as exc:
             k = exc.component
             raise _annotate(exc, f"component {k} ({self.components[k - 1]})") from exc
-        if v.count(v[0]) == len(v):
+        if s[0] == s[-1]:
             return (v[0],) * len(v)
-        return self._step(v)
+        return self._step(v, s)
 
     def orbit(self, v: Sequence[float]) -> Iterator[tuple[int, Vector, float]]:
         """Yield ``(n, M^n(v), diameter(M^n(v)))`` for n = 0, 1, 2, ...
@@ -198,39 +198,43 @@ def _pair_step(specs: Sequence[MeanSpec]) -> tuple[Callable, Callable] | None:
     """``(f0, f1)`` with M(x, y) = (f0(x, y), f1(x, y)) for a p = 2 mapping,
     else None.  A component whose catalog row (``means._CATALOG``) has a
     closed form uses it; ``projection:1`` and ``projection:2`` pick ``x`` and
-    ``y``; any other kind calls its kernel on ``(x, y)``.  Each gives the
-    bits of the general kernel."""
+    ``y``; any other kind calls its bound kernel on ``(x, y)`` and that pair
+    sorted, with no ``sorted`` call.  Each gives the bits of the general
+    kernel."""
     if len(specs) != 2:
         return None
     return _pair_form(specs[0]), _pair_form(specs[1])
 
 
 def _pair_form(spec: MeanSpec) -> Callable[[float, float], float]:
-    kernel, closed, _ = spec._row
+    kernel, closed = spec._kernel, spec._row[1]
     if closed is not None:
         return closed
     if spec.kind == "projection":
         return (lambda x, y: x) if spec.index == 1 else (lambda x, y: y)
-    return lambda x, y: kernel(spec, (x, y))
+    return lambda x, y: kernel((x, y), [x, y] if x <= y else [y, x])
 
 
-def _bind_step(specs: Sequence[MeanSpec]) -> Callable[[Vector], Vector]:
-    """``v -> (M_1(v), ..., M_p(v))`` for a checked, nonconstant ``v``; p >= 2.
+def _bind_step(specs: Sequence[MeanSpec]) -> Callable[[Vector, list[float]], Vector]:
+    """``(v, s) -> (M_1(v), ..., M_p(v))`` for a checked, nonconstant ``v``
+    and ``s = sorted(v)``, which :func:`check_vector` or the Gauss loop's
+    check has already made; p >= 2.
 
-    A p = 2 mapping steps as ``(f0(x, y), f1(x, y))`` (:func:`_pair_step`).
-    For p >= 3, each distinct kernel is called once, as ``kernel(spec, v)``:
-    components with the same catalog kernel, exponent and weights share
+    A p = 2 mapping steps as ``(f0(x, y), f1(x, y))`` (:func:`_pair_step`)
+    and reads no ``s``.  For p >= 3, each distinct kernel is called once,
+    as ``kernel(v, s)``, the one its spec bound (``MeanSpec._kernel``):
+    components with the same catalog binder, exponent and weights share
     the call (``geometric`` and ``quasi:log``, ``power:t`` and
     ``quasi:power:t``, ``arithmetic`` and ``quasi:identity``).  One item
     getter gathers projections and kernel results in order from ``v +
-    kernels(v)``.  Two shapes: one kernel, ``take(v + (k0(v),))``, and any
-    other number of kernels, none included; with no projection and no
-    shared call, the kernel results are the image, ungathered.
+    kernels(v, s)``.  Two shapes: one kernel, ``take(v + (k0(v, s),))``,
+    and any other number of kernels, none included; with no projection and
+    no shared call, the kernel results are the image, ungathered.
     """
     if pair := _pair_step(specs):
         f0, f1 = pair
 
-        def step(v: Vector) -> Vector:
+        def step(v: Vector, s: list[float]) -> Vector:
             x, y = v
             return f0(x, y), f1(x, y)
         return step
@@ -243,14 +247,14 @@ def _bind_step(specs: Sequence[MeanSpec]) -> Callable[[Vector], Vector]:
         key = spec._row[0], repr(spec.exponent), repr(spec.weights)
         if key not in at:
             at[key] = len(specs) + len(ks)
-            ks.append(functools.partial(spec._row[0], spec))
+            ks.append(spec._kernel)
         gather.append(at[key])
     take = operator.itemgetter(*gather)
     if len(ks) == 1:
         (k0,) = ks
-        return lambda v: take(v + (k0(v),))
-    kernels = lambda v: tuple([k(v) for k in ks])  # noqa: E731
-    return kernels if len(ks) == len(specs) else lambda v: take(v + kernels(v))
+        return lambda v, s: take(v + (k0(v, s),))
+    kernels = lambda v, s: tuple([k(v, s) for k in ks])  # noqa: E731
+    return kernels if len(ks) == len(specs) else lambda v, s: take(v + kernels(v, s))
 
 
 def _annotate(exc: MeanTypeError, context: str) -> MeanTypeError:
@@ -303,11 +307,12 @@ def _gauss_run(mapping: MeanTypeMapping, v: Sequence[float], tol: float | None, 
     ``x, y = f0(x, y), f1(x, y)`` (``_pair``) and builds a tuple only for
     the result.  A p >= 3 mapping, and a start of the wrong length, runs
     the tuple loop through ``_step``.  It checks an iterate with ``len``, a
-    ``sum`` that is not NaN and one ``sorted(v)``, whose ends are the least
-    and greatest coordinate, and measures ``d`` from them.  Of equal zeros,
-    ``sorted`` keeps the order: ``(0.0, -0.0)`` gives ``-0.0 - 0.0``.
-    ``+ 0.0`` turns that into 0.0, the bits of ``max(v) - min(v)``, which
-    returns the first of equal coordinates.
+    ``sum`` that is not NaN and one ``s = sorted(v)``, whose ends are the
+    least and greatest coordinate, measures ``d`` from them, and steps as
+    ``step(v, s)``: the kernels read that list, so an iterate is sorted
+    once.  Of equal zeros, ``sorted`` keeps the order: ``(0.0, -0.0)``
+    gives ``-0.0 - 0.0``.  ``+ 0.0`` turns that into 0.0, the bits of
+    ``max(v) - min(v)``, which returns the first of equal coordinates.
     """
     p, pair, (a, b) = mapping._p, mapping._pair, mapping._bounds
     try:
@@ -344,7 +349,7 @@ def _gauss_run(mapping: MeanTypeMapping, v: Sequence[float], tol: float | None, 
                 return n, v, d, False
             bound, stop_at = d, limit
         n += 1
-        v = step(v)
+        v = step(v, s)
 
 
 class TraceStep(FrozenRecord):

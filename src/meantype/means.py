@@ -9,8 +9,9 @@ building blocks used everywhere else: the interval domain, a declarative
 description of a single mean (:class:`MeanSpec`), evaluation, a textual
 form for config files and the CLI, and the seeded sampler behind every
 probe.  What the package knows of each kind of mean is one row of
-``_CATALOG``: its kernel, its closed form at p = 2 (which a p = 2
-mapping steps through), and whether it requires positive coordinates.
+``_CATALOG``: the binder of its kernel, its closed form at p = 2 (which
+a p = 2 mapping steps through), and whether it requires positive
+coordinates.
 
 All evaluation is pure and stateless; everything here may be called
 concurrently without synchronization.
@@ -35,6 +36,8 @@ from .errors import (
 )
 
 Vector = tuple[float, ...]
+#: A mean bound to its spec, as ``kernel(v, s)`` with ``s = sorted(v)``.
+Kernel = Callable[[Vector, list[float]], float]
 
 #: Exponents closer to zero than this evaluate through the geometric-mean
 #: formula (the analytic limit of the power mean), avoiding cancellation.
@@ -252,11 +255,15 @@ class MeanSpec(FrozenRecord):
     a field the kind does not take is rejected.  ``__init__`` is the one
     place a spec is checked: the classmethod constructors
     (``MeanSpec.arithmetic(3)``, ``MeanSpec.power(0.5, 2)``, ...) and
-    :func:`parse_mean` forward to it.
+    :func:`parse_mean` forward to it.  It also binds the mean once, through
+    its catalog row's binder, as ``kernel(v, s)``: ``v`` a checked vector
+    and ``s = sorted(v)``, which the caller has made for its range check
+    (:func:`check_vector`, or the Gauss loop's check of an iterate).
     """
 
-    # _row: the spec's row of _CATALOG, looked up once; not compared or shown.
-    __slots__ = ("kind", "arity", "exponent", "generator", "index", "weights", "_row")
+    # _row: the spec's row of _CATALOG, looked up once; _kernel: the mean as
+    # kernel(v, s), bound once by the row's binder; neither compared or shown.
+    __slots__ = ("kind", "arity", "exponent", "generator", "index", "weights", "_row", "_kernel")
     _fields = ("kind", "arity", "exponent", "generator", "index", "weights")
 
     def __init__(self, kind: str, arity: int, exponent: float | None = None,
@@ -314,7 +321,9 @@ class MeanSpec(FrozenRecord):
         set_field(self, "generator", generator)
         set_field(self, "index", index)
         set_field(self, "weights", weights)
-        set_field(self, "_row", _CATALOG[kind if generator is None else "quasi:" + generator])
+        row = _CATALOG[kind if generator is None else "quasi:" + generator]
+        set_field(self, "_row", row)
+        set_field(self, "_kernel", row[0](self))
 
     # -- constructors -------------------------------------------------------
 
@@ -452,13 +461,13 @@ def eval_mean(spec: MeanSpec, v: Sequence[float], domain: Interval = REALS) -> f
     :class:`DomainViolation` when the vector is unusable; otherwise the
     result satisfies internality up to rounding.
     """
-    kernel, _, positive = spec._row
-    v = check_vector(v, (spec,), domain, 0 if positive else None, domain._admissible[positive])
+    positive = spec._row[2]
+    v, s = check_vector(v, (spec,), domain, 0 if positive else None, domain._admissible[positive])
     # Constant vectors are exact fixed points of every mean; returning the
     # coordinate directly keeps reflexivity free of rounding.
-    if v.count(v[0]) == len(v):
+    if s[0] == s[-1]:
         return v[0]
-    return kernel(spec, v)
+    return spec._kernel(v, s)
 
 
 def float_vector(v: Sequence[float]) -> Vector:
@@ -476,8 +485,9 @@ def float_vector(v: Sequence[float]) -> Vector:
 
 
 def check_vector(v: Sequence[float], specs: Sequence[MeanSpec], domain: Interval,
-                 positive: int | None, bounds: tuple[float, float]) -> Vector:
-    """``v`` as a float tuple, checked once as an input of every mean in ``specs``.
+                 positive: int | None, bounds: tuple[float, float]) -> tuple[Vector, list[float]]:
+    """``(v, s)``: ``v`` as a float tuple, checked once as an input of every
+    mean in ``specs``, and ``s = sorted(v)``, which every kernel takes.
 
     The means share one arity.  ``positive`` is the 0-based position in
     ``specs`` of the first mean that requires strictly positive
@@ -491,7 +501,7 @@ def check_vector(v: Sequence[float], specs: Sequence[MeanSpec], domain: Interval
     position in ``specs`` of the mean that rejects ``v``.
 
     A valid vector passes in a few C-level passes: a sum that is not NaN
-    means no coordinate is NaN, and ``a <= min(v)`` and ``max(v) <= b`` put
+    means no coordinate is NaN, and ``a <= s[0]`` and ``s[-1] <= b`` put
     every coordinate in ``bounds``, which holds no infinity.  A finite sum
     that overflows to +-inf therefore passes.  Any miss falls through to
     the coordinate-by-coordinate scan, which names the failure.
@@ -500,8 +510,8 @@ def check_vector(v: Sequence[float], specs: Sequence[MeanSpec], domain: Interval
     a, b = bounds
     try:
         v = tuple(map(float, v))
-        if len(v) == spec.arity and (s := sum(v)) == s and a <= min(v) and max(v) <= b:
-            return v
+        if len(v) == spec.arity and (t := sum(v)) == t and a <= (s := sorted(v))[0] and s[-1] <= b:
+            return v, s
     except OverflowError:  # an int beyond the float range, named below
         pass
     k = 1
@@ -527,10 +537,18 @@ def check_vector(v: Sequence[float], specs: Sequence[MeanSpec], domain: Interval
     except MeanTypeError as exc:
         exc.component = k
         raise
-    return v
+    return v, sorted(v)
 
 
-def _arithmetic(spec: MeanSpec, v: Vector) -> float:
+def _spec_free(kernel: Kernel) -> Callable[[MeanSpec], Kernel]:
+    """The binder of a kernel that reads nothing of its spec: every spec gets
+    ``kernel`` itself.  One binder per kernel, so the rows that name it share
+    it, and with it a step's call (``mapping._bind_step``)."""
+    return lambda spec: kernel
+
+
+@_spec_free
+def _arithmetic(v: Vector, s: list[float]) -> float:
     try:
         return math.fsum(v) / len(v)
     except OverflowError:  # the sum leaves the float range; the mean does not
@@ -543,7 +561,8 @@ def _pair_arithmetic(x: float, y: float) -> float:
     return s / 2 if -math.inf < s < math.inf else x / 2 + y / 2
 
 
-def _geometric(spec: MeanSpec, v: Vector) -> float:
+@_spec_free
+def _geometric(v: Vector, s: list[float]) -> float:
     if len(v) == 2:
         return _pair_geometric(*v)
     return math.exp(math.fsum(map(math.log, v)) / len(v))
@@ -554,7 +573,8 @@ def _pair_geometric(x: float, y: float) -> float:
     return sqrt(p) if 2.0 ** -1022 <= p < math.inf else sqrt(x) * sqrt(y)
 
 
-def _harmonic(spec: MeanSpec, v: Vector) -> float:
+@_spec_free
+def _harmonic(v: Vector, s: list[float]) -> float:
     try:
         total = math.fsum([1.0 / x for x in v])
     except OverflowError:  # finite reciprocals whose sum leaves the float range
@@ -571,37 +591,46 @@ def _harmonic(spec: MeanSpec, v: Vector) -> float:
 
 def _pair_harmonic(x: float, y: float) -> float:
     h = 2 / (1 / x + 1 / y)
-    return _harmonic(None, (x, y)) if h == 0.0 or h == math.inf else h  # rescued there
+    return _harmonic(None)((x, y), None) if h == 0.0 or h == math.inf else h  # rescued there
 
 
-def _power_mean(spec: MeanSpec, v: Vector) -> float:
+def _power_mean(spec: MeanSpec) -> Kernel:
     t = spec.exponent  # power:t, or quasi:power:t, which is the same mean
     if abs(t) < POWER_ZERO_CUTOFF:
-        return _geometric(spec, v)
-    if abs(t) >= _DIRECT_POWER_CUTOFF:
+        return _geometric(spec)
+    inv = 1 / t
+
+    def log_space(v, s):
+        logs = [*map(math.log, v)]
+        # Work in log space, where large |t| cannot overflow: the mean of
+        # x^t is exp(t*L_max) * mean(exp(t*(L_i - L_max))).
+        scaled = [t * l for l in logs]
+        top = max(scaled)
+        if math.isinf(top):
+            # t*log(x) overflowed: scale by the extreme coordinate r instead
+            # (max for t > 0, min for t < 0), so that t*(log(x) - log(r)) <= 0.
+            r = max(v) if t > 0 else min(v)
+            log_r = math.log(r)
+            acc = math.fsum(math.exp(t * (l - log_r)) for l in logs) / len(v)
+            return r * math.exp(math.log(acc) / t)
+        acc = math.fsum(math.exp(l - top) for l in scaled) / len(v)
+        return math.exp((top + math.log(acc)) / t)
+
+    if abs(t) < _DIRECT_POWER_CUTOFF:
+        return log_space
+
+    def direct(v, s):
         try:  # no x**t, sum or root overflows, and no underflowed x**t moves acc
             acc = math.fsum([x ** t for x in v]) / len(v)
             if acc >= 2.0 ** -969:
                 if t == 2.0:  # sqrt(x ** 2) is x, so this stays in [min, max]
                     return sqrt(acc)
-                r, s = acc ** (1 / t), sorted(v)
+                r = acc ** inv
                 return s[0] if r < s[0] else s[-1] if r > s[-1] else r  # rounding may leave them
         except OverflowError:
             pass
-    logs = [*map(math.log, v)]
-    # Else work in log space, where large |t| cannot overflow: the mean of
-    # x^t is exp(t*L_max) * mean(exp(t*(L_i - L_max))).
-    scaled = [t * l for l in logs]
-    top = max(scaled)
-    if math.isinf(top):
-        # t*log(x) overflowed: scale by the extreme coordinate r instead
-        # (max for t > 0, min for t < 0), so that t*(log(x) - log(r)) <= 0.
-        r = max(v) if t > 0 else min(v)
-        log_r = math.log(r)
-        acc = math.fsum(math.exp(t * (l - log_r)) for l in logs) / len(v)
-        return r * math.exp(math.log(acc) / t)
-    acc = math.fsum(math.exp(l - top) for l in scaled) / len(v)
-    return math.exp((top + math.log(acc)) / t)
+        return log_space(v, s)
+    return direct
 
 
 def midpoint(v: Vector) -> float:
@@ -609,8 +638,8 @@ def midpoint(v: Vector) -> float:
     return _pair_arithmetic(max(v), min(v))
 
 
-def _median(spec: MeanSpec, v: Vector) -> float:
-    s = sorted(v)
+@_spec_free
+def _median(v: Vector, s: list[float]) -> float:
     i = len(s) // 2
     if len(s) % 2:
         return s[i]
@@ -618,38 +647,49 @@ def _median(spec: MeanSpec, v: Vector) -> float:
     return x if x == y else _pair_arithmetic(x, y)  # x == y: midpoint gives x, -0.0 kept
 
 
-def _log_mean_exp(spec: MeanSpec, v: Vector) -> float:
+@_spec_free
+def _log_mean_exp(v: Vector, s: list[float]) -> float:
     # log of the average of exp(x_i), stabilized against overflow.
     top = max(v)
     return top + math.log(math.fsum([math.exp(x - top) for x in v]) / len(v))
 
 
-def _minimum(spec: MeanSpec, v: Vector) -> float:
+@_spec_free
+def _minimum(v: Vector, s: list[float]) -> float:
     return min(v)
 
 
-def _maximum(spec: MeanSpec, v: Vector) -> float:
-    return max(v)
+@_spec_free
+def _maximum(v: Vector, s: list[float]) -> float:
+    return max(v)  # not s[-1]: of equal zeros, max returns the first and s[-1] the last
 
 
-def _weighted(spec: MeanSpec, v: Vector) -> float:
-    return math.fsum([w * x for w, x in zip(spec.weights, v)])
+def _weighted(spec: MeanSpec) -> Kernel:
+    w = spec.weights
+    return lambda v, s: math.fsum([a * x for a, x in zip(w, v)])
 
 
-def _projection(spec: MeanSpec, v: Vector) -> float:
-    return v[spec.index - 1]
+def _projection(spec: MeanSpec) -> Kernel:
+    i = spec.index - 1
+    return lambda v, s: v[i]
 
 
 #: The catalog: one row per mean kind, and per generator under
 #: ``quasi:<generator>``, where a quasi-arithmetic mean runs the kernel of the
-#: mean it equals.  A row is ``(kernel(spec, v), f(x, y), positive)``:
-#: ``f`` is the kernel's closed form at p = 2, with its bits, or None (a p = 2
-#: median is the midpoint, which is the arithmetic mean), and ``positive``
-#: says whether the mean requires strictly positive coordinates.  A spec
-#: binds its row when built (``MeanSpec._row``).  A p >= 3 mapping's step
-#: calls each distinct kernel once, shared by the rows that name it with the
-#: same exponent and weights, and gathers its projections itself, in one of
-#: two shapes: one kernel, or any other number (``mapping._bind_step``).
+#: mean it equals.  A row is ``(binder, f(x, y), positive)``.  The binder
+#: resolves once what the spec fixes (its exponent, the power path, its
+#: weights) and returns the mean as ``kernel(v, s)``, where ``v`` is a
+#: checked vector and ``s = sorted(v)``: the power clamp and the median read
+#: ``s``, so no kernel sorts.  ``f`` is the kernel's closed form at p = 2,
+#: with its bits, or None (a p = 2 median is the midpoint, which is the
+#: arithmetic mean), and ``positive`` says whether the mean requires
+#: strictly positive coordinates.  A spec binds its row and its kernel when
+#: built (``MeanSpec._row``, ``MeanSpec._kernel``); ``check_vector`` gives
+#: ``eval_mean`` and ``apply`` their ``s``, and the Gauss loop passes on the
+#: ``s`` it sorts for its check.  A p >= 3 mapping's step calls each
+#: distinct kernel once, shared by the rows that name it with the same
+#: binder, exponent and weights, and gathers its projections itself, in one
+#: of two shapes: one kernel, or any other number (``mapping._bind_step``).
 #: Specs and mappings pickle by rebuilding through their ``__init__``, so
 #: what is bound here never needs to pickle.
 _CATALOG: dict[str, tuple] = {

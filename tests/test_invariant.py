@@ -17,9 +17,11 @@ from meantype import (
     MeanTypeMapping,
     agm_mapping,
     arithmetic_harmonic_mapping,
+    coordinate_function,
     gauss_iterate,
     invariance_residual,
     mean_callable,
+    product_function,
     projection_mapping,
     sample_vectors,
     shift_average_mapping,
@@ -319,6 +321,36 @@ class TestInvarianceResidual:
         assert direct.value.component == probed.value.component == 2
         assert str(probed.value).startswith("sample 0 [0.0, ")
         assert str(probed.value).endswith(": " + str(direct.value))
+
+
+# K or F of arity 3 beside a p = 2 mapping: a coordinate past p, and a
+# product of three coordinates that would read only two
+WRONG_ARITY = [(coordinate_function(3, 3), "coord:3"), (product_function(3), "product")]
+
+
+@pytest.mark.parametrize("probe", ["residual", "uniqueness"])
+@pytest.mark.parametrize("fn, name", WRONG_ARITY, ids=["coordinate", "product"])
+def test_function_of_another_arity_rejected_before_sampling(monkeypatch, probe, fn, name):
+    drawn = []
+    monkeypatch.setattr(invariant_module, "sample_vectors",
+                        lambda *args: drawn.append(args) or iter(()))
+    m = agm_mapping()
+    with pytest.raises(InvalidMapping) as info:
+        if probe == "residual":
+            invariance_residual(fn, m, 5)
+        else:
+            uniqueness_probe(fn, InvariantMean(m), m.domain, 2, 5)
+    assert str(info.value) == f"function {name} has arity 3, but the mapping has p = 2"
+    assert drawn == []
+
+
+def test_invariant_mean_of_another_arity_rejected():
+    k = InvariantMean(shift_average_mapping(3))
+    with pytest.raises(InvalidMapping, match="^function InvariantMean.* has arity 3, but the "
+                                             "mapping has p = 2$"):
+        uniqueness_probe(InvariantMean(agm_mapping()), k, Interval(0.0, math.inf), 2, 5)
+    with pytest.raises(InvalidMapping, match="has arity 3, but the mapping has p = 2$"):
+        invariance_residual(k, agm_mapping(), 5)
 
 
 class TestUniquenessProbe:

@@ -23,6 +23,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import meantype.mapping
+import meantype.means
 from meantype import (Interval, MeanSpec, MeanTypeMapping, arithmetic_harmonic_mapping, eval_mean,
                       gauss_iterate, parse_mean, projection_mapping, shift_average_mapping)
 from meantype.means import _DIRECT_POWER_CUTOFF
@@ -218,6 +220,78 @@ def test_mixed_solves_keep_their_bits(names, seed, value, steps, final_diameter)
     mapping = MeanTypeMapping([parse_mean(name, p) for name in names], Interval(0.0, math.inf))
     est = gauss_iterate(mapping, tuple(10.0 ** rnd.uniform(-3, 3) for _ in range(p)))
     assert (est.value.hex(), est.steps, est.final_diameter.hex()) == (value, steps, final_diameter)
+
+
+def test_mixed10_solve_sorts_each_iterate_once(monkeypatch):
+    # the loop sorts each iterate for its check, and the step's kernels (the
+    # power clamps and the median) read that list; nothing else sorts
+    p, rnd = len(MIXED_10), random.Random(1)
+    mapping = MeanTypeMapping([parse_mean(name, p) for name in MIXED_10], Interval(0.0, math.inf))
+    v = tuple(10.0 ** rnd.uniform(-3, 3) for _ in range(p))
+    callers = []
+
+    def counted(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return sorted(*args, **kwargs)
+
+    for module in (meantype.means, meantype.mapping):
+        monkeypatch.setattr(module, "sorted", counted, raising=False)
+    est = gauss_iterate(mapping, v)
+    assert est.steps == 31
+    assert callers == ["_gauss_run"] * (est.steps + 1)
+
+
+REALS, POSITIVE_LINE = Interval(), Interval(0.0, math.inf)
+
+
+@pytest.mark.parametrize("names, domain, v, image, solve, relative", [
+    # max returns the first of equal zeros, so these two differ in its sign
+    (("max", "min", "projection:1"), REALS, (0.0, -0.0, -1.0),
+     ["0x0.0p+0", "-0x1.0000000000000p+0", "0x0.0p+0"],
+     ("-0x1.0000000000000p-1", 10000, "0x1.0000000000000p+0"), False),
+    (("max", "min", "projection:1"), REALS, (-0.0, 0.0, -1.0),
+     ["-0x0.0p+0", "-0x1.0000000000000p+0", "-0x0.0p+0"],
+     ("-0x1.0000000000000p-1", 10000, "0x1.0000000000000p+0"), False),
+    (("median", "arithmetic", "geometric"), POSITIVE_LINE, (0.5, 3.0, 2.0),
+     ["0x1.0000000000000p+1", "0x1.d555555555555p+0", "0x1.7137449123ef7p+0"],
+     ("0x1.c5de8607b40d4p+0", 25, "0x1.4be0000000000p-41"), False),
+    (("median", "arithmetic", "geometric", "harmonic"), POSITIVE_LINE, (0.5, 3.0, 2.0, 7.0),
+     ["0x1.4000000000000p+1", "0x1.9000000000000p+1", "0x1.12024c66ca82dp+1",
+      "0x1.5810624dd2f1ap+0"],
+     ("0x1.1b4c601fd68a2p+1", 20, "0x1.b9c0000000000p-41"), False),
+    (("quasi:exp", "arithmetic", "median"), REALS, (-1.5, 2.0, 7.0),
+     ["0x1.7a21abe83308ap+2", "0x1.4000000000000p+1", "0x1.0000000000000p+1"],
+     ("0x1.d913b191136d4p+1", 27, "0x1.6040000000000p-41"), False),
+    (("power:-1.5", "arithmetic", "median"), POSITIVE_LINE, (0.25, 3.0, 9.0),
+     ["0x1.054714f772163p-1", "0x1.0555555555555p+2", "0x1.8000000000000p+1"],
+     ("0x1.0cd8cf72a4c0cp+1", 26, "0x1.1f40000000000p-41"), False),
+    (("weighted:0.5,0,0.5", "arithmetic", "median"), REALS, (-1.5, 2.0, 7.0),
+     ["0x1.6000000000000p+1", "0x1.4000000000000p+1", "0x1.0000000000000p+1"],
+     ("0x1.36db6db6db6afp+1", 17, "0x1.2b00000000000p-42"), False),
+    # |t| < 0.1: log space from the start
+    (("power:0.05", "arithmetic", "median"), POSITIVE_LINE, (0.25, 3.0, 9.0),
+     ["0x1.ff6f7e1402128p+0", "0x1.0555555555555p+2", "0x1.8000000000000p+1"],
+     ("0x1.7df4f336ca7d2p+1", 25, "0x1.6f80000000000p-41"), False),
+    # |t| < POWER_ZERO_CUTOFF: the geometric mean
+    (("power:1e-9", "arithmetic", "median"), POSITIVE_LINE, (0.25, 3.0, 9.0),
+     ["0x1.e3cf476542bd1p+0", "0x1.0555555555555p+2", "0x1.8000000000000p+1"],
+     ("0x1.7a99a6866e8eep+1", 26, "0x1.fd80000000000p-42"), False),
+    # 3.0 ** 1e308 overflows, and so does 1e308 * log(1.7e308)
+    (("power:1e308", "arithmetic", "median"), POSITIVE_LINE, (0.5, 3.0, 1.7e308),
+     ["0x1.e42d130773b76p+1023", "0x1.42c8b75a4d24fp+1022", "0x1.8000000000000p+1"],
+     ("0x1.e42d130772e3bp+1023", 106, "0x1.a760000000000p+983"), True),
+    # every reciprocal overflows, so the harmonic mean rescales by min(v)
+    (("harmonic", "arithmetic", "median"), POSITIVE_LINE, (5e-324, 1e-320, 2e-322),
+     ["0x0.0000000000003p-1022", "0x0.00000000002b0p-1022", "0x0.0000000000028p-1022"],
+     ("0x0.0000000000029p-1022", 6, "0x0.0p+0"), True),
+], ids=["max-min-zeros", "max-min-zeros-swapped", "median-odd", "median-even", "quasi-exp",
+        "power-negative", "weighted-zero-weight", "power-log-space", "power-geometric-cutoff",
+        "power-overflow", "harmonic-subnormal"])
+def test_every_kernel_keeps_its_bits_at_p3_and_up(names, domain, v, image, solve, relative):
+    mapping = MeanTypeMapping([parse_mean(name, len(names)) for name in names], domain)
+    assert [x.hex() for x in mapping.apply(v)] == image
+    est = gauss_iterate(mapping, v, relative=relative)
+    assert (est.value.hex(), est.steps, est.final_diameter.hex()) == solve
 
 
 if __name__ == "__main__":

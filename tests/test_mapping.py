@@ -247,18 +247,21 @@ PAIR_KINDS = sorted(key for key, (_, pair, _) in _CATALOG.items() if pair) + [
 
 
 def _count_kernel_calls(monkeypatch):
-    """Replace each distinct kernel function of ``means._CATALOG`` with one
-    that appends the first key it serves to the returned list when called, so
-    that rows sharing a kernel (``geometric`` and ``quasi:log``, say) share
-    one wrapper and one count; mappings built afterwards bind them."""
+    """Replace each distinct binder of ``means._CATALOG`` with one whose bound
+    kernels append the first key it serves to the returned list when called,
+    so that rows sharing a binder (``geometric`` and ``quasi:log``, say) share
+    one wrapper and one count; specs and mappings built afterwards bind them."""
     calls, wrapped = [], {}
 
-    def counted(key, kernel):
-        return lambda *args: calls.append(key) or kernel(*args)
+    def counted(key, binder):
+        def bind(spec):
+            kernel = binder(spec)
+            return lambda *args: calls.append(key) or kernel(*args)
+        return bind
 
-    for key, (kernel, *_) in _CATALOG.items():
-        wrapped.setdefault(kernel, counted(key, kernel))
-    table = {key: (wrapped[kernel], *rest) for key, (kernel, *rest) in _CATALOG.items()}
+    for key, (binder, *_) in _CATALOG.items():
+        wrapped.setdefault(binder, counted(key, binder))
+    table = {key: (wrapped[binder], *rest) for key, (binder, *rest) in _CATALOG.items()}
     monkeypatch.setattr(meantype.means, "_CATALOG", table)
     return calls
 
@@ -343,8 +346,9 @@ class TestApply:
         else:
             x, y = (-x if negate_x else x), (-y if negate_y else y)
         assume(x != y)  # the step runs on checked, nonconstant vectors
-        expected = tuple(spec._row[0](spec, (x, y)) for spec in specs)
-        assert [r.hex() for r in _bind_step(specs)((x, y))] == [r.hex() for r in expected]
+        s = sorted((x, y))
+        expected = tuple(spec._kernel((x, y), s) for spec in specs)
+        assert [r.hex() for r in _bind_step(specs)((x, y), s)] == [r.hex() for r in expected]
 
     @pytest.mark.parametrize("kinds", [
         ("arithmetic", "geometric"), ("arithmetic", "harmonic"), ("median", "quasi:log"),
@@ -1009,7 +1013,7 @@ def _tuple_loop_twin(mapping):
     specs = mapping.components
     twin = MeanTypeMapping(specs, mapping.domain, mapping.name)
     set_field(twin, "_pair", None)
-    set_field(twin, "_step", lambda v: tuple([spec._row[0](spec, v) for spec in specs]))
+    set_field(twin, "_step", lambda v, s: tuple([spec._kernel(v, s) for spec in specs]))
     return twin
 
 

@@ -196,7 +196,8 @@ class TestEvalErrors:
 
 def _reference_check(v, specs, domain):
     """The coordinate-by-coordinate scan, written out: arity, finiteness and
-    domain per coordinate, then positivity for the first spec needing it."""
+    domain per coordinate, then positivity for the first spec needing it.
+    Returns the checked vector and its sorted list, as ``check_vector`` does."""
     v = tuple(float(x) for x in v)
     k, spec = 1, specs[0]
     try:
@@ -219,7 +220,7 @@ def _reference_check(v, specs, domain):
     except MeanTypeError as exc:
         exc.component = k
         raise
-    return v
+    return v, sorted(v)
 
 
 def _check_outcome(fn, *args):

@@ -150,7 +150,7 @@ def test_mapping_equality_ignores_bound_kernels():
 #: The slots a class binds in __init__ beyond its fields.
 BOUND = {
     Interval: ("_admissible",),
-    MeanSpec: ("_row",),
+    MeanSpec: ("_row", "_kernel"),
     MeanTypeMapping: ("_step", "_pair", "_p", "_positive", "_bounds"),
 }
 
