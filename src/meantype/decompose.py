@@ -53,11 +53,11 @@ class InvariantFunction(FrozenRecord):
 
 
 def product_function(p: int) -> InvariantFunction:
-    return InvariantFunction("product", p, lambda v: math.prod(v))
+    return InvariantFunction("product", p, math.prod)
 
 
 def sum_function(p: int) -> InvariantFunction:
-    return InvariantFunction("sum", p, lambda v: math.fsum(v))
+    return InvariantFunction("sum", p, math.fsum)
 
 
 def coordinate_function(index: int, p: int) -> InvariantFunction:
@@ -235,16 +235,16 @@ def verify_decomposition(
         return invariance, abs(phi(midpoint(final)) - fv), n, done
 
     rows = over_samples(row, mapping.domain, mapping.p, sample_count, seed)
-    steps = [n for _, _, n, _ in rows]
+    invariance, decomposition, steps, done = zip(*rows)
     return DecompositionReport(
         fixture=f.name,
         mapping=mapping,
-        invariance_residual=max(0.0, *(inv for inv, _, _, _ in rows)),
-        decomposition_residual=max(0.0, *(dec for _, dec, _, _ in rows)),
+        invariance_residual=max(0.0, *invariance),
+        decomposition_residual=max(0.0, *decomposition),
         samples=sample_count,
         tol=tol,
         k_steps_min=min(steps),
         k_steps_max=max(steps),
         k_steps_mean=math.fsum(steps) / len(steps),
-        max_iter_hits=sum(not done for _, _, _, done in rows),
+        max_iter_hits=done.count(False),
     )

@@ -20,10 +20,14 @@ Every run is one ``_solve``: the plain loop ``mapping._gauss_run``, which
 the n0 search runs too, and the only place the stop rule is written.  It
 makes no generator and checks each iterate in one expression, raising at
 one outside I^p, so every value is read off an iterate of I^p; every
-p = 2 mapping iterates there on two floats, with no tuple per step.
-:func:`gauss_iterate` wraps a run in an :class:`InvariantEstimate`; the
-sampling probes call ``_solve`` per sample with parameters and readout
-functions resolved once per probe, and build no result object.
+p = 2 mapping iterates there on two floats, with no tuple per step.  It
+converts nothing: :func:`gauss_iterate` makes the start a float tuple once
+and wraps the run in an :class:`InvariantEstimate`; the sampling probes
+pass the sampler's float tuples, and ``apply``'s images, straight to
+``_solve`` per sample, with parameters and readout functions resolved
+once per probe, and build no result object.  A residual sample of a
+mapping's own invariant mean is one solve from v wherever that converges
+after step 0, else two.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .errors import InvalidMapping, MeanTypeError
 from .mapping import IterationTrace, MeanTypeMapping, _annotate, _check_count, sample_vectors
 from .mapping import _gauss_run as _solve  # every Gauss run; the tests count solves here
 from .mapping import diameter  # noqa: F401 -- bench/spans.py patches it here
-from .means import Interval, Vector, midpoint
+from .means import Interval, Vector, float_vector, midpoint
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10000
@@ -113,9 +117,13 @@ def gauss_iterate(
     status, not an error: convergence holds for continuous weakly
     contractive mappings but cannot be assumed for arbitrary input.
     ``keep_trace`` walks the run again with ``mapping.iterate``.
+
+    ``v`` is converted once, with :func:`means.float_vector`, after the
+    parameters are checked: a coordinate beyond the float range raises
+    :class:`NonFiniteInput` naming it.  The trace walks that float tuple.
     """
     _check_iteration(tol, max_iter, readout)
-    v = tuple(v)  # read once: the trace walks the start the run read
+    v = float_vector(v)
     n, current, d, done = _solve(mapping, v, tol, max_iter, relative)
     trace = mapping.iterate(v, n) if keep_trace else None
     return InvariantEstimate(_READERS[readout](current), n, d,
@@ -207,24 +215,31 @@ def _residual_at(k: MeanFn, mapping: MeanTypeMapping) -> Callable[[Vector], floa
     """The per-sample function v -> |K(M(v)) - K(v)| of :func:`invariance_residual`.
 
     For the invariant mean of ``mapping`` itself (an :class:`InvariantMean`
-    on that very mapping object) one solve usually settles both values.
-    The orbit of v is v followed by the orbit of w = M(v), and the stop
-    rule reads only the current iterate.  So unless v itself meets the
-    rule, the solve from v stops one step after the solve from w, on the
-    same final iterate, whenever the latter converged before ``max_iter``:
-    the residual is 0.0.  Otherwise v gets its own solve.  The order of
-    work (M(v), then the solve from w) is the generic one's, so an error
-    is the same error.
+    on that very mapping object) one solve from v, the sampler's float
+    tuple, usually settles both values.  The orbit of v is v followed by
+    the orbit of w = M(v), and the stop rule reads only the current
+    iterate.  So a solve from v that converges at step n >= 1 ends on the
+    iterate where the solve from w converges, at step n - 1 < ``max_iter``:
+    the residual is 0.0.  Otherwise (v meets the rule itself, or the run
+    stalls) one solve from w is read against that run's final iterate, the
+    one a second solve from v would end on.  An error in the run from v
+    re-runs the generic order of work (M(v), then the solve from w), which
+    raises where it does, so an error is the same error.
     """
     if type(k) is not InvariantMean or k.mapping is not mapping:
         return lambda v: abs(k(mapping.apply(v)) - k(v))
     tol, max_iter, relative, read = k.tol, k.max_iter, k.relative, _READERS[k.readout]
 
     def residual(v: Vector) -> float:
-        n, final, _, done = _solve(mapping, mapping.apply(v), tol, max_iter, relative)
-        if done and n < max_iter and not _solve(mapping, v, tol, 0, relative)[3]:
-            return 0.0  # the solve from v ends one step later, on the same iterate
-        return abs(read(final) - read(_solve(mapping, v, tol, max_iter, relative)[1]))
+        try:
+            n, final, _, done = _solve(mapping, v, tol, max_iter, relative)
+        except MeanTypeError:
+            _solve(mapping, mapping.apply(v), tol, max_iter, relative)  # raises the generic error
+            raise
+        if done and n:
+            return 0.0  # the solve from w ends one step earlier, on the same iterate
+        return abs(read(_solve(mapping, mapping.apply(v), tol, max_iter, relative)[1])
+                   - read(final))
 
     return residual
 
@@ -241,9 +256,10 @@ def invariance_residual(
     uniform).  An evaluation error aborts the probe, re-raised with the
     offending sample attached.  Any F: I^p -> R may stand in for K.  When
     K is ``InvariantMean(mapping, ...)`` on this very mapping object, a
-    sample costs one Gauss solve, not two, wherever the solve from M(v)
-    converges before ``max_iter``; the result is the same to the bit.  A K
-    with an ``arity`` other than p raises :class:`InvalidMapping`.
+    sample costs one Gauss solve from v, not two, wherever that converges
+    at a step n >= 1; a sample that stalls, or meets the stop rule at step
+    0, costs a second solve, from M(v).  The result is the same to the
+    bit.  A K with an ``arity`` other than p raises :class:`InvalidMapping`.
     """
     _check_arity(k, mapping.p)
     return max(0.0, *over_samples(_residual_at(k, mapping),

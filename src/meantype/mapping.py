@@ -282,7 +282,7 @@ def _checked_diameter(mapping: MeanTypeMapping, v: Vector, n: int) -> float:
     return d
 
 
-def _gauss_run(mapping: MeanTypeMapping, v: Sequence[float], tol: float | None, limit: int,
+def _gauss_run(mapping: MeanTypeMapping, v: Vector, tol: float | None, limit: int,
                relative: bool) -> tuple[int, Vector, float, bool]:
     """``(n, M^n(v), its diameter, done)`` at the end of the run from ``v``.
 
@@ -293,14 +293,17 @@ def _gauss_run(mapping: MeanTypeMapping, v: Sequence[float], tol: float | None, 
     undone at ``n == limit``; ``limit=0`` tests ``v`` alone.  ``tol=None``
     stands for the diameter of ``v``, so ``limit=1`` asks whether n0(v) = 1.
     It keeps no step: a trace is :meth:`MeanTypeMapping.iterate`'s walk,
-    which has the loop's bits.  No parameter is checked.
+    which has the loop's bits.  No parameter is checked or converted: ``v``
+    is a tuple of floats, which each public entry point makes once with
+    :func:`means.float_vector` and each probe takes from the sampler or
+    :meth:`MeanTypeMapping.apply`.
 
-    ``v`` is converted once.  Every iterate, the start and the last
-    included, is checked once, before the stop rule reads it, in the
-    expression that measures it.  An iterate that fails it raises what
-    step n + 1 would raise (:func:`diameter`, then
-    :meth:`MeanTypeMapping.apply`, with ``step n + 1:`` prepended), so a
-    run returns only an iterate of I^p.  The arity picks the loop.  A
+    Every iterate, the start and the last included, is checked once,
+    before the stop rule reads it, in the expression that measures it.
+    An iterate that fails it raises what step n + 1 would raise
+    (:func:`diameter`, then :meth:`MeanTypeMapping.apply`, with ``step
+    n + 1:`` prepended), so a run returns only an iterate of I^p.  The
+    arity picks the loop.  A
     p = 2 mapping runs the scalar loop: it keeps ``x, y`` as two floats,
     checks them as ``a <= x <= b and a <= y <= b`` with ``abs(x - y)``
     (which NaN fails and which equals ``max - min`` to the bit), steps as
@@ -315,10 +318,6 @@ def _gauss_run(mapping: MeanTypeMapping, v: Sequence[float], tol: float | None, 
     ``max(v) - min(v)``, which returns the first of equal coordinates.
     """
     p, pair, (a, b) = mapping._p, mapping._pair, mapping._bounds
-    try:
-        v = tuple(map(float, v))
-    except OverflowError:  # an int beyond the float range: named there
-        v = float_vector(v)
     # tol=None: step 0 stops nothing but a constant start, and sets the bound to its diameter
     bound, stop_at = (0.0, 0) if tol is None else (tol, limit)
     n = 0
@@ -411,7 +410,7 @@ def is_contractive_at(mapping: MeanTypeMapping, v: Sequence[float]) -> bool:
     pass.  Defined only for nonconstant v.  The n0 search with cap 1, so an
     invalid start raises what step 1 raises, as in :func:`find_n0`.
     """
-    n, _, _, done = _gauss_run(mapping, v, None, 1, False)
+    n, _, _, done = _gauss_run(mapping, float_vector(v), None, 1, False)
     if n == 0:
         raise ConstantVector("contractivity at a constant vector is undefined")
     return done
@@ -467,8 +466,8 @@ def probe_contractivity(
         if diameter(v) <= negligible:
             skipped += 1
             continue
-        try:
-            contractive = is_contractive_at(mapping, v)
+        try:  # the n0 search with cap 1 on the sampler's float tuple; v is not constant
+            contractive = _gauss_run(mapping, v, None, 1, False)[3]
         except MeanTypeError:
             skipped += 1
             continue
@@ -517,10 +516,11 @@ def _search_n0(mapping: MeanTypeMapping, v: Sequence[float], cap: int) -> tuple[
     One run of :func:`_gauss_run` below the start diameter, with ``cap``, a
     whole number, as its limit.  The start is checked first; a constant one
     returns before ``cap`` is checked, and with ``cap < 1`` any other ends
-    the run at step 0.  ``v`` is read once: if the run ends undone,
-    :meth:`MeanTypeMapping.iterate` walks the same start for the error.
+    the run at step 0.  ``v`` is converted once (:func:`means.float_vector`):
+    if the run ends undone, :meth:`MeanTypeMapping.iterate` walks the same
+    start for the error.
     """
-    v = tuple(v)
+    v = float_vector(v)
     n, image, d, found = _gauss_run(mapping, v, None, max(cap, 0), False)
     if found:
         return n, image

@@ -596,12 +596,11 @@ class TestParserSurface:
     ], ids=["uniqueness", "uniqueness-csv", "residual", "decompose", "invariant",
             "invariant-csv"])
     def test_csv_rejected_before_any_solve(self, capsys, cfg, monkeypatch, argv, solves):
-        # every Gauss run goes through _solve; a max_iter=0 call tests v alone
+        # every Gauss run of these commands goes through _solve
         calls, solve = [], meantype.invariant._solve
 
         def counted(*args):
-            if args[3] > 0:
-                calls.append(args)
+            calls.append(args)
             return solve(*args)
 
         monkeypatch.setattr(meantype.invariant, "_solve", counted)

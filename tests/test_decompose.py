@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import pytest
 
@@ -175,6 +176,14 @@ class TestParseFunction:
         assert parse_function("coord:2", agm)((2.0, 3.0)) == 3.0
         assert parse_function("const:1.5", agm)((2.0, 3.0)) == 1.5
         assert parse_function("mean:geometric", agm)((4.0, 9.0)) == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("make, fn", [(product_function, math.prod),
+                                          (sum_function, math.fsum)], ids=["product", "sum"])
+    def test_product_and_sum_hold_the_builtin(self, make, fn):
+        # no lambda around it: such an F compares equal and pickles
+        f = make(3)
+        assert f.fn is fn
+        assert f == make(3) == pickle.loads(pickle.dumps(f))
 
     def test_bare_mean_string(self, agm):
         assert parse_function("arithmetic", agm)((2.0, 4.0)) == 3.0

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import meantype.mapping
 from meantype import (
     DomainViolation,
     Interval,
@@ -15,23 +16,30 @@ from meantype import (
     MeanSpec,
     MeanTypeError,
     MeanTypeMapping,
+    NonFiniteInput,
     agm_mapping,
     arithmetic_harmonic_mapping,
     coordinate_function,
+    find_n0,
     gauss_iterate,
     invariance_residual,
+    is_contractive_at,
     mean_callable,
+    probe_contractivity,
     product_function,
     projection_mapping,
     sample_vectors,
     shift_average_mapping,
+    star_apply,
     uniqueness_probe,
+    verify_decomposition,
 )
 from meantype import invariant as invariant_module
 from meantype.invariant import _READERS, DEFAULT_MAX_ITER, READOUTS, _gap_at, _residual_at
+from meantype.means import float_vector
 from test_mapping import (
     FLOAT_MAX, INVALID_AGM_START_IDS, INVALID_AGM_STARTS, LEAVES_CLOSED, LEAVES_CLOSED_START,
-    STEP_SHAPES, _orbit_run, _run_outcome, orbit_cases,
+    LEAVES_PAIR, STEP_SHAPES, _orbit_run, _run_outcome, orbit_cases,
 )
 
 # pi / (2 * integral_0^{pi/2} dt / sqrt(cos^2 t + 4 sin^2 t)), computed by
@@ -209,7 +217,8 @@ class TestSolveLoop:
     def test_trace_agrees_with_its_run(self, case, tol, max_iter, relative, readout):
         mapping, v = case
         try:
-            n, final, d, _ = invariant_module._solve(mapping, v, tol, max_iter, relative)
+            n, final, d, _ = invariant_module._solve(mapping, float_vector(v), tol, max_iter,
+                                                     relative)
         except MeanTypeError as exc:
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
                 gauss_iterate(mapping, v, tol, max_iter, readout, relative, True)
@@ -414,13 +423,11 @@ def _assert_residual_matches(k, mapping, count, seed):
 class TestOneSolvePerSample:
     @pytest.fixture
     def solves(self, monkeypatch):
-        """The Gauss runs, counted where every run goes: ``_solve`` with
-        ``max_iter`` >= 1 (the residual's ``max_iter=0`` call tests v alone)."""
+        """The Gauss runs, counted where every probe's run goes: ``_solve``."""
         calls, solve = [], invariant_module._solve
 
         def counted(*args):
-            if args[3] > 0:
-                calls.append(args)
+            calls.append(args)
             return solve(*args)
 
         monkeypatch.setattr(invariant_module, "_solve", counted)
@@ -519,6 +526,118 @@ class TestOneSolvePerSample:
     def test_residual_of_a_mean_on_another_mapping_takes_two_solves(self, agm, solves):
         invariance_residual(InvariantMean(agm_mapping()), agm, 20, seed=3)
         assert len(solves) == 40
+
+    def test_converged_residual_sample_runs_once_from_v(self, agm, solves):
+        residual = _residual_at(InvariantMean(agm), agm)
+        for v in sample_vectors(agm.domain, 2, 20, 3):
+            assert residual(v) == 0.0
+            assert solves[-1][1] is v
+        assert len(solves) == 20
+
+    def test_stalled_residual_sample_runs_twice(self, projections, solves):
+        k = InvariantMean(projections, max_iter=40)
+        residual = _residual_at(k, projections)
+        for i, v in enumerate(sample_vectors(projections.domain, 2, 8, 3)):
+            assert k.estimate(v).status == "max_iter_reached"
+            del solves[:]
+            residual(v)
+            assert len(solves) == 2 and solves[0][1] is v, i
+
+    def test_error_after_the_start_is_the_generic_one(self):
+        # the run from v fails at its step 2, the reference order's solve from
+        # M(v) at its step 1: the residual raises the latter, as the generic path
+        k = InvariantMean(LEAVES_PAIR)
+        with pytest.raises(DomainViolation) as fast:
+            invariance_residual(k, LEAVES_PAIR, 5, 1)
+        with pytest.raises(DomainViolation) as generic:
+            invariance_residual(_generic(k), LEAVES_PAIR, 5, 1)
+        assert ": step 1: component 1 " in str(fast.value)
+        assert str(fast.value) == str(generic.value)
+
+
+#: Every entry point that runs the Gauss loop, on float, int and list starts
+#: and on p = 2, p >= 3 and stalling mappings; the probes pass the sampler's
+#: tuples and ``apply``'s images.
+RUN_CALLS = {
+    "gauss_iterate": lambda: [gauss_iterate(m, v, keep_trace=True)
+                              for m, v in [(agm_mapping(), [1, 2]), (MIXED5, (1, 2, 3, 4, 5)),
+                                           (projection_mapping(2), [0, 1])]],
+    "InvariantMean": lambda: InvariantMean(shift_average_mapping(3))(iter([0, 1, 0])),
+    "find_n0": lambda: find_n0(shift_average_mapping(10), range(10)),
+    "star_apply": lambda: star_apply(agm_mapping(), [1, 9]),
+    "is_contractive_at": lambda: is_contractive_at(shift_average_mapping(3), [0, 1, 0]),
+    "probe_contractivity": lambda: [probe_contractivity(m, 20)
+                                    for m in (agm_mapping(), shift_average_mapping(3), MIXED5)],
+    "invariance_residual": lambda: [invariance_residual(k(m), m, 10)
+                                    for m in (agm_mapping(), MIXED5, projection_mapping(2))
+                                    for k in (InvariantMean, lambda m: _generic(InvariantMean(m)),
+                                              lambda m: InvariantMean(m, max_iter=40))],
+    "uniqueness_probe": lambda: [uniqueness_probe(InvariantMean(m), InvariantMean(m, readout=r),
+                                                  m.domain, m.p, 10)
+                                 for m in (arithmetic_harmonic_mapping(), MIXED5)
+                                 for r in ("min", "max")],
+    "verify_decomposition": lambda: verify_decomposition(
+        product_function(2), arithmetic_harmonic_mapping(), sample_count=10),
+}
+
+#: Starts that float() cannot take, as each entry point with a start reports them.
+BAD_STARTS = [
+    ((10**400, 1.0), NonFiniteInput, "coordinate 1 is beyond the float range"),
+    ([1, 10**400], NonFiniteInput, "coordinate 2 is beyond the float range"),
+    ((1.0, "a"), ValueError, "could not convert string to float: 'a'"),
+    (("a", 10**400), ValueError, "could not convert string to float: 'a'"),
+]
+START_CALLS = {
+    "gauss_iterate": lambda m, v: gauss_iterate(m, v, keep_trace=True),
+    "InvariantMean": lambda m, v: InvariantMean(m)(v),
+    "find_n0": find_n0,
+    "star_apply": star_apply,
+    "is_contractive_at": is_contractive_at,
+}
+
+
+class TestStartsConvertedOnce:
+    """Every Gauss run starts from a tuple of floats: the public entry points
+    convert a start once, and the probes pass the sampler's tuples and
+    ``apply``'s images as they are."""
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        starts, run = [], invariant_module._solve
+
+        def recorded(mapping, v, *args):
+            starts.append(v)
+            return run(mapping, v, *args)
+
+        monkeypatch.setattr(invariant_module, "_solve", recorded)
+        monkeypatch.setattr(meantype.mapping, "_gauss_run", recorded)
+        return starts
+
+    @pytest.mark.parametrize("name", RUN_CALLS)
+    def test_every_run_gets_a_float_tuple(self, starts, name):
+        RUN_CALLS[name]()
+        assert starts
+        for v in starts:
+            assert type(v) is tuple and all(type(x) is float for x in v), (name, v)
+
+    @pytest.mark.parametrize("name", START_CALLS)
+    @pytest.mark.parametrize("mapping, v", [(agm_mapping(), (1.0, 2.0)),
+                                            (shift_average_mapping(3), (0.0, 1.0, 0.0))],
+                             ids=["p2", "p3"])
+    def test_any_sequence_of_numbers_runs_as_its_float_tuple(self, name, mapping, v):
+        call = START_CALLS[name]
+        expected = repr(call(mapping, v))
+        ints = [int(x) for x in v]
+        for start in (list(v), ints, tuple(ints), iter(ints)):
+            assert repr(call(mapping, start)) == expected, start
+
+    @pytest.mark.parametrize("name", START_CALLS)
+    @pytest.mark.parametrize("v, error, message", BAD_STARTS,
+                             ids=["int-beyond-float", "second-int", "str", "str-first"])
+    def test_unconvertible_start_raises_as_before(self, agm, name, v, error, message):
+        with pytest.raises(error) as info:
+            START_CALLS[name](agm, v)
+        assert str(info.value) == message
 
 
 class TestConvergenceAcrossFixtures:

@@ -1031,10 +1031,11 @@ def _orbit_run(mapping, v, tol, limit, relative):
 
 
 def _run_outcome(run, mapping, v, tol, limit, relative):
-    """The bits of ``(n, final, d, done)``, or the class, message and
-    ``component`` of what the run raised."""
+    """The bits of ``(n, final, d, done)`` of the run from ``float_vector(v)``,
+    the start every public caller passes, or the class, message and
+    ``component`` of what the conversion or the run raised."""
     try:
-        n, final, d, done = run(mapping, v, tol, limit, relative)
+        n, final, d, done = run(mapping, float_vector(v), tol, limit, relative)
     except MeanTypeError as exc:
         return _error(exc)
     return n, [x.hex() for x in final], d.hex(), done
