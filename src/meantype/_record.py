@@ -3,10 +3,10 @@
 A subclass declares its fields in ``__slots__``, names the ones its
 constructor takes in ``_fields`` (in constructor order), and writes its
 own ``__init__``, setting each field with :data:`set_field`.  The base
-derives equality, hashing, ``repr`` and pickling from ``_fields``; a
-subclass whose equality should skip a field overrides ``_key``.  Written
-out rather than generated, so importing the package compiles no code at
-run time.
+derives equality, hashing, ``repr`` and pickling from ``_fields``: their
+values, ``_key()``, are what a record compares by and the arguments that
+rebuild it through ``__init__``.  Written out rather than generated, so
+importing the package compiles no code at run time.
 """
 
 from __future__ import annotations
@@ -44,4 +44,4 @@ class FrozenRecord:
 
     def __reduce__(self):
         # rebuilt through __init__, which re-derives any field not in _fields
-        return self.__class__, tuple([getattr(self, name) for name in self._fields])
+        return self.__class__, self._key()

@@ -44,7 +44,6 @@ from .means import (
     check_vector,
     eval_mean,  # noqa: F401 -- bench/spans.py patches it here
     float_vector,
-    midpoint,
     parse_interval,
     parse_mean,
     sample_vectors as _sample_vectors,
@@ -125,8 +124,9 @@ class MeanTypeMapping(FrozenRecord):
         set_field(self, "components", components)
         set_field(self, "domain", domain)
         set_field(self, "name", name)
-        set_field(self, "_step", _bind_step(components))
-        set_field(self, "_pair", _pair_step(components))
+        pair = _pair_step(components)
+        set_field(self, "_step", _bind_step(components, pair))
+        set_field(self, "_pair", pair)
         set_field(self, "_p", p)
         positive = next((i for i, spec in enumerate(components) if spec.requires_positive), None)
         set_field(self, "_positive", positive)
@@ -215,12 +215,13 @@ def _pair_form(spec: MeanSpec) -> Callable[[float, float], float]:
     return lambda x, y: kernel((x, y), [x, y] if x <= y else [y, x])
 
 
-def _bind_step(specs: Sequence[MeanSpec]) -> Callable[[Vector, list[float]], Vector]:
+def _bind_step(specs: Sequence[MeanSpec],
+               pair: tuple[Callable, Callable] | None) -> Callable[[Vector, list[float]], Vector]:
     """``(v, s) -> (M_1(v), ..., M_p(v))`` for a checked, nonconstant ``v``
     and ``s = sorted(v)``, which :func:`check_vector` or the Gauss loop's
-    check has already made; p >= 2.
+    check has already made; p >= 2.  ``pair`` is ``_pair_step(specs)``.
 
-    A p = 2 mapping steps as ``(f0(x, y), f1(x, y))`` (:func:`_pair_step`)
+    A p = 2 mapping steps as ``(f0(x, y), f1(x, y))``, closing over ``pair``,
     and reads no ``s``.  For p >= 3, each distinct kernel is called once,
     as ``kernel(v, s)``, the one its spec bound (``MeanSpec._kernel``):
     components with the same catalog binder, exponent and weights share
@@ -231,7 +232,7 @@ def _bind_step(specs: Sequence[MeanSpec]) -> Callable[[Vector, list[float]], Vec
     and any other number of kernels, none included; with no projection and
     no shared call, the kernel results are the image, ungathered.
     """
-    if pair := _pair_step(specs):
+    if pair:
         f0, f1 = pair
 
         def step(v: Vector, s: list[float]) -> Vector:
@@ -327,7 +328,7 @@ def _gauss_run(mapping: MeanTypeMapping, v: Vector, tol: float | None, limit: in
         while True:
             d = (abs(x - y) if a <= x <= b and a <= y <= b
                  else _checked_diameter(mapping, (x, y), n))
-            if d == 0.0 or d < (bound * abs(midpoint((x, y))) if relative else bound):
+            if d == 0.0 or d < (bound * abs(_pair_arithmetic(x, y)) if relative else bound):
                 return n, (x, y), d, True
             if n == stop_at:
                 if tol is not None or n == limit:

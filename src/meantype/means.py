@@ -109,12 +109,15 @@ class Interval(FrozenRecord):
     def sampling_box(self) -> tuple[float, float]:
         """A compact [a, b] strictly inside the interval, for random probes.
 
-        Infinite endpoints are cut at ``SAMPLING_EXTENT``; open finite
-        endpoints are inset by a small fraction of the resulting span so
-        that sampled points genuinely belong to the interval.  The box is
-        then clamped to the interval's floats (:func:`admissible`), for an
-        inset lost to rounding: an interval holding one float gives a point,
-        one holding none a box with ``a > b``.
+        Infinite endpoints are cut at ``SAMPLING_EXTENT``; open ends, the
+        cut ones included, are inset by 1e-4 of the resulting width so that
+        sampled points genuinely belong to the interval.  Where that width
+        overflows (an interval wider than the float range, such as
+        ``(-1e308, 1e308)``), the inset is ``1e-4 * hi - 1e-4 * lo``
+        (:func:`_width_fraction`).  The box is then clamped to the
+        interval's floats (:func:`admissible`), for an inset lost to
+        rounding: an interval holding one float gives a point, one holding
+        none a box with ``a > b``.
         """
         lo = -SAMPLING_EXTENT if math.isinf(self.lower) else self.lower
         hi = SAMPLING_EXTENT if math.isinf(self.upper) else self.upper
@@ -124,11 +127,10 @@ class Interval(FrozenRecord):
                 hi = lo + width if lo + width > lo else min(2.0 * lo, top)
             else:
                 lo = hi - width if hi - width < hi else max(2.0 * hi, -top)
-        span = hi - lo
-        inset = 1e-4 * span
-        if not self.lower_closed or math.isinf(self.lower):
+        inset = _width_fraction(1e-4, lo, hi)
+        if not self.lower_closed:  # an infinite endpoint is never closed
             lo += inset
-        if not self.upper_closed or math.isinf(self.upper):
+        if not self.upper_closed:
             hi -= inset
         a, b = self._admissible[0]
         return max(lo, a), min(hi, b)
@@ -214,37 +216,23 @@ def sample_vectors(domain: Interval, p: int, count: int, seed: int = 42) -> Iter
 
 
 def _stress_vectors(lo: float, hi: float, p: int) -> list[Vector]:
-    mid = midpoint((lo, hi))
-    wiggle = 1e-6 * (hi - lo)
-    if wiggle == math.inf:  # hi - lo overflows
-        wiggle = 1e-6 * hi - 1e-6 * lo
+    mid, wiggle = midpoint((lo, hi)), _width_fraction(1e-6, lo, hi)
     near_constant = tuple(mid + (wiggle if i % 2 else 0.0) for i in range(p))
     one_outlier = tuple(hi if i == p - 1 else lo for i in range(p))
     alternating = tuple(hi if i % 2 else lo for i in range(p))
     return [near_constant, one_outlier, alternating]
 
 
+def _width_fraction(c: float, lo: float, hi: float) -> float:
+    """The fraction ``0 < c < 1`` of the width of the box ``lo < hi``:
+    ``c * (hi - lo)``, or ``c * hi - c * lo`` where ``hi - lo`` overflows."""
+    w = c * (hi - lo)
+    return w if w < math.inf else c * hi - c * lo
+
+
 # ---------------------------------------------------------------------------
 # MeanSpec
 # ---------------------------------------------------------------------------
-
-KINDS = (
-    "arithmetic",
-    "geometric",
-    "harmonic",
-    "power",
-    "quasi_arithmetic",
-    "median",
-    "min",
-    "max",
-    "projection",
-    "weighted_arithmetic",
-)
-
-#: Generators g of the quasi-arithmetic means g^{-1}(average of g(x_i)).  The
-#: ``power`` generator x^q takes its exponent q in :attr:`MeanSpec.exponent`.
-GENERATORS = ("identity", "log", "exp", "power")
-
 
 class MeanSpec(FrozenRecord):
     """Declarative description of a single mean of arity ``arity``.
@@ -471,8 +459,10 @@ def eval_mean(spec: MeanSpec, v: Sequence[float], domain: Interval = REALS) -> f
 
 
 def float_vector(v: Sequence[float]) -> Vector:
-    """``v`` as a float tuple.  A coordinate that ``float`` overflows on (an
-    int beyond the float range) raises :class:`NonFiniteInput` naming it."""
+    """``v`` as a float tuple, read once (a tuple is its own ``tuple(v)``).  A
+    coordinate that ``float`` overflows on (an int beyond the float range)
+    raises :class:`NonFiniteInput` naming it."""
+    v = tuple(v)
     try:
         return tuple(map(float, v))
     except OverflowError:
@@ -506,8 +496,7 @@ def check_vector(v: Sequence[float], specs: Sequence[MeanSpec], domain: Interval
     that overflows to +-inf therefore passes.  Any miss falls through to
     the coordinate-by-coordinate scan, which names the failure.
     """
-    spec = specs[0]
-    a, b = bounds
+    spec, (a, b), v = specs[0], bounds, tuple(v)  # read once, for both passes below
     try:
         v = tuple(map(float, v))
         if len(v) == spec.arity and (t := sum(v)) == t and a <= (s := sorted(v))[0] and s[-1] <= b:
@@ -704,9 +693,17 @@ _CATALOG: dict[str, tuple] = {
     "median": (_median, _pair_arithmetic, False),
     "min": (_minimum, min, False),
     "max": (_maximum, max, False),
-    "weighted_arithmetic": (_weighted, None, False),
     "projection": (_projection, None, False),
+    "weighted_arithmetic": (_weighted, None, False),
 }
+
+#: The mean kinds and the generators g of the quasi-arithmetic means
+#: g^{-1}(average of g(x_i)), in catalog order, read off ``_CATALOG``'s keys:
+#: a ``quasi:<generator>`` row is a generator of the kind ``quasi_arithmetic``.
+#: The ``power`` generator x^q takes its exponent q in :attr:`MeanSpec.exponent`.
+GENERATORS = tuple([key.removeprefix("quasi:") for key in _CATALOG if key.startswith("quasi:")])
+KINDS = tuple(dict.fromkeys(["quasi_arithmetic" if key.startswith("quasi:") else key
+                             for key in _CATALOG]))
 
 
 def mean_callable(spec: MeanSpec, domain: Interval = REALS) -> Callable[[Sequence[float]], float]:

@@ -47,7 +47,7 @@ from meantype import (
 )
 from meantype._record import set_field
 from meantype.invariant import _solve
-from meantype.mapping import DEFAULT_CAP, _bind_step, _check_count, _search_n0
+from meantype.mapping import DEFAULT_CAP, _bind_step, _check_count, _pair_step, _search_n0
 from meantype.means import _CATALOG, float_vector, midpoint
 from conftest import POSITIVE, catalog_mappings
 
@@ -348,7 +348,8 @@ class TestApply:
         assume(x != y)  # the step runs on checked, nonconstant vectors
         s = sorted((x, y))
         expected = tuple(spec._kernel((x, y), s) for spec in specs)
-        assert [r.hex() for r in _bind_step(specs)((x, y), s)] == [r.hex() for r in expected]
+        step = _bind_step(specs, _pair_step(specs))
+        assert [r.hex() for r in step((x, y), s)] == [r.hex() for r in expected]
 
     @pytest.mark.parametrize("kinds", [
         ("arithmetic", "geometric"), ("arithmetic", "harmonic"), ("median", "quasi:log"),
@@ -956,6 +957,31 @@ COUNT_CALLS = {
 }
 
 
+#: The entry points that read one start vector, each called on a mapping
+#: ``m`` (``eval_mean`` on its first component) and a start ``v``.
+ONE_START_CALLS = {
+    "gauss_iterate": gauss_iterate,
+    "find_n0": find_n0,
+    "star_apply": star_apply,
+    "is_contractive_at": is_contractive_at,
+    "iterate": lambda m, v: m.iterate(v, 2),
+    "orbit": lambda m, v: next(m.orbit(v)),
+    "apply": lambda m, v: m.apply(v),
+    "eval_mean": lambda m, v: eval_mean(m.components[0], v, m.domain),
+}
+
+
+@pytest.mark.parametrize("name", ONE_START_CALLS)
+@pytest.mark.parametrize("start", [list, iter], ids=["list", "iterator"])
+def test_start_is_read_once(agm, name, start):
+    # the coordinate scan that names an int beyond the float range sees the
+    # items the conversion saw, also when the start is an iterator
+    prefix = "component 1 (arithmetic): " if name == "apply" else ""
+    with pytest.raises(NonFiniteInput) as info:
+        ONE_START_CALLS[name](agm, start([1, 10**400]))
+    assert str(info.value) == prefix + "coordinate 2 is beyond the float range"
+
+
 class TestWholeCounts:
     """An iteration or sample count that is not a whole number raises
     ``InvalidMapping`` naming it; a run could never stop on it.  Every call
@@ -1250,6 +1276,43 @@ class TestSampler:
         # only a box that collapsed is widened: this one is 2 * SAMPLING_EXTENT wide, inset
         assert Interval(300.0, math.inf).sampling_box() == (300.0 + 0.02, 500.0 - 0.02)
         assert Interval(-math.inf, -300.0).sampling_box() == (-500.0 + 0.02, -300.0 - 0.02)
+
+    @pytest.mark.parametrize("dom, box", [
+        (Interval(0.0, math.inf), ("0x1.47ae147ae147bp-7", "0x1.8ff5c28f5c28fp+6")),
+        (Interval(), ("-0x1.8feb851eb851fp+6", "0x1.8feb851eb851fp+6")),
+        (Interval(-math.inf, -300.0), ("-0x1.f3fae147ae148p+8", "-0x1.2c051eb851eb8p+8")),
+        (Interval(0.0, 1.0), ("0x1.a36e2eb1c432dp-14", "0x1.fff2e48e8a71ep-1")),
+        (Interval(-50.0, 99.99, upper_closed=True),
+         ("-0x1.8fe148344c37ep+5", "0x1.8ff5c28f5c28fp+6")),
+        (Interval(1e300, 1e308, lower_closed=True),
+         ("0x1.7e43c8800759cp+996", "0x1.1cc7edd7c4c20p+1023")),
+        (Interval(1.0, 1.000000000001), ("0x1.0000000000001p+0", "0x1.0000000001197p+0")),
+    ], ids=str)
+    def test_box_of_finite_width_keeps_its_bits(self, dom, box):
+        assert tuple(x.hex() for x in dom.sampling_box()) == box
+
+    def test_every_grid_interval_of_two_floats_gives_nonconstant_samples(self):
+        # every valid interval over these endpoints, the float range's edges and
+        # widths beyond it (such as (-1e308, 1e308)) included
+        ends = sorted({s * x for s in (1.0, -1.0) for x in (
+            math.inf, 1.7976931348623157e308, 1.7e308, 1e308, 9e307, 1e300, 1e10, 5e-324,
+            50.0, 100.0)} | {0.0, 1e-300, 1.0, -1.0, -200.0, 99.99, 150.0})
+        doms = [Interval(lo, hi, lc, uc) for i, lo in enumerate(ends) for hi in ends[i + 1:]
+                for lc in (False, True) for uc in (False, True)
+                if not (lc and lo == -math.inf or uc and hi == math.inf)]
+        assert (len(ends), len(doms)) == (27, 1301)
+        tested = 0
+        for dom in doms:
+            a, b = meantype.means.admissible(dom, False)
+            if not a < b:  # fewer than two floats: no nonconstant vector to give
+                with pytest.raises(DomainViolation):
+                    next(sample_vectors(dom, 3, 12, 1))
+                continue
+            vs = list(sample_vectors(dom, 3, 12, 1))
+            assert all(dom.contains(x) for v in vs for x in v), dom
+            assert any(diameter(v) > 0.0 for v in vs), dom
+            tested += 1
+        assert tested == 1290
 
 
 # ---------------------------------------------------------------------------
