@@ -8,8 +8,8 @@ Exit codes distinguish three outcomes so shell pipelines can branch:
   n0 search that hit its cap, an iteration that stopped on max_iter, or a
   decomposition whose invariance residual exceeds the threshold
 
-JSON output is deterministic for a fixed config and seed apart from the
-``timestamp`` field.
+JSON output opens with the ``command`` key and closes with ``timestamp``;
+it is deterministic for a fixed config and seed apart from that field.
 """
 
 from __future__ import annotations
@@ -105,8 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, mapping=True, vector=False, samples=False, iteration=False,
+    def add_common(p, run, mapping=True, vector=False, samples=False, iteration=False,
                    readout=False, relative=False, cap=False, csv=False):
+        p.set_defaults(run=run)
         if mapping:
             p.add_argument("--mapping", required=True, metavar="FILE",
                            help="mapping config file (keys p, domain, components)")
@@ -136,32 +137,33 @@ def build_parser() -> argparse.ArgumentParser:
                    help="canonical mean string, e.g. power:0.5")
     p.add_argument("--domain", default=None, metavar="INTERVAL",
                    help="bracket notation, e.g. '(0, inf)'; default the whole line")
-    add_common(p, mapping=False, vector=True)
+    add_common(p, _cmd_mean_eval, mapping=False, vector=True)
 
     p = sub.add_parser("map-apply", help="apply a mapping to a vector once")
-    add_common(p, vector=True)
+    add_common(p, _cmd_map_apply, vector=True)
 
     p = sub.add_parser("map-iterate", help="iterate a mapping, emitting the trace")
-    add_common(p, vector=True, csv=True)
+    add_common(p, _cmd_map_iterate, vector=True, csv=True)
     p.add_argument("--steps", type=int, default=10, metavar="N",
                    help="number of applications (default 10)")
 
     p = sub.add_parser("contractive-probe",
                        help="search samples for a contractivity counterexample")
-    add_common(p, samples=True)
+    add_common(p, _cmd_contractive_probe, samples=True)
 
     p = sub.add_parser("n0", help="smallest n with diam(M^n(v)) < diam(v)")
-    add_common(p, vector=True, cap=True)
+    add_common(p, _cmd_n0, vector=True, cap=True)
 
     p = sub.add_parser("invariant", help="Gauss-iterate to the invariant mean value")
-    add_common(p, vector=True, iteration=True, readout=True, relative=True, csv=True)
+    add_common(p, _cmd_invariant, vector=True, iteration=True, readout=True, relative=True,
+               csv=True)
     p.add_argument("--trace", action="store_true",
                    help="attach the full trace (required by --output csv)")
 
     p = sub.add_parser("residual",
                        help="max |K(M(v)) - K(v)| over samples (K defaults to the "
                             "mapping's own invariant mean)")
-    add_common(p, samples=True, iteration=True, readout=True, relative=True)
+    add_common(p, _cmd_residual, samples=True, iteration=True, readout=True, relative=True)
     p.add_argument("--mean", default=None, metavar="SPEC",
                    help="use this catalog mean as K instead")
 
@@ -169,11 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
     # K with the absolute stop rule and the mid readout
     p = sub.add_parser("uniqueness",
                        help="max disagreement of the invariant mean across readouts")
-    add_common(p, samples=True, iteration=True, relative=True)
+    add_common(p, _cmd_uniqueness, samples=True, iteration=True, relative=True)
 
     p = sub.add_parser("decompose",
                        help="check F = phi o K for a catalog function F")
-    add_common(p, samples=True, iteration=True)
+    add_common(p, _cmd_decompose, samples=True, iteration=True)
     p.add_argument("--function", required=True, metavar="F",
                    help="product | sum | coord:<k> | const:<c> | mean:<spec> | "
                         "<unary>@<F>")
@@ -210,7 +212,7 @@ def _json_safe(x):
 
 def _emit(args, doc: dict, human_lines: list[str], trace: IterationTrace | None = None) -> None:
     if args.output == "json":
-        doc = {**_json_safe(doc), "timestamp": _timestamp()}
+        doc = {"command": args.command, **_json_safe(doc), "timestamp": _timestamp()}
         print(json.dumps(doc, indent=2, allow_nan=False))
     elif args.output == "csv":
         sys.stdout.write(trace.to_csv())
@@ -238,7 +240,6 @@ def _cmd_mean_eval(args) -> int:
     spec = parse_mean(args.mean, len(vector))
     value = eval_mean(spec, vector, domain)
     doc = {
-        "command": "mean-eval",
         "mean": spec.canonical(),
         "domain": str(domain),
         "vector": list(vector),
@@ -253,7 +254,6 @@ def _cmd_map_apply(args) -> int:
     vector = parse_vector(args.vector)
     result = mapping.apply(vector)
     doc = {
-        "command": "map-apply",
         "mapping": mapping.describe(),
         "vector": list(vector),
         "result": list(result),
@@ -266,11 +266,7 @@ def _cmd_map_iterate(args) -> int:
     mapping = load_mapping(args.mapping)
     vector = parse_vector(args.vector)
     trace = mapping.iterate(vector, args.steps)
-    doc = {
-        "command": "map-iterate",
-        "steps": args.steps,
-        "trace": trace.to_json_dict(),
-    }
+    doc = {"steps": args.steps, "trace": trace.to_json_dict()}
     _emit(args, doc, _trace_lines(trace), trace=trace)
     return EXIT_OK
 
@@ -279,7 +275,6 @@ def _cmd_contractive_probe(args) -> int:
     mapping = load_mapping(args.mapping)
     verdict = probe_contractivity(mapping, args.samples, args.seed)
     doc = {
-        "command": "contractive-probe",
         "mapping": mapping.describe(),
         "samples": args.samples,
         "seed": args.seed,
@@ -296,7 +291,7 @@ def _cmd_contractive_probe(args) -> int:
 def _cmd_n0(args) -> int:
     mapping = load_mapping(args.mapping)
     vector = parse_vector(args.vector)
-    doc = {"command": "n0", "mapping": mapping.describe(), "vector": list(vector), "cap": args.cap}
+    doc = {"mapping": mapping.describe(), "vector": list(vector), "cap": args.cap}
     try:
         doc["n0"] = find_n0(mapping, vector, args.cap)
     except NotFoundWithinCap as exc:
@@ -321,7 +316,6 @@ def _cmd_invariant(args) -> int:
         keep_trace=args.trace,
     )
     doc = {
-        "command": "invariant",
         "mapping": mapping.describe(),
         "v": list(vector),
         "tol": args.tol,
@@ -358,7 +352,6 @@ def _cmd_residual(args) -> int:
         k_name = spec.canonical()
     residual = invariance_residual(k, mapping, args.samples, args.seed)
     doc = {
-        "command": "residual",
         "mapping": mapping.describe(),
         "mean": k_name,
         "samples": args.samples,
@@ -377,7 +370,6 @@ def _cmd_uniqueness(args) -> int:
     # All readouts read one final iterate and mid lies in [min, max]: (min, max) is the widest pair.
     worst = uniqueness_probe(k_min, k_max, mapping.domain, mapping.p, args.samples, args.seed)
     doc = {
-        "command": "uniqueness",
         "mapping": mapping.describe(),
         "readouts": list(readouts),
         "samples": args.samples,
@@ -401,7 +393,6 @@ def _cmd_decompose(args) -> int:
     )
     not_invariant = report.invariance_residual > args.invariance_threshold
     doc = {
-        "command": "decompose",
         **report.to_json_dict(),
         "invariance_threshold": args.invariance_threshold,
         "invariant_within_threshold": not not_invariant,
@@ -428,19 +419,6 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "mean-eval": _cmd_mean_eval,
-    "map-apply": _cmd_map_apply,
-    "map-iterate": _cmd_map_iterate,
-    "contractive-probe": _cmd_contractive_probe,
-    "n0": _cmd_n0,
-    "invariant": _cmd_invariant,
-    "residual": _cmd_residual,
-    "uniqueness": _cmd_uniqueness,
-    "decompose": _cmd_decompose,
-}
-
-
 def _attach_vectors(argv: Sequence[str]) -> list[str]:
     """``argv`` with ``--vector -1,2`` rewritten as ``--vector=-1,2``.
 
@@ -463,7 +441,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(_attach_vectors(sys.argv[1:] if argv is None else argv))
         if getattr(args, "seed", 0) is None:
             args.seed = _default_seed()
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except _HelpShown:
         return EXIT_OK
     except (_CLIError, MeanTypeError) as exc:

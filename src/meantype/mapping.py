@@ -1,9 +1,10 @@
 """Mean-type mappings and their diameter dynamics.
 
 A mean-type mapping M = (M_1, ..., M_p) applies p means of arity p
-coordinate-wise, giving a self-map of I^p.  Internality of the components
-makes the diameter max(v) - min(v) nonincreasing along iterates; this
-module provides the iteration machinery and the probes built on it:
+coordinate-wise, giving a self-map of I^p.  For exact means, internality
+makes the diameter max(v) - min(v) nonincreasing along iterates; float
+kernels round, and one can widen an iterate by an ulp.  This module
+provides the iteration machinery and the probes built on it:
 
 * ``is_contractive_at`` / ``probe_contractivity`` -- does one application
   strictly shrink the diameter?
@@ -101,9 +102,9 @@ class MeanTypeMapping(FrozenRecord):
     """An ordered tuple of p means of arity p over a shared interval."""
 
     # Bound once here, so that apply and the Gauss loop read no spec field or
-    # kernel table: _step, (v, sorted(v)) -> M(v) (:func:`_bind_step`); _pair, the
-    # functions (f0, f1) with M(x, y) = (f0(x, y), f1(x, y)) of a p = 2
-    # mapping (:func:`_pair_step`), else None; _p, the arity; _positive, the
+    # kernel table: _step, (v, sorted(v)) -> M(v), and _pair, the functions
+    # (f0, f1) with M(x, y) = (f0(x, y), f1(x, y)) of a p = 2 mapping, else
+    # None (both :func:`_bind_step`); _p, the arity; _positive, the
     # first component that requires positive coordinates (or None); _bounds,
     # the least and greatest valid coordinates (``means.admissible``).  None
     # is compared or shown.
@@ -124,8 +125,8 @@ class MeanTypeMapping(FrozenRecord):
         set_field(self, "components", components)
         set_field(self, "domain", domain)
         set_field(self, "name", name)
-        pair = _pair_step(components)
-        set_field(self, "_step", _bind_step(components, pair))
+        step, pair = _bind_step(components)
+        set_field(self, "_step", step)
         set_field(self, "_pair", pair)
         set_field(self, "_p", p)
         positive = next((i for i, spec in enumerate(components) if spec.requires_positive), None)
@@ -194,19 +195,12 @@ class MeanTypeMapping(FrozenRecord):
         return f"({comps}) on {self.domain}"
 
 
-def _pair_step(specs: Sequence[MeanSpec]) -> tuple[Callable, Callable] | None:
-    """``(f0, f1)`` with M(x, y) = (f0(x, y), f1(x, y)) for a p = 2 mapping,
-    else None.  A component whose catalog row (``means._CATALOG``) has a
-    closed form uses it; ``projection:1`` and ``projection:2`` pick ``x`` and
-    ``y``; any other kind calls its bound kernel on ``(x, y)`` and that pair
-    sorted, with no ``sorted`` call.  Each gives the bits of the general
-    kernel."""
-    if len(specs) != 2:
-        return None
-    return _pair_form(specs[0]), _pair_form(specs[1])
-
-
 def _pair_form(spec: MeanSpec) -> Callable[[float, float], float]:
+    """``f`` with M_i(x, y) = f(x, y) for a component of a p = 2 mapping.  A
+    component whose catalog row (``means._CATALOG``) has a closed form uses
+    it; ``projection:1`` and ``projection:2`` pick ``x`` and ``y``; any other
+    kind calls its bound kernel on ``(x, y)`` and that pair sorted, with no
+    ``sorted`` call.  Each gives the bits of the general kernel."""
     kernel, closed = spec._kernel, spec._row[1]
     if closed is not None:
         return closed
@@ -215,15 +209,16 @@ def _pair_form(spec: MeanSpec) -> Callable[[float, float], float]:
     return lambda x, y: kernel((x, y), [x, y] if x <= y else [y, x])
 
 
-def _bind_step(specs: Sequence[MeanSpec],
-               pair: tuple[Callable, Callable] | None) -> Callable[[Vector, list[float]], Vector]:
-    """``(v, s) -> (M_1(v), ..., M_p(v))`` for a checked, nonconstant ``v``
-    and ``s = sorted(v)``, which :func:`check_vector` or the Gauss loop's
-    check has already made; p >= 2.  ``pair`` is ``_pair_step(specs)``.
+def _bind_step(specs: Sequence[MeanSpec]) -> tuple[Callable[[Vector, list[float]], Vector],
+                                                     tuple[Callable, Callable] | None]:
+    """``(step, pair)``: ``step`` is ``(v, s) -> (M_1(v), ..., M_p(v))`` for a
+    checked, nonconstant ``v`` and ``s = sorted(v)``, which
+    :func:`check_vector` or the Gauss loop's check has already made; p >= 2.
 
-    A p = 2 mapping steps as ``(f0(x, y), f1(x, y))``, closing over ``pair``,
-    and reads no ``s``.  For p >= 3, each distinct kernel is called once,
-    as ``kernel(v, s)``, the one its spec bound (``MeanSpec._kernel``):
+    At p = 2, ``pair`` is ``(f0, f1)``, one :func:`_pair_form` per
+    component, and the step is ``(f0(x, y), f1(x, y))``, which reads no
+    ``s``.  For p >= 3, ``pair`` is None and each distinct kernel is called
+    once, as ``kernel(v, s)``, the one its spec bound (``MeanSpec._kernel``):
     components with the same catalog binder, exponent and weights share
     the call (``geometric`` and ``quasi:log``, ``power:t`` and
     ``quasi:power:t``, ``arithmetic`` and ``quasi:identity``).  One item
@@ -232,13 +227,13 @@ def _bind_step(specs: Sequence[MeanSpec],
     and any other number of kernels, none included; with no projection and
     no shared call, the kernel results are the image, ungathered.
     """
-    if pair:
-        f0, f1 = pair
+    if len(specs) == 2:
+        f0, f1 = pair = _pair_form(specs[0]), _pair_form(specs[1])
 
         def step(v: Vector, s: list[float]) -> Vector:
             x, y = v
             return f0(x, y), f1(x, y)
-        return step
+        return step, pair
     ks, at, gather = [], {}, []
     for spec in specs:  # gather M_i(v) from v + kernels(v)
         if spec.kind == "projection":
@@ -253,9 +248,9 @@ def _bind_step(specs: Sequence[MeanSpec],
     take = operator.itemgetter(*gather)
     if len(ks) == 1:
         (k0,) = ks
-        return lambda v, s: take(v + (k0(v, s),))
+        return (lambda v, s: take(v + (k0(v, s),))), None
     kernels = lambda v, s: tuple([k(v, s) for k in ks])  # noqa: E731
-    return kernels if len(ks) == len(specs) else lambda v, s: take(v + kernels(v, s))
+    return (kernels if len(ks) == len(specs) else lambda v, s: take(v + kernels(v, s))), None
 
 
 def _annotate(exc: MeanTypeError, context: str) -> MeanTypeError:
@@ -464,7 +459,7 @@ def probe_contractivity(
     skipped = 0
     tested = 0
     for v in sample_vectors(mapping.domain, mapping.p, sample_count, seed):
-        if diameter(v) <= negligible:
+        if max(v) - min(v) <= negligible:  # diameter(v) unchecked: the sampler yields floats of I^p
             skipped += 1
             continue
         try:  # the n0 search with cap 1 on the sampler's float tuple; v is not constant
@@ -485,9 +480,9 @@ def probe_contractivity(
 def find_n0(mapping: MeanTypeMapping, v: Sequence[float], cap: int = DEFAULT_CAP) -> int:
     """Smallest n in [1, cap] with diam(M^n(v)) < diam(v), strictly.
 
-    Diameters are nonincreasing under mean-type mappings, so once the
-    strict drop happens at n it persists for every later iterate; checking
-    the first drop therefore settles the per-vector condition.  Raises
+    That is the first strict drop, which defines n0(v); no later iterate is
+    looked at.  For exact means the drop would persist, as diameters are
+    nonincreasing, but a float kernel can widen an iterate by an ulp.  Raises
     :class:`ConstantVector` for constant v and :class:`NotFoundWithinCap`
     (with the full trace attached) when no iterate within the cap drops --
     which diagnoses, but does not disprove, weak contractivity.

@@ -631,3 +631,31 @@ def test_import_loads_no_unneeded_modules():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+@pytest.mark.parametrize("launcher", [
+    ["-m", "meantype"], ["-c", "from meantype.cli import entrypoint; entrypoint()"],
+], ids=["module", "entrypoint"])
+def test_process_entry_points(launcher):
+    # __main__.py and cli.entrypoint, each as a process's exit status and output
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+
+    def process(*argv):
+        return subprocess.run([sys.executable, *launcher, *argv], cwd=root, env=env,
+                              capture_output=True, text=True)
+
+    agm = ["--mapping", "configs/agm.cfg", "--vector", "1,2"]
+    done = process("invariant", *agm)
+    assert done.returncode == 0
+    assert done.stdout.splitlines()[0] == "value = 1.4567910310469068"
+    assert process("n0", "--mapping", "configs/projections.cfg", "--vector=0,1",
+                   "--cap", "5").returncode == 2
+    failed = process("uniqueness")
+    assert failed.returncode == 1
+    assert len(failed.stderr.splitlines()) == 1 and failed.stderr.startswith("error: ")
+    done = process("invariant", *agm, "--output", "json")
+    assert done.returncode == 0
+    doc = json.loads(done.stdout)
+    keys = list(doc)
+    assert (keys[0], doc["command"], keys[-1]) == ("command", "invariant", "timestamp")

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from meantype import (
     invariance_residual,
     is_contractive_at,
     mean_callable,
+    parse_mean,
     probe_contractivity,
     product_function,
     projection_mapping,
@@ -37,6 +39,7 @@ from meantype import (
 from meantype import invariant as invariant_module
 from meantype.invariant import _READERS, DEFAULT_MAX_ITER, READOUTS, _gap_at, _residual_at
 from meantype.means import float_vector
+from conftest import POSITIVE
 from test_mapping import (
     FLOAT_MAX, INVALID_AGM_START_IDS, INVALID_AGM_STARTS, LEAVES_CLOSED, LEAVES_CLOSED_START,
     LEAVES_PAIR, STEP_SHAPES, _orbit_run, _run_outcome, orbit_cases,
@@ -735,3 +738,45 @@ class TestLinearOracle:
             assert est.converged, v
             exact = sum(w * Fraction(x) for w, x in zip(pi, v))
             assert abs(est.value - float(exact)) <= 4e-12 * max(1.0, max(map(abs, v))), v
+
+
+# (X, phi, phi^-1, starts' low and high end, domain, pinned misses): X is the
+# quasi-arithmetic mean with generator phi.
+CONJUGATE_ROWS = [
+    ("harmonic", lambda x: 1 / x, lambda y: 1 / y, 0.5, 100.0, POSITIVE, 0),
+    ("arithmetic", lambda x: x, lambda y: y, -100.0, 100.0, Interval(), 0),
+    ("quasi:exp", Decimal.exp, Decimal.ln, -5.0, 5.0, Interval(), 0),
+    ("power:2", lambda x: x * x, Decimal.sqrt, 0.5, 100.0, POSITIVE, 0),
+    ("geometric", Decimal.ln, Decimal.exp, 0.5, 100.0, POSITIVE, 2),
+    ("power:-1.5", lambda x: x ** Decimal(-1.5), lambda y: y ** (Decimal(-2) / 3),
+     0.5, 100.0, POSITIVE, 90),
+]
+
+
+class TestConjugateLinearOracle:
+    """(projection:2, projection:3, X) with X quasi-arithmetic of generator
+    phi is linear in phi-coordinates, with stationary vector (1/6, 1/3, 1/2):
+    its invariant mean is exactly K(v) = phi^-1(sum pi_i phi(v_i)), computed
+    here in 60-digit decimal (Matkowski, Aequationes Math. 57, 1999)."""
+
+    @pytest.mark.parametrize("kind, phi, phi_inv, lo, hi, domain, pinned", CONJUGATE_ROWS,
+                             ids=[row[0] for row in CONJUGATE_ROWS])
+    def test_error_bar_misses(self, kind, phi, phi_inv, lo, hi, domain, pinned):
+        # A miss is a converged solve outside the documented error bar,
+        # final_diameter / 2 + ulp(value) / 2 about K.  The counts pin the
+        # kernels' rounding as it stands: a change may lower them, and must
+        # not raise one.
+        mapping = MeanTypeMapping(
+            [parse_mean(s, 3) for s in ("projection:2", "projection:3", kind)], domain)
+        rng = random.Random(0)
+        misses = 0
+        with localcontext(Context(prec=60)):
+            pi = (Decimal(1) / 6, Decimal(1) / 3, Decimal(1) / 2)
+            for _ in range(300):
+                v = tuple(rng.uniform(lo, hi) for _ in range(3))
+                est = gauss_iterate(mapping, v)
+                assert est.converged, v
+                k = phi_inv(sum(w * phi(Decimal(x)) for w, x in zip(pi, v)))
+                bar = (Decimal(est.final_diameter) + Decimal(math.ulp(est.value))) / 2
+                misses += abs(Decimal(est.value) - k) > bar
+        assert misses <= pinned
