@@ -7,9 +7,10 @@ by plain iteration, stopping when the diameter of the iterate falls
 below a tolerance.  The limit of the exact orbit, when it exists, is
 bracketed by each exact iterate, so the midpoint of the final one would
 be off by at most half its diameter.  But every kernel rounds, and the
-float orbit drifts off the exact one: that bound, and a value within
-[min(v), max(v)], hold only up to kernel rounding, many ulps at large
-magnitudes.
+float orbit drifts off the exact one: that bound holds only up to kernel
+rounding, many ulps at large magnitudes.  The value does lie within
+[min(v), max(v)], exactly: every kernel clamps to its input's range, so
+each float iterate lies within the range of the one before.
 
 Convergence is a hypothesis, not a guarantee the engine can check:
 mappings that never mix coordinates (pure projections) simply report
@@ -18,9 +19,10 @@ observed.
 
 Every run is one ``_solve``: the plain loop ``mapping._gauss_run``, which
 the n0 search runs too, and the only place the stop rule is written.  It
-makes no generator and checks each iterate in one expression, raising at
-one outside I^p, so every value is read off an iterate of I^p; every
-p = 2 mapping iterates there on two floats, with no tuple per step.  It
+makes no generator and checks its start once, raising at one outside
+I^p; internal kernels keep every later iterate in I^p, so every value is
+read off an iterate of I^p.  Every p = 2 mapping iterates there on two
+floats, with no tuple per step.  It
 converts nothing: :func:`gauss_iterate` makes the start a float tuple once
 and wraps the run in an :class:`InvariantEstimate`; the sampling probes
 pass the sampler's float tuples, and ``apply``'s images, straight to
@@ -73,14 +75,12 @@ class InvariantEstimate(FrozenRecord):
     """Outcome of one Gauss iteration run.
 
     ``value`` lies within ``final_diameter`` of every coordinate of the
-    final iterate.  Up to kernel rounding, it also lies in [min(v), max(v)]
-    of the starting vector, and when ``status`` is ``converged`` the true
-    common limit (if the mapping has one) differs from the midpoint readout
-    by at most final_diameter / 2.  Neither holds exactly, since each float
-    step rounds: three p = 3 geometric means from (1.7976931348623155e308,
-    1.7976931348623157e308, 1.7976931348623157e308) read
-    1.7976931348622732e308, below min(v), and some converged solves miss
-    the limit by more than that bound.
+    final iterate, and in [min(v), max(v)] of the starting vector, exactly:
+    every kernel clamps its value to its input's range.  When ``status`` is
+    ``converged``, the true common limit (if the mapping has one) differs
+    from the midpoint readout by at most final_diameter / 2, up to kernel
+    rounding: each float step rounds, and some converged solves miss the
+    limit by more than that bound.
     """
 
     __slots__ = _fields = ("value", "steps", "final_diameter", "status", "trace")
@@ -222,9 +222,9 @@ def _residual_at(k: MeanFn, mapping: MeanTypeMapping) -> Callable[[Vector], floa
     iterate where the solve from w converges, at step n - 1 < ``max_iter``:
     the residual is 0.0.  Otherwise (v meets the rule itself, or the run
     stalls) one solve from w is read against that run's final iterate, the
-    one a second solve from v would end on.  An error in the run from v
-    re-runs the generic order of work (M(v), then the solve from w), which
-    raises where it does, so an error is the same error.
+    one a second solve from v would end on.  A run fails only at its start,
+    so an error in the run from v is v's: M(v), the generic order's first
+    work, raises it as the generic path does.
     """
     if type(k) is not InvariantMean or k.mapping is not mapping:
         return lambda v: abs(k(mapping.apply(v)) - k(v))
@@ -234,7 +234,7 @@ def _residual_at(k: MeanFn, mapping: MeanTypeMapping) -> Callable[[Vector], floa
         try:
             n, final, _, done = _solve(mapping, v, tol, max_iter, relative)
         except MeanTypeError:
-            _solve(mapping, mapping.apply(v), tol, max_iter, relative)  # raises the generic error
+            mapping.apply(v)  # raises the generic error
             raise
         if done and n:
             return 0.0  # the solve from w ends one step earlier, on the same iterate

@@ -1,9 +1,10 @@
 """Mean-type mappings and their diameter dynamics.
 
 A mean-type mapping M = (M_1, ..., M_p) applies p means of arity p
-coordinate-wise, giving a self-map of I^p.  For exact means, internality
-makes the diameter max(v) - min(v) nonincreasing along iterates; float
-kernels round, and one can widen an iterate by an ulp.  This module
+coordinate-wise, giving a self-map of I^p.  Internality makes the
+diameter max(v) - min(v) nonincreasing along iterates, in float too: every
+kernel clamps its value to [min(v), max(v)] (``means._CATALOG``), so a
+float step can neither widen an iterate nor leave I^p.  This module
 provides the iteration machinery and the probes built on it:
 
 * ``is_contractive_at`` / ``probe_contractivity`` -- does one application
@@ -14,7 +15,8 @@ provides the iteration machinery and the probes built on it:
   diameter in a single (compound) step wherever n0 exists.
 
 Contractivity at v is n0(v) = 1: these three and every Gauss solve run one
-loop, ``_gauss_run``; every trace walks ``orbit``, plain apply-then-diameter.
+loop, ``_gauss_run``, which checks only its start; every trace walks
+``orbit``, plain apply-then-diameter.
 A mapping binds its step once, from its components' rows of the mean
 catalog (``means._CATALOG``); at p = 2, one function of ``(x, y)`` each.
 Everything is pure; probes are sequential loops, deterministic per seed.
@@ -166,7 +168,8 @@ class MeanTypeMapping(FrozenRecord):
 
         Each step is :meth:`apply` then :func:`diameter`; an application
         error is re-raised with the failing step prepended.  An iterate is
-        yielded before the step after it checks it.
+        yielded before the step after it checks it.  Only step 1 can fail:
+        the means are internal, so the image of a vector of I^p is in I^p.
         """
         v = float_vector(v)
         for n in count():
@@ -174,12 +177,15 @@ class MeanTypeMapping(FrozenRecord):
             v = _apply_at(self, v, n + 1)
 
     def iterate(self, v: Sequence[float], n: int) -> IterationTrace:
-        """Trace of v, M(v), ..., M^n(v) with per-step diameters.  As in a
-        Gauss run, M^n(v) too is checked as :meth:`apply` checks its input:
-        one outside I^p raises what step n + 1 raises."""
+        """Trace of v, M(v), ..., M^n(v) with per-step diameters: n
+        applications.  As in a Gauss run, only the start is checked, by step
+        1, or for n = 0 by one application whose image is dropped: one
+        outside I^p raises what step 1 raises.  Every later iterate lies in
+        I^p, as the kernels are internal."""
         n = _check_count("iteration count", n, 0)
         steps = [TraceStep(*s) for s in islice(self.orbit(v), n + 1)]
-        _apply_at(self, steps[-1].vector, n + 1)
+        if n == 0:
+            _apply_at(self, steps[0].vector, 1)
         return IterationTrace(self, steps)
 
     def describe(self) -> dict:
@@ -213,7 +219,7 @@ def _bind_step(specs: Sequence[MeanSpec]) -> tuple[Callable[[Vector, list[float]
                                                      tuple[Callable, Callable] | None]:
     """``(step, pair)``: ``step`` is ``(v, s) -> (M_1(v), ..., M_p(v))`` for a
     checked, nonconstant ``v`` and ``s = sorted(v)``, which
-    :func:`check_vector` or the Gauss loop's check has already made; p >= 2.
+    :func:`check_vector` or the Gauss loop has already made; p >= 2.
 
     At p = 2, ``pair`` is ``(f0, f1)``, one :func:`_pair_form` per
     component, and the step is ``(f0(x, y), f1(x, y))``, which reads no
@@ -267,15 +273,13 @@ def _apply_at(mapping: MeanTypeMapping, v: Vector, n: int) -> Vector:
         raise _annotate(exc, f"step {n}") from exc
 
 
-def _checked_diameter(mapping: MeanTypeMapping, v: Vector, n: int) -> float:
-    """What step ``n + 1`` of a run raises for iterate ``n``, ``v``, which
-    failed the run's check: the error of :func:`diameter`, else that of
-    :meth:`MeanTypeMapping.apply` with ``step n + 1: `` prepended.  One of
-    them raises wherever the check fails; the return value, ``diameter(v)``,
-    lets the loops measure an iterate in one expression."""
-    d = diameter(v)
-    _apply_at(mapping, v, n + 1)
-    return d
+def _reject_start(mapping: MeanTypeMapping, v: Vector) -> None:
+    """Raise what step 1 of a run raises for a start ``v`` that failed the
+    run's check: the error of :func:`diameter`, else that of
+    :meth:`MeanTypeMapping.apply` with ``step 1: `` prepended.  One of them
+    raises wherever the check fails."""
+    diameter(v)
+    _apply_at(mapping, v, 1)
 
 
 def _gauss_run(mapping: MeanTypeMapping, v: Vector, tol: float | None, limit: int,
@@ -294,24 +298,22 @@ def _gauss_run(mapping: MeanTypeMapping, v: Vector, tol: float | None, limit: in
     :func:`means.float_vector` and each probe takes from the sampler or
     :meth:`MeanTypeMapping.apply`.
 
-    Every iterate, the start and the last included, is checked once,
-    before the stop rule reads it, in the expression that measures it.
-    An iterate that fails it raises what step n + 1 would raise
-    (:func:`diameter`, then :meth:`MeanTypeMapping.apply`, with ``step
-    n + 1:`` prepended), so a run returns only an iterate of I^p.  The
-    arity picks the loop.  A
-    p = 2 mapping runs the scalar loop: it keeps ``x, y`` as two floats,
-    checks them as ``a <= x <= b and a <= y <= b`` with ``abs(x - y)``
-    (which NaN fails and which equals ``max - min`` to the bit), steps as
-    ``x, y = f0(x, y), f1(x, y)`` (``_pair``) and builds a tuple only for
-    the result.  A p >= 3 mapping, and a start of the wrong length, runs
-    the tuple loop through ``_step``.  It checks an iterate with ``len``, a
-    ``sum`` that is not NaN and one ``s = sorted(v)``, whose ends are the
-    least and greatest coordinate, measures ``d`` from them, and steps as
-    ``step(v, s)``: the kernels read that list, so an iterate is sorted
-    once.  Of equal zeros, ``sorted`` keeps the order: ``(0.0, -0.0)``
-    gives ``-0.0 - 0.0``.  ``+ 0.0`` turns that into 0.0, the bits of
-    ``max(v) - min(v)``, which returns the first of equal coordinates.
+    The start is checked once, before either loop; one outside I^p raises
+    what step 1 would raise (:func:`_reject_start`).  Every kernel is
+    internal in float (``means._CATALOG``), and I^p is convex, so each
+    later iterate is in I^p too, and the loop body is measure, stop rule,
+    step.  The arity picks the loop.  A p = 2 mapping runs the scalar
+    loop: it keeps ``x, y`` as two floats, checks them as ``a <= x <= b
+    and a <= y <= b``, measures ``abs(x - y)`` (which equals ``max - min``
+    to the bit), steps as ``x, y = f0(x, y), f1(x, y)`` (``_pair``) and
+    builds a tuple only for the result.  A p >= 3 mapping, and a start of
+    the wrong length, runs the tuple loop through ``_step``.  It checks the
+    start with ``len``, a ``sum`` that is not NaN and the ends of ``s =
+    sorted(v)``, measures ``d`` from the ends of each iterate's ``s``, and
+    steps as ``step(v, s)``: the kernels read that list, so an iterate is
+    sorted once.  Of equal zeros, ``sorted`` keeps the order: ``(0.0,
+    -0.0)`` gives ``-0.0 - 0.0``.  ``+ 0.0`` turns that into 0.0, the bits
+    of ``max(v) - min(v)``, which returns the first of equal coordinates.
     """
     p, pair, (a, b) = mapping._p, mapping._pair, mapping._bounds
     # tol=None: step 0 stops nothing but a constant start, and sets the bound to its diameter
@@ -320,9 +322,10 @@ def _gauss_run(mapping: MeanTypeMapping, v: Vector, tol: float | None, limit: in
     if pair and len(v) == 2:
         f0, f1 = pair
         x, y = v
+        if not (a <= x <= b and a <= y <= b):
+            _reject_start(mapping, v)
         while True:
-            d = (abs(x - y) if a <= x <= b and a <= y <= b
-                 else _checked_diameter(mapping, (x, y), n))
+            d = abs(x - y)
             if d == 0.0 or d < (bound * abs(_pair_arithmetic(x, y)) if relative else bound):
                 return n, (x, y), d, True
             if n == stop_at:
@@ -331,12 +334,11 @@ def _gauss_run(mapping: MeanTypeMapping, v: Vector, tol: float | None, limit: in
                 bound, stop_at = d, limit
             n += 1
             x, y = f0(x, y), f1(x, y)
+    if not (len(v) == p and (t := sum(v)) == t and a <= (s := sorted(v))[0] and s[-1] <= b):
+        _reject_start(mapping, v)
     step = mapping._step
     while True:
-        if len(v) == p and (t := sum(v)) == t and a <= (s := sorted(v))[0] and s[-1] <= b:
-            d = s[-1] - s[0] + 0.0  # + 0.0: a zero reads 0.0, as max(v) - min(v) gives it
-        else:
-            d = _checked_diameter(mapping, v, n)
+        d = s[-1] - s[0] + 0.0  # + 0.0: a zero reads 0.0, as max(v) - min(v) gives it
         if d == 0.0 or d < (bound * abs(_pair_arithmetic(s[-1], s[0])) if relative else bound):
             return n, v, d, True
         if n == stop_at:
@@ -345,6 +347,7 @@ def _gauss_run(mapping: MeanTypeMapping, v: Vector, tol: float | None, limit: in
             bound, stop_at = d, limit
         n += 1
         v = step(v, s)
+        s = sorted(v)
 
 
 class TraceStep(FrozenRecord):
@@ -481,8 +484,8 @@ def find_n0(mapping: MeanTypeMapping, v: Sequence[float], cap: int = DEFAULT_CAP
     """Smallest n in [1, cap] with diam(M^n(v)) < diam(v), strictly.
 
     That is the first strict drop, which defines n0(v); no later iterate is
-    looked at.  For exact means the drop would persist, as diameters are
-    nonincreasing, but a float kernel can widen an iterate by an ulp.  Raises
+    looked at.  The drop persists, as diameters are nonincreasing along
+    float iterates too (every kernel is internal to the bit).  Raises
     :class:`ConstantVector` for constant v and :class:`NotFoundWithinCap`
     (with the full trace attached) when no iterate within the cap drops --
     which diagnoses, but does not disprove, weak contractivity.

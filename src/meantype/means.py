@@ -11,7 +11,9 @@ form for config files and the CLI, and the seeded sampler behind every
 probe.  What the package knows of each kind of mean is one row of
 ``_CATALOG``: the binder of its kernel, its closed form at p = 2 (which
 a p = 2 mapping steps through), and whether it requires positive
-coordinates.
+coordinates.  Every kernel and closed form is internal in float as well:
+where rounding could carry a value past min(v) or max(v), it returns that
+end instead.
 
 All evaluation is pure and stateless; everything here may be called
 concurrently without synchronization.
@@ -245,8 +247,8 @@ class MeanSpec(FrozenRecord):
     (``MeanSpec.arithmetic(3)``, ``MeanSpec.power(0.5, 2)``, ...) and
     :func:`parse_mean` forward to it.  It also binds the mean once, through
     its catalog row's binder, as ``kernel(v, s)``: ``v`` a checked vector
-    and ``s = sorted(v)``, which the caller has made for its range check
-    (:func:`check_vector`, or the Gauss loop's check of an iterate).
+    and ``s = sorted(v)``, which the caller has made (:func:`check_vector`,
+    or the Gauss loop, which sorts each iterate once).
     """
 
     # _row: the spec's row of _CATALOG, looked up once; _kernel: the mean as
@@ -447,7 +449,7 @@ def eval_mean(spec: MeanSpec, v: Sequence[float], domain: Interval = REALS) -> f
 
     Raises :class:`ArityMismatch`, :class:`NonFiniteInput`, or
     :class:`DomainViolation` when the vector is unusable; otherwise the
-    result satisfies internality up to rounding.
+    result satisfies internality exactly: min(v) <= result <= max(v).
     """
     positive = spec._row[2]
     v, s = check_vector(v, (spec,), domain, 0 if positive else None, domain._admissible[positive])
@@ -539,10 +541,11 @@ def _spec_free(kernel: Kernel) -> Callable[[MeanSpec], Kernel]:
 @_spec_free
 def _arithmetic(v: Vector, s: list[float]) -> float:
     try:
-        return math.fsum(v) / len(v)
+        r = math.fsum(v) / len(v)  # rounds twice, which can leave [s[0], s[-1]]
     except OverflowError:  # the sum leaves the float range; the mean does not
         n = len(v)
-        return math.fsum(x / n for x in v)
+        r = math.fsum(x / n for x in v)
+    return s[0] if r < s[0] else s[-1] if r > s[-1] else r
 
 
 def _pair_arithmetic(x: float, y: float) -> float:
@@ -554,7 +557,8 @@ def _pair_arithmetic(x: float, y: float) -> float:
 def _geometric(v: Vector, s: list[float]) -> float:
     if len(v) == 2:
         return _pair_geometric(*v)
-    return math.exp(math.fsum(map(math.log, v)) / len(v))
+    r = math.exp(math.fsum(map(math.log, v)) / len(v))
+    return s[0] if r < s[0] else s[-1] if r > s[-1] else r
 
 
 def _pair_geometric(x: float, y: float) -> float:
@@ -573,14 +577,18 @@ def _harmonic(v: Vector, s: list[float]) -> float:
         # Some reciprocal or their sum overflowed (h = 0), or all of them are
         # subnormal (h = inf).  Scale by min(v) or max(v) respectively, so
         # every m / x stays finite and m * (n / sum) cannot overflow.
-        m = min(v) if h == 0.0 else max(v)
-        return m * (len(v) / math.fsum([m / x for x in v]))
-    return h
+        m = s[0] if h == 0.0 else s[-1]
+        h = m * (len(v) / math.fsum([m / x for x in v]))
+    return s[0] if h < s[0] else s[-1] if h > s[-1] else h
 
 
 def _pair_harmonic(x: float, y: float) -> float:
     h = 2 / (1 / x + 1 / y)
-    return _harmonic(None)((x, y), None) if h == 0.0 or h == math.inf else h  # rescued there
+    if x <= h <= y or y <= h <= x:
+        return h
+    if h == 0.0 or h == math.inf:
+        return _harmonic(None)((x, y), [x, y] if x <= y else [y, x])  # rescued there
+    return min(x, y) if h < x else max(x, y)  # rounded past an end of the pair
 
 
 def _power_mean(spec: MeanSpec) -> Kernel:
@@ -596,14 +604,16 @@ def _power_mean(spec: MeanSpec) -> Kernel:
         scaled = [t * l for l in logs]
         top = max(scaled)
         if math.isinf(top):
-            # t*log(x) overflowed: scale by the extreme coordinate r instead
-            # (max for t > 0, min for t < 0), so that t*(log(x) - log(r)) <= 0.
-            r = max(v) if t > 0 else min(v)
-            log_r = math.log(r)
-            acc = math.fsum(math.exp(t * (l - log_r)) for l in logs) / len(v)
-            return r * math.exp(math.log(acc) / t)
-        acc = math.fsum(math.exp(l - top) for l in scaled) / len(v)
-        return math.exp((top + math.log(acc)) / t)
+            # t*log(x) overflowed: scale by the extreme coordinate m instead
+            # (max for t > 0, min for t < 0), so that t*(log(x) - log(m)) <= 0.
+            m = s[-1] if t > 0 else s[0]
+            log_m = math.log(m)
+            acc = math.fsum(math.exp(t * (l - log_m)) for l in logs) / len(v)
+            r = m * math.exp(math.log(acc) / t)
+        else:
+            acc = math.fsum(math.exp(l - top) for l in scaled) / len(v)
+            r = math.exp((top + math.log(acc)) / t)
+        return s[0] if r < s[0] else s[-1] if r > s[-1] else r
 
     if abs(t) < _DIRECT_POWER_CUTOFF:
         return log_space
@@ -612,9 +622,7 @@ def _power_mean(spec: MeanSpec) -> Kernel:
         try:  # no x**t, sum or root overflows, and no underflowed x**t moves acc
             acc = math.fsum([x ** t for x in v]) / len(v)
             if acc >= 2.0 ** -969:
-                if t == 2.0:  # sqrt(x ** 2) is x, so this stays in [min, max]
-                    return sqrt(acc)
-                r = acc ** inv
+                r = sqrt(acc) if t == 2.0 else acc ** inv
                 return s[0] if r < s[0] else s[-1] if r > s[-1] else r  # rounding may leave them
         except OverflowError:
             pass
@@ -639,8 +647,9 @@ def _median(v: Vector, s: list[float]) -> float:
 @_spec_free
 def _log_mean_exp(v: Vector, s: list[float]) -> float:
     # log of the average of exp(x_i), stabilized against overflow.
-    top = max(v)
-    return top + math.log(math.fsum([math.exp(x - top) for x in v]) / len(v))
+    top = s[-1]
+    r = top + math.log(math.fsum([math.exp(x - top) for x in v]) / len(v))
+    return s[0] if r < s[0] else s[-1] if r > s[-1] else r
 
 
 @_spec_free
@@ -655,7 +664,14 @@ def _maximum(v: Vector, s: list[float]) -> float:
 
 def _weighted(spec: MeanSpec) -> Kernel:
     w = spec.weights
-    return lambda v, s: math.fsum([a * x for a, x in zip(w, v)])
+
+    def weighted(v, s):
+        try:  # the weights may sum to 1 + _WEIGHT_SUM_TOL, and the mean past s[-1]
+            r = math.fsum([a * x for a, x in zip(w, v)])
+        except OverflowError:  # the sum leaves the float range; half of it does not
+            r = 2.0 * math.fsum([a * (x / 2) for a, x in zip(w, v)])
+        return s[0] if r < s[0] else s[-1] if r > s[-1] else r
+    return weighted
 
 
 def _projection(spec: MeanSpec) -> Kernel:
@@ -668,14 +684,15 @@ def _projection(spec: MeanSpec) -> Kernel:
 #: mean it equals.  A row is ``(binder, f(x, y), positive)``.  The binder
 #: resolves once what the spec fixes (its exponent, the power path, its
 #: weights) and returns the mean as ``kernel(v, s)``, where ``v`` is a
-#: checked vector and ``s = sorted(v)``: the power clamp and the median read
-#: ``s``, so no kernel sorts.  ``f`` is the kernel's closed form at p = 2,
+#: checked vector and ``s = sorted(v)``: every kernel whose value is not a
+#: coordinate clamps it to ``[s[0], s[-1]]``, and the median reads ``s``,
+#: so no kernel sorts.  ``f`` is the kernel's closed form at p = 2,
 #: with its bits, or None (a p = 2 median is the midpoint, which is the
 #: arithmetic mean), and ``positive`` says whether the mean requires
 #: strictly positive coordinates.  A spec binds its row and its kernel when
 #: built (``MeanSpec._row``, ``MeanSpec._kernel``); ``check_vector`` gives
 #: ``eval_mean`` and ``apply`` their ``s``, and the Gauss loop passes on the
-#: ``s`` it sorts for its check.  A p >= 3 mapping's step calls each
+#: ``s`` it sorts to measure an iterate.  A p >= 3 mapping's step calls each
 #: distinct kernel once, shared by the rows that name it with the same
 #: binder, exponent and weights, and gathers its projections itself, in one
 #: of two shapes: one kernel, or any other number (``mapping._bind_step``).

@@ -122,6 +122,31 @@ class TestFloatEdges:
         assert code == 0, err
         assert 1e308 <= float(out.split("=")[1]) <= 1.7e308
 
+    @pytest.mark.parametrize("vector, value", [
+        ("1.7976931348623157e308,1.79769313486231e308", "1.7976931348623157e+308"),
+        ("1,1.0000000000000002", "1.0000000000000002"),
+    ], ids=["sum-overflows", "past-the-max"])
+    def test_weights_summing_past_one_stay_internal(self, capsys, vector, value):
+        # the weights sum to 1 + 5e-13, within the spec's tolerance, so the
+        # weighted sum exceeds max(v): at float max, past the float range
+        code, out, err = run(capsys, "mean-eval", "--mean", "weighted:0.5000000000005,0.5",
+                             f"--vector={vector}")
+        assert (code, out, err) == (0, f"value = {value}\n", "")
+
+    def test_float_max_pair_converges(self, capsys, tmp_path):
+        # the power mean's log-space path rounds the start's pair 4.2e294 below
+        # the domain's least float; clamped, the first iterate is its end
+        path = tmp_path / "max-pair.cfg"
+        path.write_text("p = 2\ndomain = [1.7976931348623155e308, inf)\n"
+                        "components = arithmetic, power:-1e300\n")
+        code, out, err = run(capsys, "invariant", "--mapping", str(path),
+                             "--vector=1.7976931348623157e308,1.7976931348623155e308",
+                             "--output", "json")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert (doc["value"], doc["steps"], doc["status"]) == (1.7976931348623155e308, 1,
+                                                               "converged")
+
     def test_invariant_near_overflow(self, capsys, cfg):
         code, out, err = run(capsys, "invariant", "--mapping", cfg["agm"],
                              "--vector", "1.7e308,1e308", "--relative", "--output", "json")

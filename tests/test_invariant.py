@@ -202,7 +202,7 @@ class TestSolveLoop:
     @example((agm_mapping(), [1.7e308, 8e307]), 1e-12, DEFAULT_MAX_ITER, False)  # the stall
     @example((projection_mapping(2), [0, 1]), 1e-12, DEFAULT_MAX_ITER, False)
     @example((LEAVES_CLOSED, LEAVES_CLOSED_START), 1e-12, DEFAULT_MAX_ITER, False)
-    @example((LEAVES_CLOSED, LEAVES_CLOSED_START), 1e-12, 1, False)  # the last iterate raises
+    @example((LEAVES_CLOSED, LEAVES_CLOSED_START), 1e-12, 1, False)  # the clamp meets the end
     @example((agm_mapping(), [-1.0, -1.0]), 1e-12, DEFAULT_MAX_ITER, False)
     @example((agm_mapping(), [10**400, 1]), 1e-12, 0, False)
     def test_matches_the_orbit_walk(self, case, tol, max_iter, relative):
@@ -546,16 +546,16 @@ class TestOneSolvePerSample:
             residual(v)
             assert len(solves) == 2 and solves[0][1] is v, i
 
-    def test_error_after_the_start_is_the_generic_one(self):
-        # the run from v fails at its step 2, the reference order's solve from
-        # M(v) at its step 1: the residual raises the latter, as the generic path
+    def test_float_max_pair_residual_is_the_generic_one(self, solves):
+        # unclamped, the power mean rounded M(v) out of the domain; clamped, a
+        # nonconstant sample's run converges at step 1: one solve, residual 0.0
         k = InvariantMean(LEAVES_PAIR)
-        with pytest.raises(DomainViolation) as fast:
-            invariance_residual(k, LEAVES_PAIR, 5, 1)
-        with pytest.raises(DomainViolation) as generic:
-            invariance_residual(_generic(k), LEAVES_PAIR, 5, 1)
-        assert ": step 1: component 1 " in str(fast.value)
-        assert str(fast.value) == str(generic.value)
+        _assert_residual_matches(k, LEAVES_PAIR, 20, 1)
+        residual = _residual_at(k, LEAVES_PAIR)
+        for v in sample_vectors(LEAVES_PAIR.domain, 2, 20, 1):
+            del solves[:]
+            assert residual(v) == 0.0
+            assert len(solves) == (1 if v[0] != v[1] else 2), v
 
 
 #: Every entry point that runs the Gauss loop, on float, int and list starts

@@ -453,7 +453,7 @@ class TestIterate:
     def test_diameters_nonincreasing(self, shift3):
         trace = shift3.iterate((0.0, 1.0, 0.0), 20)
         diams = [s.diameter for s in trace.steps]
-        assert all(b <= a + 1e-12 for a, b in zip(diams, diams[1:]))
+        assert all(b <= a for a, b in zip(diams, diams[1:]))
 
     @settings(max_examples=50)
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=3, max_size=3),
@@ -479,11 +479,20 @@ class TestIterate:
         assert _error(info.value) == (DomainViolation, "step 1: component 1 (arithmetic): "
                                       "coordinate 1 = -1.0 outside domain (0.0, inf)", 1)
 
-    def test_last_iterate_that_leaves_the_domain(self):
+    def test_last_iterate_at_float_max_stays_in_the_domain(self):
         assert len(LEAVES_PAIR.iterate(LEAVES_PAIR_START, 0)) == 1
-        with pytest.raises(DomainViolation) as info:
-            LEAVES_PAIR.iterate(LEAVES_PAIR_START, 1)
-        assert _error(info.value) == LEAVES_PAIR_ERROR
+        trace = LEAVES_PAIR.iterate(LEAVES_PAIR_START, 2)
+        assert [(s.vector, s.diameter) for s in trace.steps[1:]] == [
+            ((BELOW_MAX, BELOW_MAX), 0.0)] * 2
+        assert all(LEAVES_PAIR.domain.contains(x) for s in trace.steps for x in s.vector)
+
+    @pytest.mark.parametrize("steps, applications", [(0, 1), (1, 1), (2, 2), (5, 5)])
+    def test_applies_the_mapping_once_per_step(self, monkeypatch, shift3, steps, applications):
+        # n = 0 checks the start by one application; a longer trace's step 1 checks it
+        calls, apply = [], MeanTypeMapping.apply
+        monkeypatch.setattr(MeanTypeMapping, "apply", lambda m, v: calls.append(v) or apply(m, v))
+        assert len(shift3.iterate((0.0, 1.0, 0.0), steps)) == steps + 1
+        assert len(calls) == applications
 
 
 def _at_step(n, exc):
@@ -506,9 +515,10 @@ def _reference_orbit(mapping, v):
 
 
 def _checked_orbit(mapping, v):
-    """``orbit``, each iterate yielded once step n + 1 accepts it: the Gauss
-    loop's rule.  An iterate that ``apply`` rejects raises what that step
-    raises, the start included."""
+    """``orbit``, each iterate yielded once step n + 1 accepts it.  An
+    iterate that ``apply`` rejects raises what that step raises.  The Gauss
+    loop checks only the start: internal kernels keep every later iterate
+    of a valid start in I^p, and comparing the two tests that."""
     for n, current, d in mapping.orbit(v):
         try:
             mapping.apply(current)
@@ -687,11 +697,14 @@ class TestContractivity:
 
 
 class TestDiameterMonotonicity:
+    """Internal kernels keep every image coordinate in [min(v), max(v)], so
+    the float diameter never grows, not only the exact one."""
+
     def test_bulk_samples(self):
         violations = 0
         for mapping in catalog_mappings():
             for v in sample_vectors(mapping.domain, mapping.p, 500, seed=23):
-                if diameter(mapping.apply(v)) > diameter(v) + 1e-12:
+                if diameter(mapping.apply(v)) > diameter(v):
                     violations += 1
         assert violations == 0
 
@@ -699,7 +712,18 @@ class TestDiameterMonotonicity:
     @given(st.lists(st.floats(min_value=1e-2, max_value=1e2), min_size=2, max_size=2))
     def test_agm_random_vectors(self, v):
         mapping = catalog_mappings()[0]
-        assert diameter(mapping.apply(v)) <= diameter(v) + 1e-12
+        assert diameter(mapping.apply(v)) <= diameter(v)
+
+    def test_mixed5_orbits_never_grow(self):
+        # 150 starts in [L, 2L]^5; each orbit runs to a constant iterate or 100 steps
+        mixed5, rnd, grew = _mixed(5), random.Random(1), []
+        for scale in (1.0, 1e4, 1e12):
+            for _ in range(50):
+                v = tuple([scale + scale * rnd.random() for _ in range(5)])
+                diams = [d for _, _, d in islice(mixed5.orbit(v), 100)]
+                if any(b > a for a, b in zip(diams, diams[1:])):
+                    grew.append(v)
+        assert grew == []
 
 
 # ---------------------------------------------------------------------------
@@ -789,9 +813,9 @@ class TestStarApply:
 # The one Gauss run loop: the n0 search against the orbit walk it replaced
 # ---------------------------------------------------------------------------
 
-#: (power:-1e300, maximum) on [1.6983e308, inf): power rounds 1.5e-13 below
-#: the least coordinate, so the first iterate of LEAVES_CLOSED_START leaves
-#: the closed domain and step 2 rejects it.
+#: (power:-1e300, maximum) on [1.6983e308, inf): power's log space rounds
+#: 1.5e-13 below the least coordinate of LEAVES_CLOSED_START, which is the
+#: domain's closed end; the kernel's clamp keeps the first iterate on it.
 LEAVES_CLOSED = MeanTypeMapping((parse_mean("power:-1e300", 2), MeanSpec.maximum(2)),
                                 Interval(1.6983e308, math.inf, lower_closed=True),
                                 name="leaves-closed")
@@ -1076,14 +1100,13 @@ def _api_outcome(call, mapping, v):
 
 
 #: (arithmetic, power:-1e300) on [BELOW_MAX, inf): every x**-1e300 of the
-#: start underflows, so the power mean runs in log space, and it rounds the
-#: start 4.2e294 below BELOW_MAX; the first iterate leaves the domain and step
-#: 2 rejects it.
+#: start underflows, so the power mean runs in log space, which rounds the
+#: start to 1.7976931348622732e308, 4.2e294 below BELOW_MAX and the domain.
+#: The kernel's clamp returns BELOW_MAX instead, and the arithmetic mean
+#: rounds to it too: every run converges at step 1, on (BELOW_MAX, BELOW_MAX).
 LEAVES_PAIR = MeanTypeMapping((MeanSpec.arithmetic(2), MeanSpec.power(-1e300, 2)),
                               Interval(BELOW_MAX, math.inf, lower_closed=True), name="leaves-pair")
 LEAVES_PAIR_START = (FLOAT_MAX, BELOW_MAX)
-LEAVES_PAIR_ERROR = (DomainViolation, "step 2: component 1 (arithmetic): coordinate 2 = "
-                     "1.7976931348622732e+308 outside domain [1.7976931348623155e+308, inf)", 1)
 PAIR_DOMAINS = [POSITIVE, Interval(), UNIT, UNIT_OPEN_LOW, UNIT_OPEN_HIGH, LEAVES_PAIR.domain]
 PAIR_START_COORDS = st.one_of(PAIR_COORDS, PAIR_COORDS.map(lambda x: -x), ORBIT_COORDS)
 
@@ -1153,22 +1176,34 @@ class TestScalarLoop:
         call = API_CALLS[name]
         assert _api_outcome(call, mapping, v) == _api_outcome(call, _tuple_loop_twin(mapping), v)
 
+    @pytest.mark.parametrize("mode", [(1e-12, 5, False), (1e-12, 1, False), (None, 1, False),
+                                      (None, DEFAULT_CAP, False)])
+    def test_float_max_start_converges_in_one_step(self, mode):
+        expected = (1, [BELOW_MAX.hex()] * 2, (0.0).hex(), True)
+        assert _run_outcome(_solve, LEAVES_PAIR, LEAVES_PAIR_START, *mode) == expected
+        assert _run_outcome(_solve, _tuple_loop_twin(LEAVES_PAIR), LEAVES_PAIR_START,
+                            *mode) == expected
+        assert _run_outcome(_orbit_run, LEAVES_PAIR, LEAVES_PAIR_START, *mode) == expected
+
     @pytest.mark.parametrize("name", ["gauss", "gauss-trace", "find_n0", "star_apply",
                                       "is_contractive_at", "gauss-one-step"])
-    def test_iterate_that_leaves_the_domain(self, name):
+    def test_float_max_start_stays_in_the_domain(self, name):
         call = API_CALLS[name]
-        with pytest.raises(DomainViolation) as scalar:
-            call(LEAVES_PAIR, LEAVES_PAIR_START)
-        with pytest.raises(DomainViolation) as general:
-            call(_tuple_loop_twin(LEAVES_PAIR), LEAVES_PAIR_START)
-        assert _error(scalar.value) == _error(general.value) == LEAVES_PAIR_ERROR
+        scalar = _api_outcome(call, LEAVES_PAIR, LEAVES_PAIR_START)
+        assert scalar == _api_outcome(call, _tuple_loop_twin(LEAVES_PAIR), LEAVES_PAIR_START)
+        result = call(LEAVES_PAIR, LEAVES_PAIR_START)
+        if name.startswith("gauss"):
+            result = result.value, result.steps, result.final_diameter, result.status
+            assert result == (BELOW_MAX, 1, 0.0, "converged")
+        else:
+            assert result == {"find_n0": 1, "star_apply": (BELOW_MAX, BELOW_MAX),
+                              "is_contractive_at": True}[name]
 
-    def test_probe_skips_a_start_whose_image_leaves_the_domain(self):
-        # every nonconstant sample of this two-float domain is LEAVES_PAIR_START
-        # or its swap, whose image step 2 rejects: no counterexample is built
-        # from an image outside the domain, so the probe has tested nothing
-        with pytest.raises(MeanTypeError, match="tested none of its 20 samples"):
-            probe_contractivity(LEAVES_PAIR, 20, 1)
+    def test_probe_tests_the_float_max_pair(self):
+        # the 11 nonconstant samples of this two-float domain are LEAVES_PAIR_START
+        # and its swap; each image is (BELOW_MAX, BELOW_MAX), which contracts
+        verdict = probe_contractivity(LEAVES_PAIR, 20, 1)
+        assert (verdict.counterexample, verdict.samples_tested, verdict.skipped) == (None, 11, 9)
 
     def test_makes_no_step_call(self):
         agm = agm_mapping()

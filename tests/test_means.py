@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import pytest
@@ -19,6 +20,7 @@ from meantype import (
     parse_mean,
 )
 import meantype.means
+from meantype.mapping import _pair_form
 from meantype.means import GENERATORS, KINDS, REALS, admissible, check_vector
 
 POSITIVE = Interval(0.0, math.inf)
@@ -372,7 +374,7 @@ class TestMeanProperties:
     def test_internality_all_kinds(self, v):
         for spec in all_specs(len(v)):
             value = eval_mean(spec, v, POSITIVE)
-            assert min(v) - 1e-12 <= value <= max(v) + 1e-12, spec
+            assert min(v) <= value <= max(v), spec
 
     @given(st.floats(min_value=1e-3, max_value=1e3), st.integers(min_value=2, max_value=5))
     def test_reflexivity(self, c, p):
@@ -417,6 +419,46 @@ class TestMeanProperties:
         assert 1.0 <= value <= 1000.0
 
 
+#: The kinds of the near-constant table, each evaluated at p = 2, 3, 5 and 10;
+#: ``weighted`` takes seeded weights, normalized by their sum.
+NEAR_CONSTANT_KINDS = ("harmonic", "geometric", "arithmetic", "quasi:exp", "power:2",
+                       "power:3", "power:-1.5", "power:0.5", "median", "weighted")
+
+
+def _near_constant_cell(kind, p, rnd):
+    if kind != "weighted":
+        return parse_mean(kind, p)
+    r = [rnd.random() for _ in range(p)]
+    total = math.fsum(r)
+    return MeanSpec.weighted_arithmetic([x / total for x in r])
+
+
+class TestNearConstantInternality:
+    """Gauss iteration spends its last steps on near-constant vectors, where a
+    kernel's rounding is largest against the diameter: each coordinate here
+    is within 3 ulps of a base ``exp(U(-7, 7))``.  No value may leave
+    [min(v), max(v)], through ``eval_mean`` or, at p = 2, the pair form a
+    mapping steps through."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 10])
+    def test_no_value_leaves_the_range(self, p):
+        rnd = random.Random(p)
+        specs = {kind: _near_constant_cell(kind, p, rnd) for kind in NEAR_CONSTANT_KINDS}
+        pairs = {kind: _pair_form(spec) for kind, spec in specs.items()} if p == 2 else {}
+        leaks = dict.fromkeys(specs, 0)
+        for _ in range(15000):
+            base = math.exp(rnd.uniform(-7.0, 7.0))
+            ulp = math.ulp(base)
+            v = tuple([base + (int(rnd.random() * 7.0) - 3) * ulp for _ in range(p)])
+            lo, hi = min(v), max(v)
+            for kind, spec in specs.items():
+                if not lo <= eval_mean(spec, v, POSITIVE) <= hi:
+                    leaks[kind] += 1
+                elif kind in pairs and not lo <= pairs[kind](*v) <= hi:
+                    leaks[kind] += 1
+        assert leaks == dict.fromkeys(specs, 0)
+
+
 FLOAT_MAX = 1.7976931348623157e308
 _EXTREMES = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0, 1e300,
              1.6983e308, 1.7e308, math.nextafter(FLOAT_MAX, 0.0), FLOAT_MAX)
@@ -432,6 +474,7 @@ class TestFloatEdges:
     @given(extreme_vectors)
     @example((1.0, 10.0))
     @example((1.7e308, 1.6983e308))
+    @example((math.nextafter(FLOAT_MAX, 0.0), FLOAT_MAX, FLOAT_MAX))  # geometric read below
     def test_catalog_internal_or_mean_type_error(self, v):
         lo, hi = min(v), max(v)
         specs = all_specs(len(v)) + [MeanSpec.power(t, len(v)) for t in (400.0, 1e308, -1e308)]
@@ -441,9 +484,8 @@ class TestFloatEdges:
                 value = eval_mean(spec, v)
             except MeanTypeError:
                 continue
-            # internal up to rounding: exp(log(x)) is ~100 ulps off near FLOAT_MAX
-            assert math.isfinite(value), spec
-            assert max(lo - value, value - hi) <= 1e-12 * max(abs(lo), abs(hi)), spec
+            # internal to the bit: exp(log(x)) is ~100 ulps off near FLOAT_MAX, clamped
+            assert lo <= value <= hi, spec
 
     @pytest.mark.parametrize("text,v", [
         ("power:1e308", (1.0, 10.0)),
@@ -470,8 +512,7 @@ class TestFloatEdges:
     ])
     def test_harmonic_reciprocal_overflow(self, v):
         value = eval_mean(MeanSpec.harmonic(len(v)), v, POSITIVE)
-        assert math.isfinite(value)
-        assert min(v) * (1 - 1e-15) <= value <= max(v)
+        assert min(v) <= value <= max(v)
 
     @pytest.mark.parametrize("text", ["arithmetic", "quasi:identity"])
     @pytest.mark.parametrize("v", [
@@ -483,6 +524,16 @@ class TestFloatEdges:
 
     def test_sum_overflow_value(self):
         assert eval_mean(MeanSpec.arithmetic(2), (1e308, 1.7e308)) == 1.35e308
+
+    @pytest.mark.parametrize("v, value", [
+        ((FLOAT_MAX, 1.79769313486231e308), FLOAT_MAX),  # the weighted sum overflows
+        ((1.0, 1.0000000000000002), 1.0000000000000002),  # it was 1.0000000000005
+        ((-FLOAT_MAX, -1.79769313486231e308), -FLOAT_MAX),
+    ])
+    def test_weights_summing_past_one(self, v, value):
+        # 0.5000000000005 + 0.5 is within the weights' tolerance of 1
+        spec = MeanSpec.weighted_arithmetic((0.5000000000005, 0.5))
+        assert eval_mean(spec, v) == value
 
     @pytest.mark.parametrize("v", [(5e-324, 1.0), (1.0, 5e-324, 2.0), (1e-310, 3e-320)])
     def test_harmonic_at_subnormals(self, v):
