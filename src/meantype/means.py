@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Callable, Iterator, Sequence
-from math import sqrt
+from math import inf, sqrt
 
 from ._record import FrozenRecord, set_field
 from .errors import (
@@ -495,10 +495,16 @@ def check_vector(v: Sequence[float], specs: Sequence[MeanSpec], domain: Interval
     A valid vector passes in a few C-level passes: a sum that is not NaN
     means no coordinate is NaN, and ``a <= s[0]`` and ``s[-1] <= b`` put
     every coordinate in ``bounds``, which holds no infinity.  A finite sum
-    that overflows to +-inf therefore passes.  Any miss falls through to
-    the coordinate-by-coordinate scan, which names the failure.
+    that overflows to +-inf therefore passes.  A pair of exact floats
+    passes on ``a <= x <= b and a <= y <= b`` alone and is sorted by one
+    comparison.  Any miss, and so every failing input, falls through to the
+    coordinate-by-coordinate scan, which names the failure.
     """
-    spec, (a, b), v = specs[0], bounds, tuple(v)  # read once, for both passes below
+    spec, (a, b), v = specs[0], bounds, tuple(v)  # read once, for the passes below
+    if len(v) == 2 == spec.arity:
+        x, y = v
+        if type(x) is float and type(y) is float and a <= x <= b and a <= y <= b:
+            return v, [x, y] if x <= y else [y, x]  # as sorted: equal zeros keep their order
     try:
         v = tuple(map(float, v))
         if len(v) == spec.arity and (t := sum(v)) == t and a <= (s := sorted(v))[0] and s[-1] <= b:
@@ -550,7 +556,7 @@ def _arithmetic(v: Vector, s: list[float]) -> float:
 
 def _pair_arithmetic(x: float, y: float) -> float:
     s = x + y  # fsum of two floats is their rounded sum; on overflow it sums the halves
-    return s / 2 if -math.inf < s < math.inf else x / 2 + y / 2
+    return s / 2 if -inf < s < inf else x / 2 + y / 2
 
 
 @_spec_free
@@ -563,7 +569,7 @@ def _geometric(v: Vector, s: list[float]) -> float:
 
 def _pair_geometric(x: float, y: float) -> float:
     p = x * y  # rounded once where normal; sqrt(x * x) is x, so this stays in [min, max]
-    return sqrt(p) if 2.0 ** -1022 <= p < math.inf else sqrt(x) * sqrt(y)
+    return sqrt(p) if 2.0 ** -1022 <= p < inf else sqrt(x) * sqrt(y)
 
 
 @_spec_free
@@ -571,9 +577,9 @@ def _harmonic(v: Vector, s: list[float]) -> float:
     try:
         total = math.fsum([1.0 / x for x in v])
     except OverflowError:  # finite reciprocals whose sum leaves the float range
-        total = math.inf
+        total = inf
     h = len(v) / total
-    if h == 0.0 or h == math.inf:
+    if h == 0.0 or h == inf:
         # Some reciprocal or their sum overflowed (h = 0), or all of them are
         # subnormal (h = inf).  Scale by min(v) or max(v) respectively, so
         # every m / x stays finite and m * (n / sum) cannot overflow.
@@ -586,7 +592,7 @@ def _pair_harmonic(x: float, y: float) -> float:
     h = 2 / (1 / x + 1 / y)
     if x <= h <= y or y <= h <= x:
         return h
-    if h == 0.0 or h == math.inf:
+    if h == 0.0 or h == inf:
         return _harmonic(None)((x, y), [x, y] if x <= y else [y, x])  # rescued there
     return min(x, y) if h < x else max(x, y)  # rounded past an end of the pair
 

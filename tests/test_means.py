@@ -1,6 +1,8 @@
 import math
 import random
 import re
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,7 +22,7 @@ from meantype import (
     parse_mean,
 )
 import meantype.means
-from meantype.mapping import _pair_form
+from meantype.mapping import MeanTypeMapping, _pair_form
 from meantype.means import GENERATORS, KINDS, REALS, admissible, check_vector
 
 POSITIVE = Interval(0.0, math.inf)
@@ -233,12 +235,10 @@ def _check_outcome(fn, *args):
         return type(exc), str(exc), exc.component
 
 
-_CHECK_DOMAINS = (
-    REALS, POSITIVE, UNIT,
-    Interval(-1.0, 2.0, lower_closed=True),
-    Interval(-math.inf, 0.0, upper_closed=True),
-    Interval(5e-324, 1.7e308),
-)
+_HALF_OPEN = Interval(-1.0, 2.0, lower_closed=True)
+_NONPOSITIVE = Interval(-math.inf, 0.0, upper_closed=True)
+_FLOAT_POSITIVE = Interval(5e-324, 1.7e308)
+_CHECK_DOMAINS = (REALS, POSITIVE, UNIT, _HALF_OPEN, _NONPOSITIVE, _FLOAT_POSITIVE)
 _CHECK_COORDS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0, 2.0, -2.5,
                  1.7e308, -1.7e308, 1.7976931348623157e308, math.nan, math.inf, -math.inf)
 _ANY_SIGN_SPECS = (MeanSpec.arithmetic, MeanSpec.median,
@@ -249,18 +249,48 @@ _POSITIVE_SPECS = (MeanSpec.geometric, MeanSpec.harmonic,
                    lambda p: MeanSpec.quasi_arithmetic("log", p))
 
 
+class _Float(float):
+    """A float subclass: not an exact float, so it takes the generic check."""
+
+    def __repr__(self):  # so that one left unconverted shows in a checked vector
+        return f"_Float({float(self)!r})"
+
+
+#: Coordinates within the float range that are not exact floats.
+_NOT_FLOAT_COORDS = (0, 1, -2, True, False, _Float(0.5), _Float(-0.0),
+                     Fraction(1, 3), Fraction(-1, 2), "0.25", "-1e-310")
+
+
+class _Iterator(tuple):
+    """Coordinates passed as an iterator: a fresh one per call (:func:`_fresh`)."""
+
+    def __repr__(self):
+        return f"iter({tuple(self)!r})"
+
+
+def _fresh(v):
+    return iter(v) if isinstance(v, _Iterator) else v
+
+
 @st.composite
 def check_cases(draw):
     """(v, specs, domain): domain endpoints among the coordinates, vectors
-    one short or one long, positivity-needing specs at any positions."""
+    one short or one long, positivity-needing specs at any positions; p = 2
+    often, coordinates drawn inside the domain too, some not exact floats,
+    and ``v`` a tuple, a list or an iterator."""
     domain = draw(st.sampled_from(_CHECK_DOMAINS))
-    p = draw(st.integers(1, 4))
+    p = draw(st.sampled_from((1, 2, 2, 2, 3, 4)))
     makers = draw(st.lists(st.sampled_from(_ANY_SIGN_SPECS + _POSITIVE_SPECS),
                            min_size=p, max_size=p))
+    specs = tuple(make(p) for make in makers)
+    a, b = admissible(domain, any(spec.requires_positive for spec in specs))
     ends = tuple(x for x in (domain.lower, domain.upper) if math.isfinite(x))
-    coord = st.one_of(st.sampled_from(_CHECK_COORDS + ends), st.floats())
-    v = draw(st.lists(coord, min_size=p - 1, max_size=p + 1))
-    return v, tuple(make(p) for make in makers), domain
+    coord = st.one_of(st.sampled_from(_CHECK_COORDS + ends), st.floats(),
+                      st.floats(a, b) if a <= b else st.nothing(),
+                      st.sampled_from(_NOT_FLOAT_COORDS))
+    n = draw(st.sampled_from((p - 1, p, p, p + 1)))
+    form = draw(st.sampled_from((tuple, list, _Iterator)))
+    return form(draw(st.lists(coord, min_size=n, max_size=n))), specs, domain
 
 
 _MAX = 1.7976931348623157e308
@@ -345,15 +375,42 @@ class TestCheckVector:
     # exactly on open and closed endpoints, signed zeros
     @example(((0.0, 1.0), (_A2, _A2), UNIT))
     @example(((-0.0, 0.5), (_A2, _A2), POSITIVE))
-    @example(((-1.0, 2.0), (_A2, _A2), Interval(-1.0, 2.0, lower_closed=True)))
+    @example(((-1.0, 2.0), (_A2, _A2), _HALF_OPEN))
     @example(((5e-324, 1.0), (_A2, _G2), REALS))
     @example(((), (_A2, _A2), REALS))
+    # a pair on each end of each checked domain, one float past it, one float inside
+    @example(((-math.inf, 1.0), (_A2, _A2), REALS))
+    @example(((1.0, math.inf), (_A2, _A2), REALS))
+    @example(((-_MAX, _MAX), (_A2, _A2), REALS))
+    @example(((0.0, 1.0), (_A2, _A2), POSITIVE))
+    @example(((5e-324, math.inf), (_G2, _A2), POSITIVE))
+    @example(((_MAX, 5e-324), (_G2, _G2), POSITIVE))
+    @example(((1.0, 0.0), (_A2, _G2), UNIT))
+    @example(((-5e-324, 1.0), (_A2, _A2), UNIT))
+    @example(((0.0, 1.0000000000000002), (_A2, _A2), UNIT))
+    @example(((1.9999999999999998, -1.0), (_A2, _A2), _HALF_OPEN))
+    @example(((-1.0000000000000002, 0.0), (_A2, _A2), _HALF_OPEN))
+    @example(((0.0, -_MAX), (_A2, _A2), _NONPOSITIVE))
+    @example(((-0.0, -math.inf), (_A2, _A2), _NONPOSITIVE))
+    @example(((5e-324, -1.0), (_A2, _A2), _NONPOSITIVE))
+    @example(((5e-324, 1.0), (_A2, _A2), _FLOAT_POSITIVE))
+    @example(((1e-323, 1.7e308), (_A2, _A2), _FLOAT_POSITIVE))
+    @example(((1e-323, 1.6999999999999997e308), (_G2, _G2), _FLOAT_POSITIVE))
+    # equal zeros keep their order; other containers; coordinates that are not exact floats
+    @example(((0.0, -0.0), (_A2, _A2), REALS))
+    @example(((-0.0, 0.0), (_A2, _A2), REALS))
+    @example(([0.0, -0.0], (_A2, _A2), UNIT))
+    @example((_Iterator((-0.0, 0.0)), (_A2, _A2), _NONPOSITIVE))
+    @example(((1, 0.5), (_A2, _A2), UNIT))
+    @example(((True, 0.5), (_G2, _A2), UNIT))
+    @example(((_Float(0.5), 1.0), (_G2, _A2), UNIT))
+    @example(((Fraction(1, 3), "0.25"), (_G2, _G2), POSITIVE))
     def test_matches_per_coordinate_scan(self, case):
         v, specs, domain = case
         positive = next((i for i, spec in enumerate(specs) if spec.requires_positive), None)
         bounds = admissible(domain, positive is not None)
-        assert (_check_outcome(check_vector, v, specs, domain, positive, bounds)
-                == _check_outcome(_reference_check, v, specs, domain))
+        assert (_check_outcome(check_vector, _fresh(v), specs, domain, positive, bounds)
+                == _check_outcome(_reference_check, _fresh(v), specs, domain))
 
     @pytest.mark.parametrize("v, name", [
         ([1, 10**400], "coordinate 2"), ([-10**400, 1.0, math.nan], "coordinate 1"),
@@ -363,6 +420,17 @@ class TestCheckVector:
         with pytest.raises(NonFiniteInput, match=f"^{name} is beyond the float range$") as info:
             check_vector(v, (_A2, _A2), REALS, None, admissible(REALS, False))
         assert info.value.component == 1
+
+    @pytest.mark.parametrize("v, sorts", [((1.0, 2.0), 0), ((2.0, 1.0), 0), ((1, 2.0), 1)])
+    def test_float_pair_is_not_sorted(self, v, sorts):
+        # a pair of exact floats in range is ordered by one comparison; any other pair is sorted
+        harmonic = MeanSpec.harmonic(2)
+        mapping = MeanTypeMapping((_A2, harmonic), POSITIVE)
+        with mock.patch.object(meantype.means, "sorted", create=True, wraps=sorted) as counted:
+            eval_mean(harmonic, v, POSITIVE)
+            assert counted.call_count == sorts
+            mapping.apply(v)
+            assert counted.call_count == 2 * sorts
 
 
 # ---------------------------------------------------------------------------
