@@ -4,21 +4,15 @@ Build tuples of means acting coordinate-wise on I^p, iterate them to
 their invariant mean (Gauss iteration), probe contractivity and weak
 contractivity (the per-vector index n0 and the derived mapping M*), and
 decompose invariant functions as phi o K.
+
+``import meantype`` loads ``errors``, ``means``, ``mapping`` and
+``invariant``.  The ``decompose`` module and the names it exports load
+on first use, through the module ``__getattr__`` below (PEP 562), so a
+process that never decomposes never compiles it.  The standard-library
+``random``, ``json``, ``csv`` and ``datetime`` load likewise, when a
+command samples, writes JSON, writes CSV or stamps a JSON document.
 """
 
-from .decompose import (
-    DecompositionReport,
-    InvariantFunction,
-    compose,
-    constant_function,
-    coordinate_function,
-    diagonal_restriction,
-    mean_function,
-    parse_function,
-    product_function,
-    sum_function,
-    verify_decomposition,
-)
 from .errors import (
     ArityMismatch,
     ConstantVector,
@@ -121,3 +115,19 @@ __all__ = [
     "uniqueness_probe",
     "verify_decomposition",
 ]
+
+
+def __getattr__(name):
+    # Reached only for a name not bound above: ``decompose`` and the names
+    # of ``__all__`` that it defines.  ``from . import decompose`` here
+    # would look the submodule up on this package, and so call back in.
+    if name == "decompose" or name in __all__:
+        import importlib
+
+        module = importlib.import_module(".decompose", __name__)
+        return module if name == "decompose" else getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, "decompose"})

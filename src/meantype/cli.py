@@ -15,13 +15,11 @@ it is deterministic for a fixed config and seed apart from that field.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from collections.abc import Sequence
 
-from .decompose import parse_function, verify_decomposition
 from .errors import MeanTypeError, NotFoundWithinCap, ParseError
 from .invariant import (
     DEFAULT_MAX_ITER,
@@ -212,6 +210,8 @@ def _json_safe(x):
 
 def _emit(args, doc: dict, human_lines: list[str], trace: IterationTrace | None = None) -> None:
     if args.output == "json":
+        import json
+
         doc = {"command": args.command, **_json_safe(doc), "timestamp": _timestamp()}
         print(json.dumps(doc, indent=2, allow_nan=False))
     elif args.output == "csv":
@@ -381,9 +381,22 @@ def _cmd_uniqueness(args) -> int:
     return EXIT_OK
 
 
+def verify_decomposition(*args, **kwargs):
+    """:func:`meantype.decompose.verify_decomposition`, whose module loads on the first call.
+
+    A module attribute that ``_cmd_decompose`` calls, so that a wrapper
+    set here (as ``bench/spans.py`` sets one) sees each CLI decomposition.
+    """
+    from .decompose import verify_decomposition
+
+    return verify_decomposition(*args, **kwargs)
+
+
 def _cmd_decompose(args) -> int:
     if not args.invariance_threshold >= 0.0:
         raise _CLIError(f"--invariance-threshold must be >= 0, got {args.invariance_threshold!r}")
+    from .decompose import parse_function
+
     mapping = load_mapping(args.mapping)
     f = parse_function(args.function, mapping)
     report = verify_decomposition(

@@ -22,7 +22,6 @@ concurrently without synchronization.
 from __future__ import annotations
 
 import math
-import random
 from collections.abc import Callable, Iterator, Sequence
 from math import inf, sqrt
 
@@ -204,6 +203,8 @@ def sample_vectors(domain: Interval, p: int, count: int, seed: int = 42) -> Iter
             f"its sampling box is {box}")
     lead = _stress_vectors(lo, hi, p)[:max(count, 0)]
     yield from lead
+    import random  # loaded here, its only use, rather than at every import of the package
+
     rnd, span = random.Random(seed).random, hi - lo
     rest = range(count - len(lead))
     if span == math.inf:  # hi - lo overflows, so lo < 0 < hi, and this convex combination cannot

@@ -443,6 +443,23 @@ class TestCommands:
         assert code == 2
         assert "exceeds threshold" in out
 
+    @pytest.mark.parametrize("patched", [("cli", "decompose"), ("cli",), ("decompose",)])
+    def test_decompose_calls_verify_decomposition_once(self, capsys, cfg, monkeypatch, patched):
+        # bench/spans.py sets one wrapper on both modules' verify_decomposition;
+        # each of them alone sees the command's one call too
+        argv = ["decompose", "--mapping", cfg["ah"], "--function", "product", "--samples", "20"]
+        plain = run(capsys, *argv)
+        calls, verify = [], meantype.decompose.verify_decomposition
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return verify(*args, **kwargs)
+
+        for name in patched:
+            monkeypatch.setattr(getattr(meantype, name), "verify_decomposition", counted)
+        assert run(capsys, *argv) == plain
+        assert len(calls) == 1
+
 
 class TestOutputFormats:
     def test_json_document_fields(self, capsys, cfg):
@@ -648,14 +665,37 @@ class TestResidualFlags:
 
 
 def test_import_loads_no_unneeded_modules():
-    # A fresh interpreter, since pytest has loaded these modules itself; -S
+    # Fresh interpreters, since pytest has loaded these modules itself; -S
     # keeps site-packages start-up hooks from loading any of them first.
-    unneeded = ("dataclasses", "inspect", "csv", "datetime", "typing")
-    code = f"import sys, meantype.cli; print(sorted(set({unneeded!r}) & set(sys.modules)))"
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out == "[]\n"
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+
+    def child(code):
+        return subprocess.run([sys.executable, "-S", "-c", code], cwd=root, env=env,
+                              capture_output=True, text=True, check=True).stdout
+
+    unneeded = ("dataclasses", "inspect", "csv", "datetime", "typing", "meantype.decompose",
+                "json", "random")
+    loaded = f"sorted(set({unneeded!r}) & set(sys.modules))"
+    assert child(f"import sys, meantype; print({loaded})\n"
+                 f"import meantype.cli; print({loaded})") == "[]\n[]\n"
+    # a command that neither decomposes nor writes JSON loads neither module;
+    # the names of decompose still import, one by one, by *, and by pickle
+    assert child(
+        "import contextlib, io, sys\n"
+        "from meantype import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = cli.main(['invariant', '--mapping', 'configs/agm.cfg', '--vector', '1,2'])\n"
+        "print(code, out.getvalue().splitlines()[0])\n"
+        "print(sorted({'meantype.decompose', 'json'} & set(sys.modules)))\n"
+        "import pickle\n"
+        "from meantype import verify_decomposition\n"
+        "from meantype import *\n"
+        "report = verify_decomposition(product_function(2), arithmetic_harmonic_mapping(),\n"
+        "                              sample_count=5)\n"
+        "copy = pickle.loads(pickle.dumps(report))\n"
+        "print(type(copy) is DecompositionReport, copy == report)\n"
+    ) == "0 value = 1.4567910310469068\n[]\nTrue True\n"
 
 
 @pytest.mark.parametrize("launcher", [
